@@ -19,11 +19,11 @@ from .explore import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       move_invariance_trial, random_diagram, reduce,
                       rotation_canonical_code, rotation_conjugacy_trial,
                       scramble, search_nontrivial)
-from .group import (EQUAL, NO, UNDETERMINED, YES, Closure, ConjugacyAnswer,
+from .group import (EQUAL, NO, UNDETERMINED, YES, ConjugacyAnswer,
                     LevelOutOfRange, MixedM, NormalForm, apply_letter,
-                    class_closure, conjugate, conjugate_equal,
-                    corrupted_apply_letter, evaluate, identity, inverse,
-                    multiply, normal_form_to_word, relation_check, relations,
+                    conjugate, conjugate_equal, corrupted_apply_letter,
+                    evaluate, identity, inverse, multiply,
+                    normal_form_to_word, relation_check, relations,
                     rewrite_oracle)
 from .moves import (CROSSED, NESTED, AdjointTriple, GapOutOfRange, Move,
                     NotAnR1Site, NotAnR2Site, NotAnR3Site, adjoint_triple,
@@ -36,15 +36,15 @@ from .parity import (FINAL, Filtration, InvalidM, Word, alphabet, delete_odd,
 
 __all__ = [
     "AdjointTriple", "CERTIFIED_DISTINCT", "CROSSED", "Chord",
-    "ChordDiagram", "Closure", "ConjugacyAnswer", "EQUAL", "EXHAUSTED",
+    "ChordDiagram", "ConjugacyAnswer", "EQUAL", "EXHAUSTED",
     "EmptyTokenError", "FINAL", "FREE", "Filtration", "GapOutOfRange",
     "InvalidM", "LONG", "LabelCountError", "LevelOutOfRange", "MINIMAL_FOUND",
     "MixedM", "Move", "NESTED", "NO", "NormalForm", "NotAnR1Site",
     "NotAnR2Site", "NotAnR3Site", "REDUCED_TO_EMPTY", "SAME_INVARIANT",
     "SearchReport", "SharedEndpointError", "UNDETERMINED", "Violation",
     "Word", "YES", "adjoint_triple", "all_matchings", "alphabet",
-    "apply_letter", "apply_move", "class_closure", "conjugate",
-    "conjugate_equal", "corrupted_apply_letter", "delete_odd",
+    "apply_letter", "apply_move", "conjugate", "conjugate_equal",
+    "corrupted_apply_letter", "delete_odd",
     "diagram_from_labels", "distinguish", "double_prime", "enumerate_moves",
     "evaluate", "filtration", "identity", "inverse", "inverse_move",
     "letter_level", "link_count", "linked", "move_from_json",

@@ -9,20 +9,19 @@ machine-readable form (sorted keys, fixed layout).
 
 import argparse
 import json
+import os
 import random
+import signal
 import sys
 
 from .diagram import ChordDiagram, parse_gauss_code, serialize
 from .explore import (CERTIFIED_DISTINCT, FREE, LONG, SAME_INVARIANT,
-                      UNDETERMINED, distinguish, move_invariance_trial,
-                      reduce, rotation_conjugacy_trial, scramble,
-                      search_nontrivial)
+                      move_invariance_trial, reduce, rotation_conjugacy_trial,
+                      scramble, search_nontrivial)
 from .group import (NormalForm, YES, conjugate_equal, corrupted_apply_letter,
                     evaluate, identity, relation_check)
 from .moves import enumerate_moves, move_to_json, move_to_text
 from .parity import filtration, word_of
-
-COMPARE_EXIT = {SAME_INVARIANT: 0, CERTIFIED_DISTINCT: 1, UNDETERMINED: 2}
 
 
 def _emit(payload: dict) -> None:
@@ -111,30 +110,31 @@ def cmd_invariant(args) -> int:
     return 0
 
 
+def _relate(d1: ChordDiagram, d2: ChordDiagram, m: int, mode: str) -> dict:
+    a = evaluate(word_of(d1, m))
+    b = evaluate(word_of(d2, m))
+    entry = {"m": m, "left": a.to_json(), "right": b.to_json(),
+             "witness": None}
+    if mode == LONG:
+        entry["relation"] = "equal" if a == b else "distinct"
+        return entry
+    answer = conjugate_equal(a, b)
+    if answer.verdict == YES:
+        entry["relation"] = "conjugate"
+        entry["witness"] = list(answer.witness)
+    else:
+        entry["relation"] = "distinct"
+    return entry
+
+
 def cmd_compare(args) -> int:
     codes = _collect_codes(args, 2)
     d1, d2 = (parse_gauss_code(code) for code in codes)
     m_values = args.m or [1]
-    verdict = distinguish(d1, d2, m_values, args.max_states, args.mode)
-    per_m = []
-    for m in m_values:
-        a = evaluate(word_of(d1, m))
-        b = evaluate(word_of(d2, m))
-        entry = {"m": m, "left": a.to_json(), "right": b.to_json(),
-                 "witness": None}
-        if args.mode == LONG:
-            entry["relation"] = "equal" if a == b else "distinct"
-        else:
-            answer = conjugate_equal(a, b, args.max_states)
-            if answer.verdict == YES:
-                entry["relation"] = "conjugate"
-                entry["witness"] = list(answer.witness)
-            elif answer.verdict == "no":
-                entry["relation"] = "distinct"
-            else:
-                entry["relation"] = "undetermined"
-        per_m.append(entry)
-    code = COMPARE_EXIT[verdict]
+    per_m = [_relate(d1, d2, m, args.mode) for m in m_values]
+    distinct = any(entry["relation"] == "distinct" for entry in per_m)
+    verdict = CERTIFIED_DISTINCT if distinct else SAME_INVARIANT
+    code = 1 if distinct else 0
     if args.json:
         _emit({"command": "compare", "mode": args.mode, "m": m_values,
                "per_m": per_m, "verdict": verdict, "exit_code": code})
@@ -288,15 +288,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="filtration depth (repeatable, default 1)")
 
     p = add("compare", cmd_compare,
-            "compare two diagrams (exit 0 same, 1 distinct, 2 undetermined)")
+            "compare two diagrams (exit 0 same, 1 distinct, 3 bad input)")
     p.add_argument("--gauss", action="append",
                    help="gauss code (give twice, or pipe two lines)")
     p.add_argument("--m", action="append", type=int,
                    help="filtration depth (repeatable, default 1)")
     p.add_argument("--mode", choices=[LONG, FREE], default=LONG,
                    help="long compares values, free compares up to rotation")
-    p.add_argument("--max-states", type=int, default=4096,
-                   help="conjugacy closure cap in free mode")
 
     p = add("scramble", cmd_scramble, "apply random moves to a diagram")
     p.add_argument("--gauss", action="append", help="gauss code")
@@ -344,14 +342,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numbers(args) -> None:
+    """Reject out-of-range numeric arguments before any output."""
+    for m in getattr(args, "m", None) or []:
+        if m < 1:
+            raise ValueError(f"--m must be a positive integer, got {m}")
+    for name in ("moves", "max_chords", "max_states", "samples", "trials"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be non-negative, got {value}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _check_numbers(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if args.command == "compare" else 2
+    except BrokenPipeError:
+        # The reader closed the pipe (`freeknot ... | head`).  Point
+        # stdout at devnull so the flush at exit cannot fail again, and
+        # exit as a shell reports a writer stopped by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":

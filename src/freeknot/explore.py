@@ -12,14 +12,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .diagram import ChordDiagram, parse_gauss_code, serialize
-from .group import NO, YES, conjugate, conjugate_equal, evaluate, identity
+from .group import YES, conjugate, conjugate_equal, evaluate, identity
 from .moves import (Move, apply_move, enumerate_moves, move_to_json,
                     rotate_basepoint)
 from .parity import word_of
 
 SAME_INVARIANT = "same_invariant"
 CERTIFIED_DISTINCT = "certified_distinct"
-UNDETERMINED = "undetermined"
 
 LONG = "long"
 FREE = "free"
@@ -125,31 +124,23 @@ def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
 
 
 def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
-                state_cap: int, mode: str = LONG) -> str:
+                mode: str = LONG) -> str:
     """Compare two diagrams through their invariants.
 
     Long mode compares values exactly; free mode compares conjugacy
-    classes through bounded closures.  CERTIFIED_DISTINCT when some
-    depth separates the diagrams, SAME_INVARIANT when every depth
-    agrees, UNDETERMINED only in free mode after a truncated closure.
-    Agreement never claims the knots themselves are equivalent.
+    classes.  CERTIFIED_DISTINCT when some depth separates the
+    diagrams, SAME_INVARIANT when every depth agrees.  Agreement never
+    claims the knots themselves are equivalent.
     """
     if mode not in (LONG, FREE):
         raise ValueError(f"unknown mode {mode!r}")
-    undecided = False
     for m in m_list:
         a = evaluate(word_of(d1, m))
         b = evaluate(word_of(d2, m))
-        if mode == LONG:
-            if a != b:
-                return CERTIFIED_DISTINCT
-        else:
-            answer = conjugate_equal(a, b, state_cap)
-            if answer.verdict == NO:
-                return CERTIFIED_DISTINCT
-            if answer.verdict != YES:
-                undecided = True
-    return UNDETERMINED if undecided else SAME_INVARIANT
+        same = a == b if mode == LONG else conjugate_equal(a, b).verdict == YES
+        if not same:
+            return CERTIFIED_DISTINCT
+    return SAME_INVARIANT
 
 
 def rotation_canonical_code(d: ChordDiagram) -> str:
@@ -233,10 +224,10 @@ def move_invariance_trial(rng: random.Random, m_values: Sequence[int],
 
 
 def rotation_conjugacy_trial(rng: random.Random, m_values: Sequence[int],
-                             max_n: int = 8, state_cap: int = 2048) -> bool:
+                             max_n: int = 8) -> bool:
     """One random trial: after a one-step rotation the value must be
-    the conjugate by the word's first letter, and the bounded conjugacy
-    test must certify the two values conjugate with a valid witness."""
+    the conjugate by the word's first letter, and the conjugacy test
+    must certify the two values conjugate with a valid witness."""
     d = random_diagram(rng.randint(1, max_n), rng)
     rotated = rotate_basepoint(d, 1)
     for m in m_values:
@@ -245,7 +236,7 @@ def rotation_conjugacy_trial(rng: random.Random, m_values: Sequence[int],
         b = evaluate(word_of(rotated, m))
         if b != conjugate(a, (w.letters[0],)):
             return False
-        answer = conjugate_equal(a, b, state_cap)
+        answer = conjugate_equal(a, b)
         if answer.verdict != YES or conjugate(a, answer.witness) != b:
             return False
     return True

@@ -13,9 +13,14 @@ relation tests in this package exercise exactly that identification.
 The parity sum deliberately includes eps.  Dropping it breaks the swap
 rule between level letters and the final letter already at the origin,
 which relation_check exposes (see corrupted_apply_letter).
+
+On points the group law has a closed form.  With
+s_k(p) = (-1)^(p.x[k] + ... + p.x[m-1] + p.eps), the product is
+(a.b).x[k] = a.x[k] + s_k(a) b.x[k] with the flags added mod 2;
+multiply, inverse, conjugate and the exact conjugacy test
+conjugate_equal all rest on it.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -138,6 +143,28 @@ def evaluate(word: Word) -> NormalForm:
     return _fold(identity(word.m), word.letters)
 
 
+def _signs(p: NormalForm) -> list[int]:
+    """s_k(p) = (-1)^(p.x[k] + ... + p.x[m-1] + p.eps) for every level k."""
+    signs = [0] * p.m
+    s = -1 if p.eps else 1
+    for k in range(p.m - 1, -1, -1):
+        if p.x[k] % 2:
+            s = -s
+        signs[k] = s
+    return signs
+
+
+def _walk(k: int, target: int, above: int) -> tuple[str, ...]:
+    """The letters that move coordinate k from 0 to target while the
+    levels above k read the sign `above`: one per unit step.  The live
+    parity flips with every step, so Pk and Dk alternate, and Pk comes
+    first when the step direction agrees with the sign."""
+    pair = (prime(k), double_prime(k))
+    if (target > 0) != (above > 0):
+        pair = pair[::-1]
+    return tuple(pair[i % 2] for i in range(abs(target)))
+
+
 def normal_form_to_word(nf: NormalForm) -> Word:
     """A fixed word evaluating to nf.
 
@@ -146,32 +173,25 @@ def normal_form_to_word(nf: NormalForm) -> Word:
     picking whichever letter moves toward the target under the live
     parity.  evaluate(normal_form_to_word(nf)) == nf for every point.
     """
-    point = identity(nf.m)
-    letters = []
-    if nf.eps:
-        letters.append(FINAL)
-        point = apply_letter(point, FINAL)
+    above = _signs(nf)[1:] + [-1 if nf.eps else 1]  # s_{k+1}(nf)
+    letters = [FINAL] * nf.eps
     for k in range(nf.m - 1, -1, -1):
-        while point.x[k] != nf.x[k]:
-            up = nf.x[k] > point.x[k]
-            even = (sum(point.x[k:]) + point.eps) % 2 == 0
-            z = prime(k) if up == even else double_prime(k)
-            letters.append(z)
-            point = apply_letter(point, z)
+        letters.extend(_walk(k, nf.x[k], above[k]))
     return Word(tuple(letters), nf.m)
 
 
 def multiply(a: NormalForm, b: NormalForm) -> NormalForm:
-    """Group product: apply b's word starting from the point a."""
+    """Group product: the point b's word reaches starting from a."""
     if a.m != b.m:
         raise MixedM(f"depths differ: {a.m} != {b.m}")
-    return _fold(a, normal_form_to_word(b).letters)
+    x = tuple(ak + s * bk for ak, s, bk in zip(a.x, _signs(a), b.x))
+    return NormalForm(x, a.eps ^ b.eps)
 
 
 def inverse(a: NormalForm) -> NormalForm:
-    """Every letter is an involution, so the reversed word inverts."""
-    w = normal_form_to_word(a)
-    return _fold(identity(a.m), reversed(w.letters))
+    """Solve a.c = e level by level: c_k = -s_k(a) a_k, same flag."""
+    return NormalForm(tuple(-s * ak for ak, s in zip(a.x, _signs(a))),
+                      a.eps)
 
 
 def conjugate(a: NormalForm, by: Word | Sequence[str]) -> NormalForm:
@@ -182,9 +202,8 @@ def conjugate(a: NormalForm, by: Word | Sequence[str]) -> NormalForm:
         letters = by.letters
     else:
         letters = tuple(by)
-    point = _fold(identity(a.m), reversed(letters))
-    point = _fold(point, normal_form_to_word(a).letters)
-    return _fold(point, letters)
+    w = _fold(identity(a.m), letters)
+    return multiply(multiply(inverse(w), a), w)
 
 
 def relations(m: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -284,93 +303,68 @@ def rewrite_oracle(w1: Word, w2: Word, depth: int) -> str:
 
 
 @dataclass(frozen=True)
-class Closure:
-    """Conjugacy-closure result; complete=True certifies a whole class."""
-
-    complete: bool
-    elements: frozenset
-
-
-def _conjugate_by_letter(point: NormalForm, z: str) -> NormalForm:
-    out = apply_letter(identity(point.m), z)
-    out = _fold(out, normal_form_to_word(point).letters)
-    return apply_letter(out, z)
-
-
-def class_closure(a: NormalForm, state_cap: int) -> Closure:
-    """Breadth-first closure of {a} under conjugation by single letters.
-
-    Stops with an incomplete set as soon as it would grow past
-    state_cap; a complete closure is the entire conjugacy class.  Note
-    classes can be infinite (already at depth 1 for points with an odd
-    coordinate sum), in which case every finite cap truncates.
-    """
-    letters = alphabet(a.m)
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        point = queue.popleft()
-        for z in letters:
-            conj = _conjugate_by_letter(point, z)
-            if conj in seen:
-                continue
-            if len(seen) >= state_cap:
-                return Closure(False, frozenset(seen))
-            seen.add(conj)
-            queue.append(conj)
-    return Closure(True, frozenset(seen))
-
-
-@dataclass(frozen=True)
 class ConjugacyAnswer:
-    """Outcome of a bounded conjugacy test.
+    """Outcome of a conjugacy test.
 
     When the verdict is YES, conjugate(a, witness) == b.
     """
 
-    verdict: str  # YES | NO | UNDETERMINED
+    verdict: str  # YES | NO
     witness: tuple[str, ...] | None
 
 
-def _closure_with_witnesses(a: NormalForm, state_cap: int):
-    letters = alphabet(a.m)
-    witnesses: dict[NormalForm, tuple[str, ...]] = {a: ()}
-    queue = deque([a])
-    while queue:
-        point = queue.popleft()
-        for z in letters:
-            conj = _conjugate_by_letter(point, z)
-            if conj in witnesses:
-                continue
-            if len(witnesses) >= state_cap:
-                return False, witnesses
-            witnesses[conj] = witnesses[point] + (z,)
-            queue.append(conj)
-    return True, witnesses
+def conjugate_equal(a: NormalForm, b: NormalForm) -> ConjugacyAnswer:
+    """Exact conjugacy test: YES with a shortest conjugating word, or NO.
 
+    a.w = w.b reads a_k + s_k(a) w_k = w_k + s_k(w) b_k at every level
+    k, together with eps_a = eps_b.  Once the signs of w are fixed (one
+    of 2^(m+1) parity classes), a level with s_k(a) = -1 pins
+    w_k = (a_k - s_k(w) b_k) / 2, which must have the parity turning
+    s_{k+1}(w) into s_k(w); a level with s_k(a) = +1 asks
+    a_k = s_k(w) b_k and leaves w_k free within that parity, so it
+    takes 0 or the unit step whose letter is Pk.  The signs form a
+    chain from s_m(w) = (-1)^eps_w down to s_0(w), so one pass from
+    level 0 upward keeps, for each sign above the current level, the
+    least word for the levels below it, and covers every class in O(m)
+    steps.  The witness is normal_form_to_word of a conjugator with the
+    fewest letters, ties broken by alphabet order.
 
-def conjugate_equal(a: NormalForm, b: NormalForm,
-                    state_cap: int) -> ConjugacyAnswer:
-    """Certified conjugacy test by bounded closure search.
-
-    YES comes with letters conjugating a to b; NO only when one side's
-    whole class was enumerated without meeting the other element;
-    UNDETERMINED when both closures were truncated without touching.
+    >>> conjugate_equal(NormalForm((2,), 0), NormalForm((-2,), 0))
+    ConjugacyAnswer(verdict='yes', witness=('P0',))
     """
     if a.m != b.m:
         raise MixedM(f"depths differ: {a.m} != {b.m}")
-    complete_a, wit_a = _closure_with_witnesses(a, state_cap)
-    if b in wit_a:
-        return ConjugacyAnswer(YES, wit_a[b])
-    if complete_a:
+    if a.eps != b.eps:
         return ConjugacyAnswer(NO, None)
-    complete_b, wit_b = _closure_with_witnesses(b, state_cap)
-    if a in wit_b:
-        return ConjugacyAnswer(YES, tuple(reversed(wit_b[a])))
-    if complete_b:
+    order = {z: i for i, z in enumerate(alphabet(a.m))}
+
+    def least(words):
+        return min(words, default=None,
+                   key=lambda word: (len(word), [order[z] for z in word]))
+
+    signs_a = _signs(a)
+    below = {1: (), -1: ()}  # s_k(w) -> least word for the levels under k
+    for k in range(a.m):
+        options = {1: [], -1: []}  # s_{k+1}(w) -> words for levels k..0
+        for above in options:
+            for here, rest in below.items():
+                if rest is None:
+                    continue
+                odd = here != above
+                if signs_a[k] < 0:
+                    twice = a.x[k] - here * b.x[k]
+                    if twice % 4 != 2 * odd:
+                        continue
+                    w_k = twice // 2
+                elif a.x[k] != here * b.x[k]:
+                    continue
+                else:
+                    w_k = above if odd else 0
+                options[above].append(_walk(k, w_k, above) + rest)
+        below = {above: least(words) for above, words in options.items()}
+    tops = (((), 1), ((FINAL,), -1))  # eps_w = 0 or 1, and s_m(w)
+    witness = least([flag + below[sign] for flag, sign in tops
+                     if below[sign] is not None])
+    if witness is None:
         return ConjugacyAnswer(NO, None)
-    common = set(wit_a) & set(wit_b)
-    if common:
-        x = min(common)
-        return ConjugacyAnswer(YES, wit_a[x] + tuple(reversed(wit_b[x])))
-    return ConjugacyAnswer(UNDETERMINED, None)
+    return ConjugacyAnswer(YES, witness)

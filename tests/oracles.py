@@ -1,0 +1,118 @@
+"""Slow reference implementations that the library's fast paths replaced.
+
+Normal-form words are built and the group operations applied one
+letter at a time through the action, and conjugacy is explored by
+breadth-first closure under single-letter conjugation.  Tests compare
+the closed-form library code against them.
+"""
+
+from collections import deque
+from dataclasses import dataclass
+
+from freeknot import (FINAL, NO, UNDETERMINED, YES, MixedM, NormalForm,
+                      alphabet, apply_letter, double_prime, identity, prime)
+
+
+def fold(point: NormalForm, letters) -> NormalForm:
+    for z in letters:
+        point = apply_letter(point, z)
+    return point
+
+
+def normal_form_to_word(nf: NormalForm) -> tuple[str, ...]:
+    """The final letter first when eps is set, then each coordinate
+    walked to its target from the top level down, one letter at a time
+    under the live parity."""
+    point = identity(nf.m)
+    letters = []
+    if nf.eps:
+        letters.append(FINAL)
+        point = apply_letter(point, FINAL)
+    for k in range(nf.m - 1, -1, -1):
+        while point.x[k] != nf.x[k]:
+            up = nf.x[k] > point.x[k]
+            even = (sum(point.x[k:]) + point.eps) % 2 == 0
+            z = prime(k) if up == even else double_prime(k)
+            letters.append(z)
+            point = apply_letter(point, z)
+    return tuple(letters)
+
+
+def multiply(a: NormalForm, b: NormalForm) -> NormalForm:
+    """Group product: apply b's word starting from the point a."""
+    if a.m != b.m:
+        raise MixedM(f"depths differ: {a.m} != {b.m}")
+    return fold(a, normal_form_to_word(b))
+
+
+def inverse(a: NormalForm) -> NormalForm:
+    """Every letter is an involution, so the reversed word inverts."""
+    return fold(identity(a.m), reversed(normal_form_to_word(a)))
+
+
+def conjugate(a: NormalForm, by) -> NormalForm:
+    """The conjugate w^-1 a w, walked letter by letter."""
+    letters = tuple(by)
+    point = fold(identity(a.m), reversed(letters))
+    point = fold(point, normal_form_to_word(a))
+    return fold(point, letters)
+
+
+@dataclass(frozen=True)
+class Closure:
+    """Conjugacy-closure result; complete=True certifies a whole class."""
+
+    complete: bool
+    elements: frozenset
+
+
+def _closure_with_witnesses(a: NormalForm, state_cap: int):
+    witnesses: dict[NormalForm, tuple[str, ...]] = {a: ()}
+    queue = deque([a])
+    while queue:
+        point = queue.popleft()
+        for z in alphabet(a.m):
+            conj = conjugate(point, (z,))
+            if conj in witnesses:
+                continue
+            if len(witnesses) >= state_cap:
+                return False, witnesses
+            witnesses[conj] = witnesses[point] + (z,)
+            queue.append(conj)
+    return True, witnesses
+
+
+def class_closure(a: NormalForm, state_cap: int) -> Closure:
+    """Breadth-first closure of {a} under conjugation by single letters.
+
+    Stops with an incomplete set as soon as it would grow past
+    state_cap; a complete closure is the entire conjugacy class.
+    """
+    complete, witnesses = _closure_with_witnesses(a, state_cap)
+    return Closure(complete, frozenset(witnesses))
+
+
+def conjugate_equal(a: NormalForm, b: NormalForm, state_cap: int):
+    """Bounded conjugacy test by closure search: (verdict, witness).
+
+    YES comes with letters conjugating a to b; NO only when one side's
+    whole class was enumerated without meeting the other element;
+    UNDETERMINED when both closures were truncated without touching.
+    """
+    if a.m != b.m:
+        raise MixedM(f"depths differ: {a.m} != {b.m}")
+    complete_a, wit_a = _closure_with_witnesses(a, state_cap)
+    if b in wit_a:
+        return YES, wit_a[b]
+    if complete_a:
+        return NO, None
+    complete_b, wit_b = _closure_with_witnesses(b, state_cap)
+    if a in wit_b:
+        return YES, tuple(reversed(wit_b[a]))
+    if complete_b:
+        return NO, None
+    common = set(wit_a) & set(wit_b)
+    if common:
+        x = min(common)
+        return YES, wit_a[x] + tuple(reversed(wit_b[x]))
+    return UNDETERMINED, None

@@ -37,8 +37,8 @@ def test_move_invariance_10k():
 
 def test_rotation_conjugacy_1k():
     """A one-step base-point rotation conjugates the value by the
-    word's first letter, and the bounded conjugacy test certifies the
-    pair with a replayable witness; one thousand randomized trials."""
+    word's first letter, and the conjugacy test certifies the pair
+    with a replayable witness; one thousand randomized trials."""
     rng = random.Random(20260819)
     passed = sum(rotation_conjugacy_trial(rng, [1, 2, 3], max_n=8)
                  for _ in range(1_000))
@@ -97,7 +97,7 @@ def test_nontrivial_witnesses_survive_scrambling():
         ok &= value != identity(1)
         moved = scramble(d, 100, seed=1000 + i, size_cap=2 * d.n)
         other = evaluate(word_of(moved, 1))
-        answer = conjugate_equal(value, other, 4096)
+        answer = conjugate_equal(value, other)
         ok &= answer.verdict == YES
         ok &= conjugate(value, answer.witness) == other
     assert report(f"nontriviality: {len(found)} witnesses at n<=6 "

@@ -1,10 +1,12 @@
 import json
 import shutil
+import signal
 import subprocess
 import sys
 
 import pytest
 
+from freeknot import NormalForm, conjugate
 from freeknot.cli import main
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
@@ -81,12 +83,25 @@ class TestCompare:
         assert "m=1: conjugate witness=P0" in out
         assert "verdict: same_invariant" in out
 
-    def test_free_mode_undetermined_exits_2(self, capsys):
+    def test_free_mode_decides_every_depth(self, capsys):
+        code, out, _ = run(capsys, "compare", "--mode", "free", "--json",
+                           "--gauss", WITNESS, "--gauss", WITNESS_ROTATED,
+                           "--m", "1", "--m", "2", "--m", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "same_invariant"
+        for entry in payload["per_m"]:
+            assert entry["relation"] == "conjugate"
+            left = NormalForm.from_json(entry["left"])
+            right = NormalForm.from_json(entry["right"])
+            assert conjugate(left, entry["witness"]) == right
+
+    def test_free_mode_distinct_exits_1(self, capsys):
         code, out, _ = run(capsys, "compare", "--mode", "free",
-                           "--max-states", "1",
-                           "--gauss", WITNESS, "--gauss", WITNESS_ROTATED)
-        assert code == 2
-        assert "verdict: undetermined" in out
+                           "--gauss", WITNESS, "--gauss", "1 1")
+        assert code == 1
+        assert out.splitlines() == ["mode: free", "m=1: distinct",
+                                    "verdict: certified_distinct"]
 
     def test_json_carries_exit_code(self, capsys):
         code, out, _ = run(capsys, "compare", "--json", "--gauss", WITNESS,
@@ -221,6 +236,42 @@ class TestMoves:
         payload = json.loads(out)
         assert code == 0
         assert payload["moves"][0] == {"kind": "r1_remove", "chord": [1, 2]}
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("argv, exit_code, message", [
+        (["invariant", "--m", "0", "--gauss", "1 1"], 2, "--m"),
+        (["compare", "--m", "-1", "--gauss", "1 1", "--gauss", "1 1"], 3,
+         "--m"),
+        (["scramble", "--moves", "-5", "--gauss", "1 1", "--seed", "1"], 2,
+         "--moves"),
+        (["moves", "--max-chords", "-1", "--gauss", "1 1"], 2,
+         "--max-chords"),
+        (["reduce", "--max-states", "-1", "--gauss", "1 1"], 2,
+         "--max-states"),
+        (["selfcheck", "--trials", "-1", "--seed", "1"], 2, "--trials"),
+    ])
+    def test_rejected_before_any_output(self, capsys, argv, exit_code,
+                                        message):
+        code, out, err = run(capsys, *argv)
+        assert code == exit_code
+        assert out == ""
+        assert err.startswith("error: " + message)
+
+    def test_closed_pipe_ends_quietly(self):
+        # more output than a pipe buffers, so the writer meets the
+        # closed pipe whatever the timing
+        gauss = " ".join(str(c) for c in list(range(1, 15)) * 2)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "freeknot.cli", "moves", "--json",
+             "--gauss", gauss],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert (code, err) == (128 + signal.SIGPIPE, b"")
 
 
 class TestConsoleScript:

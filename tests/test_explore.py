@@ -5,12 +5,12 @@ from hypothesis import given, settings
 
 from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, MINIMAL_FOUND,
                       REDUCED_TO_EMPTY, SAME_INVARIANT, ChordDiagram,
-                      NormalForm, all_matchings, apply_move, evaluate,
+                      NormalForm, all_matchings, apply_move, conjugate,
+                      conjugate_equal, distinguish, evaluate,
                       move_invariance_trial, parse_gauss_code, random_diagram,
                       reduce, rotate_basepoint, rotation_canonical_code,
                       rotation_conjugacy_trial, scramble, search_nontrivial,
                       serialize, word_of)
-from freeknot.explore import UNDETERMINED, distinguish
 from support import diagrams
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
@@ -94,29 +94,34 @@ class TestDistinguish:
     def test_exact_values(self):
         trivial = parse_gauss_code("1 2 3 1 2 3")
         assert distinguish(trivial, parse_gauss_code("1 1"),
-                           [1, 2], 2048) == SAME_INVARIANT
+                           [1, 2]) == SAME_INVARIANT
         assert distinguish(parse_gauss_code(WITNESS), ChordDiagram(),
-                           [1], 2048) == CERTIFIED_DISTINCT
+                           [1]) == CERTIFIED_DISTINCT
 
     def test_free_mode_uses_conjugacy(self):
         d = parse_gauss_code(WITNESS)
         rotated = rotate_basepoint(d, 1)
         if evaluate(word_of(d, 1)) != evaluate(word_of(rotated, 1)):
-            assert distinguish(d, rotated, [1], 2048) == CERTIFIED_DISTINCT
-        assert distinguish(d, rotated, [1], 2048, mode=FREE) \
-            == SAME_INVARIANT
+            assert distinguish(d, rotated, [1]) == CERTIFIED_DISTINCT
+        assert distinguish(d, rotated, [1], mode=FREE) == SAME_INVARIANT
 
-    def test_free_mode_admits_defeat_on_tiny_caps(self):
-        # depth-one values (1;1) vs (3;1) sit in classes a cap of one
-        # element cannot close or separate
-        a = parse_gauss_code("1 1")
-        b = parse_gauss_code("1 2 2 3 3 1")
-        assert distinguish(a, b, [1], 1, mode=FREE) in (
-            UNDETERMINED, CERTIFIED_DISTINCT, SAME_INVARIANT)
+    def test_free_mode_is_exact_at_every_depth(self):
+        assert distinguish(parse_gauss_code("1 1"),
+                           parse_gauss_code("1 2 2 3 3 1"), [1],
+                           mode=FREE) == SAME_INVARIANT
+        d = parse_gauss_code(WITNESS)
+        assert distinguish(d, parse_gauss_code("1 1"), [1],
+                           mode=FREE) == CERTIFIED_DISTINCT
+        rotated = rotate_basepoint(d, 3)
+        assert distinguish(d, rotated, [1, 2, 3], mode=FREE) \
+            == SAME_INVARIANT
+        for m in (1, 2, 3):
+            a, b = evaluate(word_of(d, m)), evaluate(word_of(rotated, m))
+            assert conjugate(a, conjugate_equal(a, b).witness) == b
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            distinguish(ChordDiagram(), ChordDiagram(), [1], 10, mode="loop")
+            distinguish(ChordDiagram(), ChordDiagram(), [1], mode="loop")
 
 
 class TestRotationCanonicalCode:

@@ -1,15 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeknot import (EQUAL, NO, UNDETERMINED, YES, LevelOutOfRange, MixedM,
-                      NormalForm, Word, alphabet, apply_letter, class_closure,
-                      conjugate, conjugate_equal, corrupted_apply_letter,
-                      evaluate, identity, inverse, multiply,
-                      normal_form_to_word, parse_gauss_code, relation_check,
-                      relations, rewrite_oracle, word_of)
+import oracles
+from freeknot import (EQUAL, NO, UNDETERMINED, YES, ConjugacyAnswer,
+                      LevelOutOfRange, MixedM, NormalForm, Word, alphabet,
+                      apply_letter, conjugate, conjugate_equal,
+                      corrupted_apply_letter, evaluate, identity, inverse,
+                      multiply, normal_form_to_word, parse_gauss_code,
+                      relation_check, relations, rewrite_oracle, word_of)
 from support import normal_forms, random_point, words
 
 
@@ -191,23 +193,25 @@ def data_shuffle(w):
 
 
 class TestClassClosure:
+    """The closure oracle that conjugate_equal's tests lean on."""
+
     def test_identity_class_is_a_singleton(self):
-        out = class_closure(identity(1), 8)
+        out = oracles.class_closure(identity(1), 8)
         assert out.complete and out.elements == frozenset({identity(1)})
 
     def test_even_translation_has_a_finite_class(self):
-        out = class_closure(nf((2,), 0), 64)
+        out = oracles.class_closure(nf((2,), 0), 64)
         assert out.complete
         assert out.elements == frozenset({nf((2,), 0), nf((-2,), 0)})
 
     def test_odd_translation_truncates(self):
-        out = class_closure(nf((1,), 0), 3)
+        out = oracles.class_closure(nf((1,), 0), 3)
         assert not out.complete
         assert out.elements \
             == frozenset({nf((1,), 0), nf((-1,), 0), nf((-3,), 0)})
 
     def test_complete_closures_absorb_letter_conjugation(self):
-        out = class_closure(nf((0, 2), 0), 256)
+        out = oracles.class_closure(nf((0, 2), 0), 256)
         assert out.complete
         for a in out.elements:
             for z in alphabet(2):
@@ -216,22 +220,44 @@ class TestClassClosure:
 
 class TestConjugateEqual:
     def test_yes_with_replayable_witness(self):
-        ans = conjugate_equal(nf((2,), 0), nf((-2,), 0), 64)
+        ans = conjugate_equal(nf((2,), 0), nf((-2,), 0))
         assert ans.verdict == YES
         assert conjugate(nf((2,), 0), ans.witness) == nf((-2,), 0)
 
     def test_yes_even_between_truncated_closures(self):
-        ans = conjugate_equal(nf((1,), 0), nf((3,), 0), 4)
-        assert ans.verdict == YES
+        # closures capped at four elements only meet halfway
+        assert oracles.conjugate_equal(nf((1,), 0), nf((3,), 0), 4)[0] == YES
+        ans = conjugate_equal(nf((1,), 0), nf((3,), 0))
+        assert ans.verdict == YES and ans.witness == ("F", "P0")
         assert conjugate(nf((1,), 0), ans.witness) == nf((3,), 0)
 
     def test_no_needs_both_closures_complete(self):
-        ans = conjugate_equal(nf((2,), 0), nf((4,), 0), 64)
+        assert oracles.conjugate_equal(nf((2,), 0), nf((4,), 0), 64)[0] == NO
+        ans = conjugate_equal(nf((2,), 0), nf((4,), 0))
         assert ans.verdict == NO and ans.witness is None
 
-    def test_undetermined_when_caps_bite(self):
-        ans = conjugate_equal(nf((1,), 0), nf((9,), 0), 2)
-        assert ans.verdict == UNDETERMINED and ans.witness is None
+    def test_far_apart_odd_translations_are_decided_exactly(self):
+        # (1,) and (9,) sit in one infinite class: closures capped at two
+        # elements cannot tell, the exact test names a shortest witness
+        assert oracles.conjugate_equal(nf((1,), 0), nf((9,), 0), 2)[0] \
+            == UNDETERMINED
+        ans = conjugate_equal(nf((1,), 0), nf((9,), 0))
+        assert ans.verdict == YES and ans.witness == ("D0", "P0", "D0", "P0")
+        assert conjugate(nf((1,), 0), ans.witness) == nf((9,), 0)
+        assert conjugate_equal(nf((3,), 0), nf((5,), 0)).verdict == YES
+
+    def test_classes_separate_by_flag_and_parity(self):
+        assert conjugate_equal(nf((1,), 0), nf((1,), 1)).verdict == NO
+        assert conjugate_equal(nf((1,), 0), nf((2,), 0)).verdict == NO
+        assert conjugate_equal(nf((0, 2), 0), nf((0, 4), 0)).verdict == NO
+
+    def test_equal_values_need_no_letters(self):
+        a = nf((-3, 2, 5), 1)
+        assert conjugate_equal(a, a) == ConjugacyAnswer(YES, ())
+
+    def test_mixed_depths_rejected(self):
+        with pytest.raises(MixedM):
+            conjugate_equal(nf((1,), 0), nf((1, 0), 0))
 
     def test_random_conjugates_are_recognised(self):
         rng = random.Random(41)
@@ -240,6 +266,72 @@ class TestConjugateEqual:
             a = NormalForm(tuple(2 * rng.randint(-3, 3) for _ in range(m)), 0)
             by = tuple(rng.choice(alphabet(m)) for _ in range(rng.randint(0, 5)))
             b = conjugate(a, by)
-            ans = conjugate_equal(a, b, 4096)
+            ans = conjugate_equal(a, b)
             assert ans.verdict == YES
             assert conjugate(a, ans.witness) == b
+
+
+def _random_word(rng, m, max_len):
+    pool = alphabet(m)
+    return tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len)))
+
+
+class TestAgainstOracles:
+    """The closed forms against the letter-walking code they replaced."""
+
+    def test_group_law_matches_the_fold(self):
+        rng = random.Random(2026)
+        for _ in range(2000):
+            m = rng.randint(1, 4)
+            a, b = random_point(rng, m), random_point(rng, m)
+            assert normal_form_to_word(a).letters \
+                == oracles.normal_form_to_word(a)
+            assert multiply(a, b) == oracles.multiply(a, b)
+            assert inverse(a) == oracles.inverse(a)
+            by = _random_word(rng, m, 6)
+            assert conjugate(a, by) == oracles.conjugate(a, by)
+
+    @pytest.mark.parametrize("family", ["conjugates", "random_pairs"])
+    def test_conjugacy_verdicts_match_the_closures(self, family):
+        rng = random.Random(f"conjugacy-{family}")
+        conclusive = 0
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            a = random_point(rng, m, bound=4)
+            if family == "conjugates":
+                b = conjugate(a, _random_word(rng, m, 4))
+            else:
+                b = random_point(rng, m, bound=4)
+            verdict, witness = oracles.conjugate_equal(a, b, 32)
+            ans = conjugate_equal(a, b)
+            if ans.verdict == YES:
+                assert conjugate(a, ans.witness) == b
+                assert oracles.conjugate(a, ans.witness) == b
+            else:
+                assert ans.verdict == NO and ans.witness is None
+            if verdict == UNDETERMINED:
+                continue
+            conclusive += 1
+            assert ans.verdict == verdict
+            if verdict == YES:
+                assert len(ans.witness) <= len(witness)
+        assert conclusive >= 100
+
+    def test_witness_is_the_least_shortest_word(self):
+        # search every conjugator no longer than the witness
+        rng = random.Random(2027)
+        for _ in range(300):
+            m = rng.randint(1, 3)
+            a = random_point(rng, m, bound=3)
+            b = conjugate(a, _random_word(rng, m, 4))
+            witness = conjugate_equal(a, b).witness
+            order = {z: i for i, z in enumerate(alphabet(m))}
+            words = []
+            for x in product(range(-len(witness), len(witness) + 1), repeat=m):
+                for eps in (0, 1):
+                    w = NormalForm(x, eps)
+                    if eps + sum(map(abs, x)) <= len(witness) and \
+                            oracles.multiply(a, w) == oracles.multiply(w, b):
+                        words.append(oracles.normal_form_to_word(w))
+            assert witness == min(
+                words, key=lambda word: (len(word), [order[z] for z in word]))
