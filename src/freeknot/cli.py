@@ -16,10 +16,10 @@ import sys
 
 from .diagram import ChordDiagram, parse_gauss_code, serialize
 from .explore import (CERTIFIED_DISTINCT, FREE, LONG, SAME_INVARIANT,
-                      move_invariance_trial, reduce, rotation_conjugacy_trial,
-                      scramble, search_nontrivial)
-from .group import (NormalForm, YES, conjugate_equal, corrupted_apply_letter,
-                    evaluate, identity, relation_check)
+                      move_invariance_trial, reduce, relate,
+                      rotation_conjugacy_trial, scramble, search_nontrivial)
+from .group import (NormalForm, corrupted_apply_letter, evaluate, identity,
+                    relation_check)
 from .moves import enumerate_moves, move_to_json, move_to_text
 from .parity import filtration, word_of
 
@@ -110,28 +110,11 @@ def cmd_invariant(args) -> int:
     return 0
 
 
-def _relate(d1: ChordDiagram, d2: ChordDiagram, m: int, mode: str) -> dict:
-    a = evaluate(word_of(d1, m))
-    b = evaluate(word_of(d2, m))
-    entry = {"m": m, "left": a.to_json(), "right": b.to_json(),
-             "witness": None}
-    if mode == LONG:
-        entry["relation"] = "equal" if a == b else "distinct"
-        return entry
-    answer = conjugate_equal(a, b)
-    if answer.verdict == YES:
-        entry["relation"] = "conjugate"
-        entry["witness"] = list(answer.witness)
-    else:
-        entry["relation"] = "distinct"
-    return entry
-
-
 def cmd_compare(args) -> int:
     codes = _collect_codes(args, 2)
     d1, d2 = (parse_gauss_code(code) for code in codes)
     m_values = args.m or [1]
-    per_m = [_relate(d1, d2, m, args.mode) for m in m_values]
+    per_m = [relate(d1, d2, m, args.mode) for m in m_values]
     distinct = any(entry["relation"] == "distinct" for entry in per_m)
     verdict = CERTIFIED_DISTINCT if distinct else SAME_INVARIANT
     code = 1 if distinct else 0

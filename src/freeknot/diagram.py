@@ -108,6 +108,13 @@ def diagram_from_labels(labels: Iterable[str]) -> ChordDiagram:
     return ChordDiagram(chords)
 
 
+def renumber(chords: list[Chord]) -> ChordDiagram:
+    """The diagram of `chords` with their ends renumbered 1..2n in order."""
+    rank = {e: i for i, e in
+            enumerate(sorted(e for c in chords for e in c), start=1)}
+    return ChordDiagram((rank[p], rank[q]) for p, q in chords)
+
+
 def serialize(d: ChordDiagram) -> str:
     """Render the canonical Gauss code of a valid diagram.
 

@@ -123,6 +123,25 @@ def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
                         len(visited), max_states, max_chords)
 
 
+def relate(d1: ChordDiagram, d2: ChordDiagram, m: int, mode: str) -> dict:
+    """Evaluate both words at depth m and compare the values: "equal" or
+    "distinct" in long mode, "conjugate" (with a shortest conjugating
+    word as witness) or "distinct" in free mode.  The result is one
+    per-depth entry of `compare --json`."""
+    if mode not in (LONG, FREE):
+        raise ValueError(f"unknown mode {mode!r}")
+    a = evaluate(word_of(d1, m))
+    b = evaluate(word_of(d2, m))
+    if mode == LONG:
+        relation, witness = ("equal" if a == b else "distinct"), None
+    else:
+        answer = conjugate_equal(a, b)
+        relation = "conjugate" if answer.verdict == YES else "distinct"
+        witness = None if answer.witness is None else list(answer.witness)
+    return {"m": m, "left": a.to_json(), "right": b.to_json(),
+            "relation": relation, "witness": witness}
+
+
 def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
                 mode: str = LONG) -> str:
     """Compare two diagrams through their invariants.
@@ -132,14 +151,9 @@ def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
     diagrams, SAME_INVARIANT when every depth agrees.  Agreement never
     claims the knots themselves are equivalent.
     """
-    if mode not in (LONG, FREE):
-        raise ValueError(f"unknown mode {mode!r}")
-    for m in m_list:
-        a = evaluate(word_of(d1, m))
-        b = evaluate(word_of(d2, m))
-        same = a == b if mode == LONG else conjugate_equal(a, b).verdict == YES
-        if not same:
-            return CERTIFIED_DISTINCT
+    if any(relate(d1, d2, m, mode)["relation"] == "distinct"
+           for m in m_list):
+        return CERTIFIED_DISTINCT
     return SAME_INVARIANT
 
 

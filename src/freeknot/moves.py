@@ -4,13 +4,14 @@ All position arithmetic is literal on 1..2n: adjacency never wraps
 across the base point, so rotation is the only move that crosses it.
 Removals and insertions renumber the remaining positions in order; the
 triple move rewires three chords in place and touches no position.
+Each kind is defined once, in the table MOVE_KINDS.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .diagram import Chord, ChordDiagram
+from .diagram import Chord, ChordDiagram, renumber
 
 
 class GapOutOfRange(ValueError):
@@ -37,19 +38,8 @@ NESTED = "nested"
 class Move:
     """One applicable move: a kind tag plus kind-specific parameters."""
 
-    kind: str  # r1_add | r1_remove | r2_add | r2_remove | r3 | rotate
-    params: tuple
-
-
-def _norm_chord(c) -> Chord:
-    p, q = c
-    return (p, q) if p <= q else (q, p)
-
-
-def _renumber(chords) -> ChordDiagram:
-    rank = {e: i for i, e in
-            enumerate(sorted(e for c in chords for e in c), start=1)}
-    return ChordDiagram((rank[p], rank[q]) for p, q in chords)
+    kind: str  # a key of MOVE_KINDS
+    params: tuple  # one value per field of the kind, in order
 
 
 def r1_sites(d: ChordDiagram) -> list[Chord]:
@@ -58,10 +48,10 @@ def r1_sites(d: ChordDiagram) -> list[Chord]:
 
 
 def r1_remove(d: ChordDiagram, chord) -> ChordDiagram:
-    chord = _norm_chord(chord)
+    chord = tuple(sorted(chord))
     if chord not in set(d.chords) or chord[1] - chord[0] != 1:
         raise NotAnR1Site(f"{chord} is not a removable small chord")
-    return _renumber([c for c in d.chords if c != chord])
+    return renumber([c for c in d.chords if c != chord])
 
 
 def r1_add(d: ChordDiagram, gap: int) -> ChordDiagram:
@@ -84,29 +74,31 @@ def r2_sites(d: ChordDiagram) -> list[tuple[Chord, Chord]]:
 
 
 def r2_remove(d: ChordDiagram, pair) -> ChordDiagram:
-    c1, c2 = sorted(_norm_chord(c) for c in pair)
+    c1, c2 = ChordDiagram(pair).chords
     present = set(d.chords)
     if c1 not in present or c2 not in present or not _adjacent(c1, c2):
         raise NotAnR2Site(f"{(c1, c2)} is not an adjacent chord pair")
-    return _renumber([c for c in d.chords if c not in (c1, c2)])
+    return renumber([c for c in d.chords if c not in (c1, c2)])
 
 
 def r2_add(d: ChordDiagram, gap1: int, gap2: int, pattern: str) -> ChordDiagram:
     """Insert an adjacent pair: a block of two ends after `gap1` and
     another after `gap2` (gap1 <= gap2), joined crossed or nested."""
-    if pattern not in (CROSSED, NESTED):
-        raise ValueError(f"unknown pattern {pattern!r}")
+    pair = _r2_pair(gap1, gap2, pattern)
     if not 0 <= gap1 <= gap2 <= d.size:
         raise GapOutOfRange(f"gaps ({gap1}, {gap2}) outside 0..{d.size}")
     shifted = [tuple(e + 2 * ((e > gap1) + (e > gap2)) for e in c)
                for c in d.chords]
-    a1, a2 = gap1 + 1, gap1 + 2
-    b1, b2 = gap2 + 3, gap2 + 4
-    if pattern == CROSSED:
-        shifted += [(a1, b1), (a2, b2)]
-    else:
-        shifted += [(a1, b2), (a2, b1)]
-    return ChordDiagram(shifted)
+    return ChordDiagram(shifted + list(pair))
+
+
+def _r2_pair(gap1: int, gap2: int, pattern: str) -> tuple[Chord, Chord]:
+    """The two chords r2_add(d, gap1, gap2, pattern) inserts, as
+    positions of the result."""
+    if pattern not in (CROSSED, NESTED):
+        raise ValueError(f"unknown pattern {pattern!r}")
+    a1, a2, b1, b2 = gap1 + 1, gap1 + 2, gap2 + 3, gap2 + 4
+    return ((a1, b1), (a2, b2)) if pattern == CROSSED else ((a1, b2), (a2, b1))
 
 
 class AdjointTriple(NamedTuple):
@@ -190,121 +182,124 @@ def rotate_basepoint(d: ChordDiagram, steps: int) -> ChordDiagram:
         for p, q in d.chords)
 
 
+class MoveKind(NamedTuple):
+    """How one kind of move is listed, applied, undone and written."""
+
+    fields: tuple[str, ...]  # Move.params by name, in JSON and text
+    sites: Callable[[ChordDiagram, int], list[tuple]]  # (d, max_chords)
+    apply: Callable[..., ChordDiagram]  # (d, *params)
+    inverse: Callable[..., Move]  # (*params), applied to the result
+
+
+def _r2_remove_inverse(pair) -> Move:
+    (p1, q1), (p2, q2) = ChordDiagram(pair).chords
+    return Move("r2_add", (p1 - 1, min(q1, q2) - 3,
+                           CROSSED if q1 < q2 else NESTED))
+
+
+# Every move kind, in the order enumerate_moves lists them: removals
+# and triple rewirings first, then the insertions the chord budget
+# allows, then one-step rotations (absent on the empty diagram).
+MOVE_KINDS = {
+    "r1_remove": MoveKind(
+        ("chord",),
+        lambda d, max_chords: [(c,) for c in r1_sites(d)],
+        r1_remove,
+        lambda chord: Move("r1_add", (min(chord) - 1,))),
+    "r2_remove": MoveKind(
+        ("chords",),
+        lambda d, max_chords: [(pair,) for pair in r2_sites(d)],
+        r2_remove,
+        _r2_remove_inverse),
+    "r3": MoveKind(
+        ("anchors",),
+        lambda d, max_chords: [(t.anchors,) for t in r3_sites(d)],
+        lambda d, anchors: r3_apply(d, adjoint_triple(d, anchors)),
+        lambda anchors: Move("r3", (anchors,))),
+    "r1_add": MoveKind(
+        ("gap",),
+        lambda d, max_chords: [(gap,) for gap in range(d.size + 1)]
+        if d.n + 1 <= max_chords else [],
+        r1_add,
+        lambda gap: Move("r1_remove", ((gap + 1, gap + 2),))),
+    "r2_add": MoveKind(
+        ("gap1", "gap2", "pattern"),
+        lambda d, max_chords: [
+            (g1, g2, pattern) for g1 in range(d.size + 1)
+            for g2 in range(g1, d.size + 1) for pattern in (CROSSED, NESTED)]
+        if d.n + 2 <= max_chords else [],
+        r2_add,
+        lambda gap1, gap2, pattern:
+        Move("r2_remove", (_r2_pair(gap1, gap2, pattern),))),
+    "rotate": MoveKind(
+        ("steps",),
+        lambda d, max_chords: [(1,), (-1,)] if d.n else [],
+        rotate_basepoint,
+        lambda steps: Move("rotate", (-steps,))),
+}
+
+
+def _kind(name) -> MoveKind:
+    try:
+        return MOVE_KINDS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown move kind {name!r}") from None
+
+
 def enumerate_moves(d: ChordDiagram, max_chords: int) -> list[Move]:
-    """Every applicable move, in a fixed order: removals and triple
-    rewirings first, then the insertions the chord budget allows, then
-    one-step rotations (absent on the empty diagram)."""
-    moves = [Move("r1_remove", (c,)) for c in r1_sites(d)]
-    moves += [Move("r2_remove", pair) for pair in r2_sites(d)]
-    moves += [Move("r3", (t.anchors,)) for t in r3_sites(d)]
-    if d.n + 1 <= max_chords:
-        moves += [Move("r1_add", (gap,)) for gap in range(d.size + 1)]
-    if d.n + 2 <= max_chords:
-        moves += [Move("r2_add", (g1, g2, pattern))
-                  for g1 in range(d.size + 1)
-                  for g2 in range(g1, d.size + 1)
-                  for pattern in (CROSSED, NESTED)]
-    if d.n:
-        moves += [Move("rotate", (1,)), Move("rotate", (-1,))]
-    return moves
+    """Every applicable move, kind by kind in the order of MOVE_KINDS,
+    with insertions kept within `max_chords` chords."""
+    return [Move(name, params) for name, kind in MOVE_KINDS.items()
+            for params in kind.sites(d, max_chords)]
 
 
 def apply_move(d: ChordDiagram, move: Move) -> ChordDiagram:
-    kind, params = move.kind, move.params
-    if kind == "r1_add":
-        return r1_add(d, params[0])
-    if kind == "r1_remove":
-        return r1_remove(d, params[0])
-    if kind == "r2_add":
-        return r2_add(d, *params)
-    if kind == "r2_remove":
-        return r2_remove(d, params)
-    if kind == "r3":
-        return r3_apply(d, adjoint_triple(d, params[0]))
-    if kind == "rotate":
-        return rotate_basepoint(d, params[0])
-    raise ValueError(f"unknown move kind {move.kind!r}")
+    return _kind(move.kind).apply(d, *move.params)
 
 
 def inverse_move(d: ChordDiagram, move: Move) -> Move:
     """The move undoing `move`, to be applied to apply_move(d, move)."""
-    kind, params = move.kind, move.params
-    if kind == "r1_add":
-        gap = params[0]
-        return Move("r1_remove", ((gap + 1, gap + 2),))
-    if kind == "r1_remove":
-        chord = _norm_chord(params[0])
-        return Move("r1_add", (chord[0] - 1,))
-    if kind == "r2_add":
-        g1, g2, pattern = params
-        a1, a2, b1, b2 = g1 + 1, g1 + 2, g2 + 3, g2 + 4
-        pair = ((a1, b1), (a2, b2)) if pattern == CROSSED \
-            else ((a1, b2), (a2, b1))
-        return Move("r2_remove", tuple(sorted(pair)))
-    if kind == "r2_remove":
-        c1, c2 = sorted(_norm_chord(c) for c in params)
-        block1 = min(c1[0], c2[0])
-        block2 = min(c1[1], c2[1])
-        low = c1 if c1[0] == block1 else c2
-        pattern = CROSSED if low[1] == block2 else NESTED
-        return Move("r2_add", (block1 - 1, block2 - 3, pattern))
-    if kind == "r3":
-        return move
-    if kind == "rotate":
-        return Move("rotate", (-params[0],))
-    raise ValueError(f"unknown move kind {move.kind!r}")
+    return _kind(move.kind).inverse(*move.params)
+
+
+def _named_params(move: Move):
+    return zip(_kind(move.kind).fields, move.params, strict=True)
+
+
+def _nested(value, inner: type, outer: type):
+    """`value` with every `inner` sequence, at any depth, made `outer`."""
+    if isinstance(value, inner):
+        return outer([_nested(v, inner, outer) for v in value])
+    return value
+
+
+def _text_value(value) -> str:
+    if not isinstance(value, tuple):
+        return str(value)
+    if isinstance(value[0], tuple):
+        return ",".join(map(_text_value, value))
+    return f"({','.join(map(str, value))})"
 
 
 def move_to_json(move: Move) -> dict:
-    kind, params = move.kind, move.params
-    if kind == "r1_add":
-        return {"kind": kind, "gap": params[0]}
-    if kind == "r1_remove":
-        return {"kind": kind, "chord": list(params[0])}
-    if kind == "r2_add":
-        return {"kind": kind, "gap1": params[0], "gap2": params[1],
-                "pattern": params[2]}
-    if kind == "r2_remove":
-        return {"kind": kind, "chords": [list(c) for c in params]}
-    if kind == "r3":
-        return {"kind": kind, "anchors": list(params[0])}
-    if kind == "rotate":
-        return {"kind": kind, "steps": params[0]}
-    raise ValueError(f"unknown move kind {move.kind!r}")
+    return {"kind": move.kind, **{
+        f: _nested(v, tuple, list) for f, v in _named_params(move)}}
 
 
 def move_from_json(obj: dict) -> Move:
-    kind = obj["kind"]
-    if kind == "r1_add":
-        return Move(kind, (obj["gap"],))
-    if kind == "r1_remove":
-        return Move(kind, (tuple(obj["chord"]),))
-    if kind == "r2_add":
-        return Move(kind, (obj["gap1"], obj["gap2"], obj["pattern"]))
-    if kind == "r2_remove":
-        return Move(kind, tuple(tuple(c) for c in obj["chords"]))
-    if kind == "r3":
-        return Move(kind, (tuple(obj["anchors"]),))
-    if kind == "rotate":
-        return Move(kind, (obj["steps"],))
-    raise ValueError(f"unknown move kind {kind!r}")
+    kind = obj.get("kind")
+    fields = _kind(kind).fields
+    missing = [f for f in fields if f not in obj]
+    if missing:
+        raise ValueError(f"{kind} move lacks field {missing[0]!r}")
+    return Move(kind, tuple(_nested(obj[f], list, tuple) for f in fields))
 
 
 def move_to_text(move: Move) -> str:
-    kind, params = move.kind, move.params
-    if kind == "r1_add":
-        return f"r1_add gap={params[0]}"
-    if kind == "r1_remove":
-        p, q = params[0]
-        return f"r1_remove chord=({p},{q})"
-    if kind == "r2_add":
-        return f"r2_add gap1={params[0]} gap2={params[1]} pattern={params[2]}"
-    if kind == "r2_remove":
-        (p1, q1), (p2, q2) = params
-        return f"r2_remove chords=({p1},{q1}),({p2},{q2})"
-    if kind == "r3":
-        r, s, t = params[0]
-        return f"r3 anchors=({r},{s},{t})"
-    if kind == "rotate":
-        return f"rotate steps={params[0]}"
-    raise ValueError(f"unknown move kind {move.kind!r}")
+    """The kind, then field=value for each parameter.
+
+    >>> move_to_text(Move("r2_remove", (((1, 4), (2, 5)),)))
+    'r2_remove chords=(1,4),(2,5)'
+    """
+    return " ".join([move.kind] + [
+        f"{f}={_text_value(v)}" for f, v in _named_params(move)])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .diagram import Chord, ChordDiagram
+from .diagram import Chord, ChordDiagram, renumber
 
 FINAL = "F"
 
@@ -129,10 +129,7 @@ def delete_odd(d: ChordDiagram) -> ChordDiagram:
     """Drop every chord linked with an odd number of chords, renumbering
     the surviving ends to 1..2n' in order."""
     nbr = _neighbour_sets(d)
-    keep = [c for c in d.chords if len(nbr[c]) % 2 == 0]
-    rank = {e: i for i, e in
-            enumerate(sorted(e for c in keep for e in c), start=1)}
-    return ChordDiagram((rank[p], rank[q]) for p, q in keep)
+    return renumber([c for c in d.chords if len(nbr[c]) % 2 == 0])
 
 
 def word_of(d: ChordDiagram, m: int) -> Word:

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -155,19 +153,28 @@ class TestApplyAndInvert:
 
 class TestSerialization:
     def test_round_trip_every_kind(self):
-        rng = random.Random(9)
-        seen = set()
-        d = parse_gauss_code("1 2 1 3 2 3")
+        d = parse_gauss_code("1 1 2 3 4 2 3 4")
+        first = {}
         for move in enumerate_moves(d, d.n + 2):
-            seen.add(move.kind)
-            obj = move_to_json(move)
-            assert move_from_json(obj) == move
-            assert isinstance(move_to_text(move), str)
-        assert {"r3", "r1_add", "r2_add", "rotate"} <= seen
+            assert move_from_json(move_to_json(move)) == move
+            first.setdefault(move.kind, move)
+        assert {kind: (move_to_text(mv), move_to_json(mv))
+                for kind, mv in first.items()} == {
+            "r1_remove": ("r1_remove chord=(1,2)",
+                          {"kind": "r1_remove", "chord": [1, 2]}),
+            "r2_remove": ("r2_remove chords=(3,6),(4,7)",
+                          {"kind": "r2_remove", "chords": [[3, 6], [4, 7]]}),
+            "r3": ("r3 anchors=(3,5,7)",
+                   {"kind": "r3", "anchors": [3, 5, 7]}),
+            "r1_add": ("r1_add gap=0", {"kind": "r1_add", "gap": 0}),
+            "r2_add": ("r2_add gap1=0 gap2=0 pattern=crossed",
+                       {"kind": "r2_add", "gap1": 0, "gap2": 0,
+                        "pattern": CROSSED}),
+            "rotate": ("rotate steps=1", {"kind": "rotate", "steps": 1}),
+        }
         small = parse_gauss_code("1 2 1 2")
         for move in enumerate_moves(small, 2):
             assert move_from_json(move_to_json(move)) == move
-        del rng
 
     def test_text_forms(self):
         assert move_to_text(Move("r1_add", (3,))) == "r1_add gap=3"
@@ -177,3 +184,7 @@ class TestSerialization:
     def test_bad_json(self):
         with pytest.raises(ValueError):
             move_from_json({"kind": "slide"})
+        with pytest.raises(ValueError, match="gap"):
+            move_from_json({"kind": "r1_add"})
+        with pytest.raises(ValueError):
+            move_from_json({})
