@@ -21,7 +21,7 @@ from .explore import (CERTIFIED_DISTINCT, FREE, LONG, SAME_INVARIANT,
 from .group import (NormalForm, corrupted_apply_letter, evaluate, identity,
                     relation_check)
 from .moves import enumerate_moves, move_to_json, move_to_text
-from .parity import filtration, word_of
+from .parity import filtration
 
 
 def _emit(payload: dict) -> None:
@@ -60,8 +60,7 @@ def _chord_list(chords) -> list[list[int]]:
 
 def _describe(d: ChordDiagram, m: int) -> dict:
     filt = filtration(d, m)
-    word = word_of(d, m)
-    nf = evaluate(word)
+    nf = evaluate(filt.word)
     return {
         "m": m,
         "filtration": {
@@ -69,7 +68,7 @@ def _describe(d: ChordDiagram, m: int) -> dict:
             "splits": [{"odd": _chord_list(odd), "even": _chord_list(even)}
                        for odd, even in filt.prime_split],
         },
-        "word": list(word.letters),
+        "word": list(filt.word.letters),
         "normal_form": nf.to_json(),
         "is_identity": nf.is_identity,
     }

@@ -115,25 +115,31 @@ def renumber(chords: list[Chord]) -> ChordDiagram:
     return ChordDiagram((rank[p], rank[q]) for p, q in chords)
 
 
+def first_appearance(items: Iterable) -> list[int]:
+    """Number the distinct items 1, 2, ... in order of first appearance.
+
+    >>> first_appearance("abacb")
+    [1, 2, 1, 3, 2]
+    """
+    labels: dict = {}
+    return [labels.setdefault(item, len(labels) + 1) for item in items]
+
+
 def serialize(d: ChordDiagram) -> str:
     """Render the canonical Gauss code of a valid diagram.
 
     Labels are "1", "2", ... in order of first appearance along the
     positions, so the output is a fixed representative of its input:
-    parse_gauss_code(serialize(d)) == d.
+    parse_gauss_code(serialize(d)) == d.  Chords are listed by their
+    first end, so that order is the order of d.chords.
 
     >>> serialize(ChordDiagram([(1, 6), (2, 3), (4, 5)]))
     '1 2 2 3 3 1'
     """
-    owner = d.end_map()
-    labels: dict[Chord, str] = {}
-    out = []
-    for position in range(1, d.size + 1):
-        chord = owner[position]
-        if chord not in labels:
-            labels[chord] = str(len(labels) + 1)
-        out.append(labels[chord])
-    return " ".join(out)
+    labels = [""] * d.size
+    for label, (p, q) in enumerate(d.chords, start=1):
+        labels[p - 1] = labels[q - 1] = str(label)
+    return " ".join(labels)
 
 
 def linked(c1: Chord, c2: Chord) -> bool:

@@ -11,7 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .diagram import ChordDiagram, parse_gauss_code, serialize
+from .diagram import (ChordDiagram, first_appearance, parse_gauss_code,
+                      serialize)
 from .group import YES, conjugate, conjugate_equal, evaluate, identity
 from .moves import (Move, apply_move, enumerate_moves, move_to_json,
                     rotate_basepoint)
@@ -163,22 +164,11 @@ def rotation_canonical_code(d: ChordDiagram) -> str:
     A key for rotation classes (token-wise on the label numbers), used
     to enumerate diagrams once per class.
     """
-    if d.n == 0:
-        return ""
-    owner = d.end_map()
-    base = [owner[p] for p in range(1, d.size + 1)]
-    best = None
-    for s in range(d.size):
-        rotated = base[s:] + base[:s]
-        labels: dict = {}
-        key = []
-        for c in rotated:
-            if c not in labels:
-                labels[c] = len(labels) + 1
-            key.append(labels[c])
-        if best is None or key < best:
-            best = key
-    return " ".join(str(t) for t in best)
+    owner, size = d.end_map(), d.size
+    twice = [owner[p] for p in range(1, size + 1)] * 2
+    best = min((first_appearance(twice[s:s + size]) for s in range(size)),
+               default=[])
+    return " ".join(map(str, best))
 
 
 def all_matchings(positions) -> Iterator[tuple]:

@@ -75,29 +75,14 @@ def identity(m: int) -> NormalForm:
 
 
 def _parse_level(letter: str, m: int) -> tuple[str, int]:
-    kind = letter[:1]
-    if kind in ("P", "D"):
-        try:
-            k = int(letter[1:])
-        except ValueError:
-            raise LevelOutOfRange(f"malformed letter {letter!r}") from None
-        if 0 <= k < m:
+    """Kind and level of a letter spelled exactly as alphabet(m) does."""
+    kind, digits = letter[:1], letter[1:]
+    if (kind in ("P", "D") and digits.isascii() and digits.isdecimal()
+            and (digits == "0" or digits[0] != "0")):
+        k = int(digits)
+        if k < m:
             return kind, k
     raise LevelOutOfRange(f"letter {letter!r} has no level at depth {m}")
-
-
-def _apply(point: NormalForm, letter: str, flip_in_parity: bool) -> NormalForm:
-    if letter == FINAL:
-        return NormalForm(point.x, 1 - point.eps)
-    kind, k = _parse_level(letter, point.m)
-    s = sum(point.x[k:])
-    if flip_in_parity:
-        s += point.eps
-    step = 1 if s % 2 == 0 else -1
-    if kind == "D":
-        step = -step
-    x = point.x
-    return NormalForm(x[:k] + (x[k] + step,) + x[k + 1:], point.eps)
 
 
 def apply_letter(point: NormalForm, letter: str) -> NormalForm:
@@ -111,7 +96,14 @@ def apply_letter(point: NormalForm, letter: str) -> NormalForm:
     >>> apply_letter(identity(1), "P0")
     NormalForm(x=(1,), eps=0)
     """
-    return _apply(point, letter, True)
+    if letter == FINAL:
+        return NormalForm(point.x, 1 - point.eps)
+    kind, k = _parse_level(letter, point.m)
+    step = 1 if (sum(point.x[k:]) + point.eps) % 2 == 0 else -1
+    if kind == "D":
+        step = -step
+    x = point.x
+    return NormalForm(x[:k] + (x[k] + step,) + x[k + 1:], point.eps)
 
 
 def corrupted_apply_letter(point: NormalForm, letter: str) -> NormalForm:
@@ -119,9 +111,11 @@ def corrupted_apply_letter(point: NormalForm, letter: str) -> NormalForm:
 
     Negative control: under it the swap rule between level letters and
     the final letter fails at the origin, so relation_check must come
-    back False.
+    back False.  It acts as apply_letter on the point with eps cleared,
+    then puts the flag back.
     """
-    return _apply(point, letter, False)
+    q = apply_letter(point._replace(eps=0), letter)
+    return q._replace(eps=q.eps ^ point.eps)
 
 
 Action = Callable[[NormalForm, str], NormalForm]

@@ -11,8 +11,7 @@ k, Dk its even part, and F the residue.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .diagram import Chord, ChordDiagram, renumber
 
@@ -56,9 +55,6 @@ class Word(NamedTuple):
     letters: tuple[str, ...]
     m: int
 
-    def tokens(self) -> str:
-        return " ".join(self.letters)
-
 
 @dataclass(frozen=True)
 class Filtration:
@@ -66,41 +62,34 @@ class Filtration:
 
     levels[k] for k < m holds the chords extracted at round k and
     levels[m] the residue.  prime_split[k] is the (odd, even) cut of
-    levels[k] by linking inside that level.
+    levels[k] by linking inside that level.  word is the diagram's word
+    at depth m: position j carries the letter of the chord ending there.
     """
 
     m: int
     levels: tuple[frozenset[Chord], ...]
     prime_split: tuple[tuple[frozenset[Chord], frozenset[Chord]], ...]
-
-    def level_of(self, chord: Chord) -> int:
-        for k, level in enumerate(self.levels):
-            if chord in level:
-                return k
-        raise KeyError(chord)
-
-    def letter_of(self, chord: Chord) -> str:
-        """The alphabet letter carried by both ends of a chord."""
-        k = self.level_of(chord)
-        if k == self.m:
-            return FINAL
-        odd, _ = self.prime_split[k]
-        return prime(k) if chord in odd else double_prime(k)
+    word: Word
 
 
-def _neighbour_sets(d: ChordDiagram) -> dict[Chord, set[Chord]]:
-    nbr: dict[Chord, set[Chord]] = {c: set() for c in d.chords}
-    for c1, c2 in combinations(d.chords, 2):
-        p1, q1 = c1
-        p2, q2 = c2
-        if (p1 - p2) * (p1 - q2) * (q1 - p2) * (q1 - q2) < 0:
-            nbr[c1].add(c2)
-            nbr[c2].add(c1)
-    return nbr
+def _odd(chords: Collection[Chord]) -> frozenset[Chord]:
+    """The chords linked with an odd number of the others in the set.
+
+    Any other chord of the set has two ends strictly inside a chord
+    (p, q) when it is nested in it, one end when it is linked with it,
+    and none otherwise.  So the set's ends strictly inside (p, q) number
+    the linking count plus twice the nested count, which has the
+    linking count's parity.  With the set's ends ranked in order, that
+    number is rank(q) - rank(p) - 1: a chord is odd exactly when the
+    rank gap between its ends is even.
+    """
+    rank = {e: i for i, e in enumerate(sorted(e for c in chords for e in c))}
+    return frozenset(c for c in chords if (rank[c[1]] - rank[c[0]]) % 2 == 0)
 
 
 def filtration(d: ChordDiagram, m: int) -> Filtration:
-    """Extract the odd chords m times and split every exhausted level.
+    """Extract the odd chords m times, split every exhausted level, and
+    write down the word.
 
     Round k removes the chords linked with an odd number of the chords
     still present; what survives all m rounds is the residue.  The
@@ -109,27 +98,30 @@ def filtration(d: ChordDiagram, m: int) -> Filtration:
     """
     if m < 1:
         raise InvalidM(f"depth must be a positive integer, got {m}")
-    nbr = _neighbour_sets(d)
-    remaining = set(d.chords)
+    remaining = frozenset(d.chords)
+    letters = [FINAL] * d.size
     levels = []
-    for _ in range(m):
-        level = frozenset(
-            c for c in remaining if len(nbr[c] & remaining) % 2 == 1)
-        levels.append(level)
-        remaining -= level
-    levels.append(frozenset(remaining))
     splits = []
-    for level in levels[:m]:
-        odd = frozenset(c for c in level if len(nbr[c] & level) % 2 == 1)
-        splits.append((odd, frozenset(level - odd)))
-    return Filtration(m, tuple(levels), tuple(splits))
+    for k in range(m):
+        level = _odd(remaining)
+        remaining -= level
+        odd = _odd(level)
+        even = level - odd
+        levels.append(level)
+        splits.append((odd, even))
+        for part, letter in ((odd, prime(k)), (even, double_prime(k))):
+            for p, q in part:
+                letters[p - 1] = letters[q - 1] = letter
+    levels.append(remaining)
+    return Filtration(m, tuple(levels), tuple(splits),
+                      Word(tuple(letters), m))
 
 
 def delete_odd(d: ChordDiagram) -> ChordDiagram:
     """Drop every chord linked with an odd number of chords, renumbering
     the surviving ends to 1..2n' in order."""
-    nbr = _neighbour_sets(d)
-    return renumber([c for c in d.chords if len(nbr[c]) % 2 == 0])
+    odd = _odd(d.chords)
+    return renumber([c for c in d.chords if c not in odd])
 
 
 def word_of(d: ChordDiagram, m: int) -> Word:
@@ -141,8 +133,4 @@ def word_of(d: ChordDiagram, m: int) -> Word:
     >>> word_of(ChordDiagram([(1, 3), (2, 5), (4, 6)]), 1).letters
     ('D0', 'F', 'D0', 'D0', 'F', 'D0')
     """
-    filt = filtration(d, m)
-    owner = d.end_map()
-    letters = tuple(
-        filt.letter_of(owner[position]) for position in range(1, d.size + 1))
-    return Word(letters, m)
+    return filtration(d, m).word

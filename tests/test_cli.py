@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from freeknot import NormalForm, conjugate
+import freeknot.cli
+import freeknot.parity
+from freeknot import NormalForm, conjugate, filtration
 from freeknot.cli import main
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
@@ -50,6 +52,20 @@ class TestInvariant:
         result = payload["diagrams"][0]["results"][0]
         assert result["m"] == 2
         assert result["normal_form"] == {"x": [8, 0], "eps": 0, "m": 2}
+
+    def test_one_filtration_per_depth(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(d, m):
+            calls.append(m)
+            return filtration(d, m)
+
+        monkeypatch.setattr(freeknot.cli, "filtration", counted)
+        monkeypatch.setattr(freeknot.parity, "filtration", counted)
+        code, _, _ = run(capsys, "invariant", "--json", "--gauss", WITNESS,
+                         "--m", "1", "--m", "2")
+        assert code == 0
+        assert calls == [1, 2]
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "invariant", "--gauss", "1 2 3")

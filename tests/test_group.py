@@ -47,6 +47,9 @@ class TestApply:
             apply_letter(nf((0,), 0), "P5")
         with pytest.raises(LevelOutOfRange):
             apply_letter(nf((0, 0), 0), "D2")
+        for letter in ("P+0", "P-0", "P 0", "P00"):
+            with pytest.raises(LevelOutOfRange):
+                apply_letter(nf((0,), 0), letter)
 
     @given(normal_forms(), st.data())
     def test_every_letter_is_an_involution(self, a, data):

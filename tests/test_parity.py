@@ -8,6 +8,7 @@ from freeknot import (FINAL, ChordDiagram, InvalidM, alphabet, delete_odd,
                       double_prime, filtration, letter_level, link_count,
                       parse_gauss_code, prime, r3_sites, random_diagram,
                       rotate_basepoint, serialize, word_of)
+from freeknot.diagram import renumber
 from support import diagrams
 
 
@@ -111,7 +112,7 @@ def test_word_shape(d):
     # both ends of a chord carry the same letter
     f = filtration(d, 2)
     for p, q in d.chords:
-        assert w.letters[p - 1] == w.letters[q - 1] == f.letter_of((p, q))
+        assert w.letters[p - 1] == w.letters[q - 1] == f.word.letters[p - 1]
 
 
 @given(diagrams(min_n=1))
@@ -123,10 +124,42 @@ def test_letters_follow_chords_under_rotation(d):
     f2 = filtration(rotated, 2)
     for p, q in d.chords:
         image = tuple(sorted((rot[p], rot[q])))
-        assert f1.letter_of((p, q)) == f2.letter_of(image)
+        assert f1.word.letters[p - 1] == f2.word.letters[image[0] - 1]
     w1 = word_of(d, 2)
     w2 = word_of(rotated, 2)
     assert w2.letters == w1.letters[1:] + w1.letters[:1]
+
+
+def _defining_filtration(d, m):
+    """Levels, splits and word straight from pairwise link counts."""
+    survivors = set(d.chords)
+    levels, splits, letter = [], [], {}
+    for k in range(m):
+        level = {c for c in survivors if link_count(c, survivors) % 2 == 1}
+        survivors -= level
+        odd = {c for c in level if link_count(c, level) % 2 == 1}
+        levels.append(level)
+        splits.append((odd, level - odd))
+        letter.update(dict.fromkeys(odd, prime(k)))
+        letter.update(dict.fromkeys(level - odd, double_prime(k)))
+    levels.append(survivors)
+    owner = d.end_map()
+    word = tuple(letter.get(owner[j], FINAL) for j in range(1, d.size + 1))
+    return levels, splits, word
+
+
+def test_large_diagrams_match_the_pairwise_definition():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        d = random_diagram(rng.randint(20, 80), rng)
+        for m in range(1, 6):
+            levels, splits, word = _defining_filtration(d, m)
+            f = filtration(d, m)
+            assert list(f.levels) == levels
+            assert list(f.prime_split) == splits
+            assert f.word == (word, m) == word_of(d, m)
+        kept = [c for c in d.chords if link_count(c, d.chords) % 2 == 0]
+        assert delete_odd(d) == renumber(kept)
 
 
 def test_adjoint_triples_carry_zero_or_two_odd_chords():
