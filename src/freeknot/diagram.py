@@ -67,6 +67,10 @@ class ChordDiagram:
         if obj.get("n", d.n) != d.n:
             raise ValueError(
                 f"inconsistent chord count: n={obj['n']} with {d.n} chords")
+        violations = validate(d)
+        if violations:
+            v = violations[0]
+            raise ValueError(f"invalid diagram: {v.kind} at {v.value}")
         return d
 
     def __eq__(self, other) -> bool:

@@ -14,8 +14,8 @@ from typing import Iterator, Sequence
 from .diagram import (ChordDiagram, first_appearance, parse_gauss_code,
                       serialize)
 from .group import YES, conjugate, conjugate_equal, evaluate, identity
-from .moves import (Move, apply_move, enumerate_moves, move_to_json,
-                    rotate_basepoint)
+from .moves import (ApplicableMoves, Move, apply_move, enumerate_moves,
+                    move_to_json, rotate_basepoint)
 from .parity import word_of
 
 SAME_INVARIANT = "same_invariant"
@@ -51,7 +51,7 @@ def scramble(d: ChordDiagram, move_count: int, seed: int,
             f"size_cap {size_cap} below current chord count {d.n}")
     rng = random.Random(seed)
     for _ in range(move_count):
-        options = enumerate_moves(d, size_cap)
+        options = ApplicableMoves(d, size_cap)
         if not options:
             break
         d = apply_move(d, options[rng.randrange(len(options))])

@@ -24,11 +24,8 @@ conjugate_equal all rest on it.
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .parity import FINAL, Word, alphabet, double_prime, prime
-
-
-class LevelOutOfRange(ValueError):
-    """A letter's level does not exist at the working depth."""
+from .parity import (FINAL, LevelOutOfRange, Word, alphabet, double_prime,
+                     letter_level, prime)
 
 
 class MixedM(ValueError):
@@ -74,17 +71,6 @@ def identity(m: int) -> NormalForm:
     return NormalForm((0,) * m, 0)
 
 
-def _parse_level(letter: str, m: int) -> tuple[str, int]:
-    """Kind and level of a letter spelled exactly as alphabet(m) does."""
-    kind, digits = letter[:1], letter[1:]
-    if (kind in ("P", "D") and digits.isascii() and digits.isdecimal()
-            and (digits == "0" or digits[0] != "0")):
-        k = int(digits)
-        if k < m:
-            return kind, k
-    raise LevelOutOfRange(f"letter {letter!r} has no level at depth {m}")
-
-
 def apply_letter(point: NormalForm, letter: str) -> NormalForm:
     """Right-multiply a point by one letter.
 
@@ -98,9 +84,9 @@ def apply_letter(point: NormalForm, letter: str) -> NormalForm:
     """
     if letter == FINAL:
         return NormalForm(point.x, 1 - point.eps)
-    kind, k = _parse_level(letter, point.m)
+    k = letter_level(letter, point.m)
     step = 1 if (sum(point.x[k:]) + point.eps) % 2 == 0 else -1
-    if kind == "D":
+    if letter[0] == "D":
         step = -step
     x = point.x
     return NormalForm(x[:k] + (x[k] + step,) + x[k + 1:], point.eps)

@@ -7,8 +7,9 @@ triple move rewires three chords in place and touches no position.
 Each kind is defined once, in the table MOVE_KINDS.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from math import isqrt
 from typing import Callable, NamedTuple
 
 from .diagram import Chord, ChordDiagram, renumber
@@ -32,6 +33,7 @@ class NotAnR3Site(ValueError):
 
 CROSSED = "crossed"
 NESTED = "nested"
+PATTERNS = (CROSSED, NESTED)
 
 
 @dataclass(frozen=True, order=True)
@@ -49,7 +51,7 @@ def r1_sites(d: ChordDiagram) -> list[Chord]:
 
 def r1_remove(d: ChordDiagram, chord) -> ChordDiagram:
     chord = tuple(sorted(chord))
-    if chord not in set(d.chords) or chord[1] - chord[0] != 1:
+    if chord not in r1_sites(d):
         raise NotAnR1Site(f"{chord} is not a removable small chord")
     return renumber([c for c in d.chords if c != chord])
 
@@ -63,20 +65,18 @@ def r1_add(d: ChordDiagram, gap: int) -> ChordDiagram:
     return ChordDiagram(shifted)
 
 
-def _adjacent(c1: Chord, c2: Chord) -> bool:
-    return abs(c1[0] - c2[0]) == 1 and abs(c1[1] - c2[1]) == 1
-
-
 def r2_sites(d: ChordDiagram) -> list[tuple[Chord, Chord]]:
-    """Unordered pairs of adjacent chords, crossed and nested alike."""
-    return [(c1, c2) for c1, c2 in combinations(d.chords, 2)
-            if _adjacent(c1, c2)]
+    """Unordered pairs of adjacent chords, crossed and nested alike,
+    in order of the first chord.  The partner of (p, q) can only be the
+    chord whose first end is p + 1."""
+    starts = {c[0]: c for c in d.chords}
+    return [(c1, c2) for c1 in d.chords
+            if (c2 := starts.get(c1[0] + 1)) and abs(c2[1] - c1[1]) == 1]
 
 
 def r2_remove(d: ChordDiagram, pair) -> ChordDiagram:
     c1, c2 = ChordDiagram(pair).chords
-    present = set(d.chords)
-    if c1 not in present or c2 not in present or not _adjacent(c1, c2):
+    if (c1, c2) not in r2_sites(d):
         raise NotAnR2Site(f"{(c1, c2)} is not an adjacent chord pair")
     return renumber([c for c in d.chords if c not in (c1, c2)])
 
@@ -92,10 +92,34 @@ def r2_add(d: ChordDiagram, gap1: int, gap2: int, pattern: str) -> ChordDiagram:
     return ChordDiagram(shifted + list(pair))
 
 
+class _R2Insertions(Sequence):
+    """The r2_add parameters (gap1, gap2, pattern) on a diagram with
+    `size` ends, in listing order; the item at an index in range is
+    computed from the index."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def __len__(self) -> int:
+        return (self.size + 1) * (self.size + 2)
+
+    def __getitem__(self, i: int) -> tuple[int, int, str]:
+        # Counted from the last gap pair, pairs k with T(t) <= k < T(t+1),
+        # T(t) = t(t+1)/2, are those whose gap1 is size - t.
+        k = len(self) // 2 - 1 - i // 2
+        t = (isqrt(8 * k + 1) - 1) // 2
+        gap1, gap2 = self.size - t, self.size - k + t * (t + 1) // 2
+        return gap1, gap2, PATTERNS[i % 2]
+
+    def __iter__(self):
+        return ((g1, g2, pattern) for g1 in range(self.size + 1)
+                for g2 in range(g1, self.size + 1) for pattern in PATTERNS)
+
+
 def _r2_pair(gap1: int, gap2: int, pattern: str) -> tuple[Chord, Chord]:
     """The two chords r2_add(d, gap1, gap2, pattern) inserts, as
     positions of the result."""
-    if pattern not in (CROSSED, NESTED):
+    if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     a1, a2, b1, b2 = gap1 + 1, gap1 + 2, gap2 + 3, gap2 + 4
     return ((a1, b1), (a2, b2)) if pattern == CROSSED else ((a1, b2), (a2, b1))
@@ -124,12 +148,24 @@ def _adjoint_anchors(chords3) -> tuple[int, int, int] | None:
 
 
 def r3_sites(d: ChordDiagram) -> list[AdjointTriple]:
-    """Every completely adjoint triple, ordered by anchors."""
+    """Every completely adjoint triple, ordered by anchors.
+
+    A triple is found once, from its lowest end r: its first two chords
+    start at r and r + 1, and its third chord owns a position next to
+    the far end of the chord at r.
+    """
+    owner = d.end_map()
     sites = []
-    for chords3 in combinations(d.chords, 3):
-        anchors = _adjoint_anchors(chords3)
-        if anchors is not None:
-            sites.append(AdjointTriple(chords3, anchors))
+    for first in d.chords:
+        r, far = first
+        second = owner[r + 1]
+        if second[0] != r + 1:
+            continue
+        # a set: one chord may own both neighbours of the far end
+        for third in {owner.get(far - 1), owner.get(far + 1)} - {None}:
+            anchors = _adjoint_anchors((first, second, third))
+            if anchors and anchors[0] == r:
+                sites.append(AdjointTriple((first, second, third), anchors))
     sites.sort(key=lambda t: t.anchors)
     return sites
 
@@ -186,7 +222,7 @@ class MoveKind(NamedTuple):
     """How one kind of move is listed, applied, undone and written."""
 
     fields: tuple[str, ...]  # Move.params by name, in JSON and text
-    sites: Callable[[ChordDiagram, int], list[tuple]]  # (d, max_chords)
+    sites: Callable[[ChordDiagram, int], Sequence[tuple]]  # (d, max_chords)
     apply: Callable[..., ChordDiagram]  # (d, *params)
     inverse: Callable[..., Move]  # (*params), applied to the result
 
@@ -224,9 +260,7 @@ MOVE_KINDS = {
         lambda gap: Move("r1_remove", ((gap + 1, gap + 2),))),
     "r2_add": MoveKind(
         ("gap1", "gap2", "pattern"),
-        lambda d, max_chords: [
-            (g1, g2, pattern) for g1 in range(d.size + 1)
-            for g2 in range(g1, d.size + 1) for pattern in (CROSSED, NESTED)]
+        lambda d, max_chords: _R2Insertions(d.size)
         if d.n + 2 <= max_chords else [],
         r2_add,
         lambda gap1, gap2, pattern:
@@ -244,6 +278,26 @@ def _kind(name) -> MoveKind:
         return MOVE_KINDS[name]
     except (KeyError, TypeError):
         raise ValueError(f"unknown move kind {name!r}") from None
+
+
+class ApplicableMoves(Sequence):
+    """The moves enumerate_moves lists, in its order, each built when
+    indexed: drawing one costs the site scans, not the O(n^2) list of
+    R2 insertions."""
+
+    def __init__(self, d: ChordDiagram, max_chords: int):
+        self._sites = [(name, kind.sites(d, max_chords))
+                       for name, kind in MOVE_KINDS.items()]
+
+    def __len__(self) -> int:
+        return sum(len(sites) for _, sites in self._sites)
+
+    def __getitem__(self, i: int) -> Move:
+        for name, sites in self._sites:
+            if 0 <= i < len(sites):
+                return Move(name, sites[i])
+            i -= len(sites)
+        raise IndexError(i)
 
 
 def enumerate_moves(d: ChordDiagram, max_chords: int) -> list[Move]:

@@ -22,6 +22,10 @@ class InvalidM(ValueError):
     """Filtration depth must be a positive integer."""
 
 
+class LevelOutOfRange(ValueError):
+    """A letter's level does not exist at the working depth."""
+
+
 def prime(level: int) -> str:
     """Letter of the odd part of level k."""
     return f"P{level}"
@@ -42,11 +46,22 @@ def alphabet(m: int) -> tuple[str, ...]:
     return tuple(letters)
 
 
-def letter_level(letter: str) -> int | None:
-    """Level index of a P/D letter, or None for the final letter."""
+def letter_level(letter: str, m: int | None = None) -> int | None:
+    """Level index of a P/D letter, or None for the final letter.
+
+    The letter must be spelled as alphabet(m) spells it (ASCII digits,
+    no leading zero) and, when m is given, its level must lie below m.
+    """
     if letter == FINAL:
         return None
-    return int(letter[1:])
+    digits = letter[1:]
+    if (letter[:1] in ("P", "D") and digits.isascii() and digits.isdecimal()
+            and (digits == "0" or digits[0] != "0")):
+        k = int(digits)
+        if m is None or k < m:
+            return k
+    depth = "" if m is None else f" at depth {m}"
+    raise LevelOutOfRange(f"letter {letter!r} has no level{depth}")
 
 
 class Word(NamedTuple):

@@ -2,15 +2,18 @@
 
 Normal-form words are built and the group operations applied one
 letter at a time through the action, and conjugacy is explored by
-breadth-first closure under single-letter conjugation.  Tests compare
-the closed-form library code against them.
+breadth-first closure under single-letter conjugation.  Move sites are
+found by testing every pair and triple of chords.  Tests compare the
+library code against them.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
-from freeknot import (FINAL, NO, UNDETERMINED, YES, MixedM, NormalForm,
-                      alphabet, apply_letter, double_prime, identity, prime)
+from freeknot import (FINAL, NO, UNDETERMINED, YES, AdjointTriple, MixedM,
+                      NormalForm, all_matchings, alphabet, apply_letter,
+                      double_prime, identity, prime)
 
 
 def fold(point: NormalForm, letters) -> NormalForm:
@@ -116,3 +119,32 @@ def conjugate_equal(a: NormalForm, b: NormalForm, state_cap: int):
         x = min(common)
         return YES, wit_a[x] + tuple(reversed(wit_b[x]))
     return UNDETERMINED, None
+
+
+def r2_sites(d):
+    """Every pair of chords whose first ends and whose second ends are
+    both one position apart, in combinations order."""
+    return [(c1, c2) for c1, c2 in combinations(d.chords, 2)
+            if abs(c1[0] - c2[0]) == 1 and abs(c1[1] - c2[1]) == 1]
+
+
+def _adjoint_anchors(chords3):
+    """The lower ends (r, s, t) of a matching of the six ends into
+    adjacent positions, each pair joining two different chords; None
+    when no such matching exists."""
+    owner = {e: c for c in chords3 for e in c}
+    if len(owner) != 6 or any(e - 1 not in owner and e + 1 not in owner
+                              for e in owner):
+        return None
+    for pairs in all_matchings(sorted(owner)):
+        if all(q == p + 1 and owner[p] != owner[q] for p, q in pairs):
+            return tuple(sorted(p for p, _ in pairs))
+    return None
+
+
+def r3_sites(d):
+    """Every completely adjoint triple of chords, ordered by anchors."""
+    sites = [AdjointTriple(chords3, anchors)
+             for chords3 in combinations(d.chords, 3)
+             if (anchors := _adjoint_anchors(chords3)) is not None]
+    return sorted(sites, key=lambda t: t.anchors)

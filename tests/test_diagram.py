@@ -133,6 +133,20 @@ def test_json_round_trip():
     assert ChordDiagram.from_json(d.to_json()) == d
 
 
+@given(diagrams())
+def test_json_round_trips_every_valid_diagram(d):
+    assert ChordDiagram.from_json(d.to_json()) == d
+
+
+def test_json_rejects_invalid_diagram():
+    with pytest.raises(ValueError, match="position_out_of_range at 0"):
+        ChordDiagram.from_json({"chords": [[0, 1], [2, 5]]})
+    with pytest.raises(ValueError, match="degenerate_chord at 2"):
+        ChordDiagram.from_json({"chords": [[2, 2]]})
+    with pytest.raises(ValueError, match="position_reused at 4"):
+        ChordDiagram.from_json({"n": 2, "chords": [[1, 4], [3, 4]]})
+
+
 def test_json_rejects_inconsistent_count():
     with pytest.raises(ValueError):
         ChordDiagram.from_json({"n": 5, "chords": [[1, 2]]})

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 
+import make_scramble_golden
 from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, MINIMAL_FOUND,
                       REDUCED_TO_EMPTY, SAME_INVARIANT, ChordDiagram,
                       NormalForm, all_matchings, apply_move, conjugate,
@@ -40,6 +42,13 @@ class TestScramble:
     def test_cap_below_current_size_rejected(self):
         with pytest.raises(ValueError):
             scramble(parse_gauss_code(WITNESS), 5, seed=1, size_cap=4)
+
+    def test_replays_the_seeded_table(self):
+        cases = json.loads(make_scramble_golden.TABLE.read_text())
+        changed = [case for case in cases if make_scramble_golden.run(
+            case["code"], case["moves"], case["seed"], case["size_cap"])
+            != case["result"]]
+        assert len(cases) == 48 and changed == []
 
     def test_respects_cap_and_keeps_value_up_to_sign(self):
         d = parse_gauss_code(WITNESS)

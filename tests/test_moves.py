@@ -1,14 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from freeknot import (CROSSED, NESTED, AdjointTriple, ChordDiagram,
                       GapOutOfRange, Move, NotAnR1Site, NotAnR2Site,
                       NotAnR3Site, adjoint_triple, apply_move,
                       enumerate_moves, inverse_move, move_from_json,
-                      move_to_json, move_to_text, parse_gauss_code, r1_add,
-                      r1_remove, r1_sites, r2_add, r2_remove, r2_sites,
-                      r3_apply, r3_sites, rotate_basepoint, serialize)
+                      move_to_json, move_to_text, parse_gauss_code,
+                      r1_add, r1_remove, r1_sites, r2_add, r2_remove,
+                      r2_sites, r3_apply, r3_sites, random_diagram,
+                      rotate_basepoint, serialize)
+from freeknot.moves import ApplicableMoves
 from support import diagrams
 
 TRIPLE = parse_gauss_code("1 2 1 3 2 3")
@@ -101,6 +106,80 @@ class TestR3:
             adjoint_triple(TRIPLE, (1, 2, 3))
         with pytest.raises(NotAnR3Site):
             adjoint_triple(TRIPLE, (1, 3, 99))
+
+
+def _grown(n: int, rng: random.Random) -> ChordDiagram:
+    """A diagram of n or n - 1 chords grown by random R2 insertions,
+    which leaves far more R2 and R3 sites than a uniform one."""
+    d = ChordDiagram()
+    while d.n + 2 <= n:
+        gap1 = rng.randint(0, d.size)
+        gap2 = rng.randint(gap1, d.size)
+        d = r2_add(d, gap1, gap2, rng.choice((CROSSED, NESTED)))
+    return d
+
+
+class TestSitesAgainstOracles:
+    """The O(n) site scans list what testing every pair and triple
+    lists, in the same order."""
+
+    EDGE_CODES = [
+        "", "1 1", "1 1 2 2 3 3", "1 2 3 1 2 3", "1 2 1 2",
+        "1 2 3 4 4 3 2 1",  # nested stack: every neighbour pair adjacent
+        "1 2 3 4 1 2 3 4",  # crossed stack: every neighbour pair adjacent
+        "1 2 3 1 3 2",  # the third chord sits on both sides of a far end
+        "1 2 3 1 4 4 2 3",  # two triples from one lowest end: the first
+        "1 2 3 2 4 4 1 3",  # listed uses the chord below / above the far end
+        "1 2 1 3 4 2 5 3 5 4",
+    ]
+
+    @pytest.mark.parametrize("code", EDGE_CODES)
+    def test_edge_inputs(self, code):
+        d = parse_gauss_code(code)
+        assert r2_sites(d) == oracles.r2_sites(d)
+        assert r3_sites(d) == oracles.r3_sites(d)
+
+    def test_two_triples_from_one_lowest_end(self):
+        for code in ("1 2 3 1 4 4 2 3", "1 2 3 2 4 4 1 3"):
+            anchors = [t.anchors for t in r3_sites(parse_gauss_code(code))]
+            assert anchors == [(1, 3, 7), (1, 4, 6)]
+
+    def test_random_diagrams(self):
+        rng = random.Random(41)
+        listed = [0, 0]
+        for _ in range(60):
+            n = rng.randint(0, 40)
+            for d in (random_diagram(n, rng), _grown(n, rng)):
+                r2, r3 = r2_sites(d), r3_sites(d)
+                assert r2 == oracles.r2_sites(d)
+                assert r3 == oracles.r3_sites(d)
+                listed[0] += len(r2)
+                listed[1] += len(r3)
+        assert min(listed) > 50  # the inputs do exercise both scans
+
+
+class TestApplicableMoves:
+    """scramble draws its move by index from ApplicableMoves."""
+
+    def test_every_index_builds_the_listed_move(self):
+        rng = random.Random(42)
+        for _ in range(150):
+            d = random_diagram(rng.randint(0, 6), rng)
+            cap = d.n + rng.randint(0, 3)
+            listed = enumerate_moves(d, cap)
+            options = ApplicableMoves(d, cap)
+            assert len(options) == len(listed)
+            assert [options[i] for i in range(len(options))] == listed
+            for outside in (len(options), -1):
+                with pytest.raises(IndexError):
+                    options[outside]
+
+    def test_every_index_on_a_large_diagram(self):
+        d = _grown(30, random.Random(43))
+        listed = enumerate_moves(d, d.n + 2)
+        options = ApplicableMoves(d, d.n + 2)
+        assert len(listed) > 3600
+        assert [options[i] for i in range(len(options))] == listed
 
 
 class TestRotate:

@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
-from freeknot import (FINAL, ChordDiagram, InvalidM, alphabet, delete_odd,
+from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
+                      NormalForm, alphabet, apply_letter, delete_odd,
                       double_prime, filtration, letter_level, link_count,
                       parse_gauss_code, prime, r3_sites, random_diagram,
                       rotate_basepoint, serialize, word_of)
@@ -17,6 +18,25 @@ def test_letter_helpers():
     assert alphabet(2) == ("P0", "D0", "P1", "D1", "F")
     assert letter_level("P3") == 3
     assert letter_level(FINAL) is None
+    assert [letter_level(z, 3) for z in alphabet(3)] \
+        == [0, 0, 1, 1, 2, 2, None]
+
+
+@pytest.mark.parametrize("letter", ["X7", "P+0", "P00", "Q1", "P", "D-1"])
+def test_letter_level_rejects_what_the_action_rejects(letter):
+    with pytest.raises(LevelOutOfRange):
+        letter_level(letter)
+    with pytest.raises(LevelOutOfRange) as by_action:
+        apply_letter(NormalForm((0,) * 3, 0), letter)
+    with pytest.raises(LevelOutOfRange) as by_level:
+        letter_level(letter, 3)
+    assert str(by_level.value) == str(by_action.value)
+
+
+def test_letter_level_bounded_by_depth():
+    assert letter_level("D2", 3) == 2 and letter_level("D7") == 7
+    with pytest.raises(LevelOutOfRange, match="depth 2"):
+        letter_level("D2", 2)
 
 
 def test_filtration_two_odd_one_residue():
