@@ -15,9 +15,9 @@ import signal
 import sys
 
 from .diagram import ChordDiagram, parse_gauss_code, serialize
-from .explore import (CERTIFIED_DISTINCT, FREE, LONG, SAME_INVARIANT,
-                      move_invariance_trial, reduce, relate,
-                      rotation_conjugacy_trial, scramble, search_nontrivial)
+from .explore import (CERTIFIED_DISTINCT, FREE, LONG, distinguish,
+                      move_invariance_trial, reduce, rotation_conjugacy_trial,
+                      scramble, search_nontrivial)
 from .group import (NormalForm, corrupted_apply_letter, evaluate, identity,
                     relation_check)
 from .moves import enumerate_moves, move_to_json, move_to_text
@@ -113,10 +113,8 @@ def cmd_compare(args) -> int:
     codes = _collect_codes(args, 2)
     d1, d2 = (parse_gauss_code(code) for code in codes)
     m_values = args.m or [1]
-    per_m = [relate(d1, d2, m, args.mode) for m in m_values]
-    distinct = any(entry["relation"] == "distinct" for entry in per_m)
-    verdict = CERTIFIED_DISTINCT if distinct else SAME_INVARIANT
-    code = 1 if distinct else 0
+    verdict, per_m = distinguish(d1, d2, m_values, args.mode)
+    code = 1 if verdict == CERTIFIED_DISTINCT else 0
     if args.json:
         _emit({"command": "compare", "mode": args.mode, "m": m_values,
                "per_m": per_m, "verdict": verdict, "exit_code": code})

@@ -180,10 +180,7 @@ class Violation:
 
 def validate(d: ChordDiagram) -> list[Violation]:
     """List every invariant violation; valid diagrams give []."""
-    out = []
-    for p, q in d.chords:
-        if p == q:
-            out.append(Violation("degenerate_chord", p))
+    out = [Violation("degenerate_chord", p) for p, q in d.chords if p == q]
     counts = Counter(e for c in d.chords for e in c)
     for position, count in sorted(counts.items()):
         if count > 1:

@@ -124,38 +124,33 @@ def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
                         len(visited), max_states, max_chords)
 
 
-def relate(d1: ChordDiagram, d2: ChordDiagram, m: int, mode: str) -> dict:
-    """Evaluate both words at depth m and compare the values: "equal" or
-    "distinct" in long mode, "conjugate" (with a shortest conjugating
-    word as witness) or "distinct" in free mode.  The result is one
-    per-depth entry of `compare --json`."""
+def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
+                mode: str = LONG) -> tuple[str, list[dict]]:
+    """Compare two diagrams through their invariants, depth by depth.
+
+    Long mode compares the values exactly ("equal" or "distinct"); free
+    mode compares conjugacy classes ("conjugate", with a shortest
+    conjugating word as witness, or "distinct").  Returns the verdict,
+    CERTIFIED_DISTINCT when some depth separates the diagrams and
+    SAME_INVARIANT when every depth agrees, with the per-depth entries
+    of `compare --json`.  Agreement never claims the knots themselves
+    are equivalent.
+    """
     if mode not in (LONG, FREE):
         raise ValueError(f"unknown mode {mode!r}")
-    a = evaluate(word_of(d1, m))
-    b = evaluate(word_of(d2, m))
-    if mode == LONG:
-        relation, witness = ("equal" if a == b else "distinct"), None
-    else:
-        answer = conjugate_equal(a, b)
-        relation = "conjugate" if answer.verdict == YES else "distinct"
-        witness = None if answer.witness is None else list(answer.witness)
-    return {"m": m, "left": a.to_json(), "right": b.to_json(),
-            "relation": relation, "witness": witness}
-
-
-def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
-                mode: str = LONG) -> str:
-    """Compare two diagrams through their invariants.
-
-    Long mode compares values exactly; free mode compares conjugacy
-    classes.  CERTIFIED_DISTINCT when some depth separates the
-    diagrams, SAME_INVARIANT when every depth agrees.  Agreement never
-    claims the knots themselves are equivalent.
-    """
-    if any(relate(d1, d2, m, mode)["relation"] == "distinct"
-           for m in m_list):
-        return CERTIFIED_DISTINCT
-    return SAME_INVARIANT
+    per_m = []
+    for m in m_list:
+        a, b = evaluate(word_of(d1, m)), evaluate(word_of(d2, m))
+        if mode == LONG:
+            relation, witness = ("equal" if a == b else "distinct"), None
+        else:
+            answer = conjugate_equal(a, b)
+            relation = "conjugate" if answer.verdict == YES else "distinct"
+            witness = None if answer.witness is None else list(answer.witness)
+        per_m.append({"m": m, "left": a.to_json(), "right": b.to_json(),
+                      "relation": relation, "witness": witness})
+    distinct = any(entry["relation"] == "distinct" for entry in per_m)
+    return (CERTIFIED_DISTINCT if distinct else SAME_INVARIANT), per_m
 
 
 def rotation_canonical_code(d: ChordDiagram) -> str:

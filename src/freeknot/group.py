@@ -32,9 +32,6 @@ class MixedM(ValueError):
     """Operands were built for different depths."""
 
 
-EQUAL = "equal"
-UNDETERMINED = "undetermined"
-
 YES = "yes"
 NO = "no"
 
@@ -58,13 +55,15 @@ class NormalForm(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "NormalForm":
-        nf = cls(tuple(obj["x"]), obj["eps"])
-        if obj.get("m", nf.m) != nf.m:
-            raise ValueError(
-                f"inconsistent depth: m={obj['m']} with {nf.m} coordinates")
-        if nf.eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {nf.eps}")
-        return nf
+        x, eps = obj["x"], obj["eps"]
+        if type(x) is not list or any(type(v) is not int for v in x):
+            raise ValueError(f"x must be a list of ints, got {x!r}")
+        if type(eps) is not int or eps not in (0, 1):
+            raise ValueError(f"eps must be 0 or 1, got {eps!r}")
+        m = obj.get("m", len(x))
+        if type(m) is not int or m != len(x):
+            raise ValueError(f"m must be {len(x)}, the length of x, got {m!r}")
+        return cls(tuple(x), eps)
 
 
 def identity(m: int) -> NormalForm:
@@ -225,61 +224,6 @@ def relation_check(m: int, sample_points: Iterable[NormalForm],
             if _fold(point, lhs, action) != _fold(point, rhs, action):
                 return False
     return True
-
-
-def _pair_rules(m: int) -> dict[tuple[str, str], tuple[str, str]]:
-    rules = {}
-    for lhs, rhs in relations(m):
-        if len(lhs) == 2 and len(rhs) == 2:
-            rules[lhs] = rhs
-            rules[rhs] = lhs
-    return rules
-
-
-def _word_neighbours(letters, rules, pool, max_len):
-    for i in range(len(letters) - 1):
-        pair = letters[i:i + 2]
-        if pair[0] == pair[1]:
-            yield letters[:i] + letters[i + 2:]
-        swap = rules.get(pair)
-        if swap is not None:
-            yield letters[:i] + swap + letters[i + 2:]
-    if len(letters) + 2 <= max_len:
-        for i in range(len(letters) + 1):
-            for z in pool:
-                yield letters[:i] + (z, z) + letters[i:]
-
-
-def rewrite_oracle(w1: Word, w2: Word, depth: int) -> str:
-    """Decide word equality by rewriting alone, never via the action.
-
-    Bidirectional breadth-first search from both words under involution
-    insertion/deletion and the pair swaps of relations(); EQUAL when
-    the searches meet within `depth` levels on each side, UNDETERMINED
-    otherwise.  Word length is capped two letters above the longer
-    input, so EQUAL is always sound while UNDETERMINED is inconclusive.
-    """
-    if w1.m != w2.m:
-        raise MixedM(f"depths differ: {w1.m} != {w2.m}")
-    rules = _pair_rules(w1.m)
-    pool = alphabet(w1.m)
-    max_len = max(len(w1.letters), len(w2.letters)) + 2
-    seen = ({w1.letters}, {w2.letters})
-    frontier = [{w1.letters}, {w2.letters}]
-    if seen[0] & seen[1]:
-        return EQUAL
-    for _ in range(max(depth, 0)):
-        for side in (0, 1):
-            grown = set()
-            for w in frontier[side]:
-                for nb in _word_neighbours(w, rules, pool, max_len):
-                    if nb not in seen[side]:
-                        grown.add(nb)
-            seen[side].update(grown)
-            frontier[side] = grown
-            if seen[0] & seen[1]:
-                return EQUAL
-    return UNDETERMINED
 
 
 @dataclass(frozen=True)

@@ -189,16 +189,12 @@ def r3_apply(d: ChordDiagram, triple: AdjointTriple) -> ChordDiagram:
 
     An involution: positions stay put, only the three chords change.
     """
-    present = set(d.chords)
-    if not all(c in present for c in triple.chords):
+    replaced = set(triple.chords)
+    if not replaced <= set(d.chords):
         raise NotAnR3Site(f"triple {triple.chords} not in diagram")
     if _adjoint_anchors(triple.chords) != tuple(triple.anchors):
         raise NotAnR3Site(f"{triple.chords} is not completely adjoint")
-    swap = {}
-    for a in triple.anchors:
-        swap[a] = a + 1
-        swap[a + 1] = a
-    replaced = set(triple.chords)
+    swap = {a + i: a + 1 - i for a in triple.anchors for i in (0, 1)}
     new_chords = [c for c in d.chords if c not in replaced]
     new_chords += [(swap[p], swap[q]) for p, q in triple.chords]
     return ChordDiagram(new_chords)
@@ -340,12 +336,29 @@ def move_to_json(move: Move) -> dict:
         f: _nested(v, tuple, list) for f, v in _named_params(move)}}
 
 
+def _int(value) -> bool:
+    return type(value) is int
+
+
+def _ints(count: int, item: Callable[[object], bool] = _int):
+    return lambda value: (isinstance(value, (list, tuple))
+                          and len(value) == count and all(map(item, value)))
+
+
+# The JSON shape of every field named in MOVE_KINDS.
+FIELD_SHAPES = {"chord": _ints(2), "chords": _ints(2, _ints(2)),
+                "anchors": _ints(3), "gap": _int, "gap1": _int, "gap2": _int,
+                "pattern": lambda value: value in PATTERNS, "steps": _int}
+
+
 def move_from_json(obj: dict) -> Move:
     kind = obj.get("kind")
     fields = _kind(kind).fields
-    missing = [f for f in fields if f not in obj]
-    if missing:
-        raise ValueError(f"{kind} move lacks field {missing[0]!r}")
+    for f in fields:
+        if f not in obj:
+            raise ValueError(f"{kind} move lacks field {f!r}")
+        if not FIELD_SHAPES[f](obj[f]):
+            raise ValueError(f"{kind} move has a malformed {f!r}: {obj[f]!r}")
     return Move(kind, tuple(_nested(obj[f], list, tuple) for f in fields))
 
 

@@ -38,12 +38,8 @@ def double_prime(level: int) -> str:
 
 def alphabet(m: int) -> tuple[str, ...]:
     """All letters available at depth m, in a fixed order."""
-    letters = []
-    for k in range(m):
-        letters.append(prime(k))
-        letters.append(double_prime(k))
-    letters.append(FINAL)
-    return tuple(letters)
+    letters = [z for k in range(m) for z in (prime(k), double_prime(k))]
+    return (*letters, FINAL)
 
 
 def letter_level(letter: str, m: int | None = None) -> int | None:

@@ -2,18 +2,22 @@
 
 Normal-form words are built and the group operations applied one
 letter at a time through the action, and conjugacy is explored by
-breadth-first closure under single-letter conjugation.  Move sites are
-found by testing every pair and triple of chords.  Tests compare the
-library code against them.
+breadth-first closure under single-letter conjugation.  Word equality
+is tested by rewriting alone, never through the action.  Move sites
+are found by testing every pair and triple of chords.  Tests compare
+the library code against them.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from freeknot import (FINAL, NO, UNDETERMINED, YES, AdjointTriple, MixedM,
-                      NormalForm, all_matchings, alphabet, apply_letter,
-                      double_prime, identity, prime)
+from freeknot import (FINAL, NO, YES, AdjointTriple, MixedM, NormalForm,
+                      Word, all_matchings, alphabet, apply_letter,
+                      double_prime, identity, prime, relations)
+
+EQUAL = "equal"
+UNDETERMINED = "undetermined"
 
 
 def fold(point: NormalForm, letters) -> NormalForm:
@@ -119,6 +123,62 @@ def conjugate_equal(a: NormalForm, b: NormalForm, state_cap: int):
         x = min(common)
         return YES, wit_a[x] + tuple(reversed(wit_b[x]))
     return UNDETERMINED, None
+
+
+def pair_rules(m: int) -> dict[tuple[str, str], tuple[str, str]]:
+    """Both directions of every two-letter pair swap in relations(m)."""
+    rules = {}
+    for lhs, rhs in relations(m):
+        if len(lhs) == 2 and len(rhs) == 2:
+            rules[lhs] = rhs
+            rules[rhs] = lhs
+    return rules
+
+
+def _word_neighbours(letters, rules, pool, max_len):
+    for i in range(len(letters) - 1):
+        pair = letters[i:i + 2]
+        if pair[0] == pair[1]:
+            yield letters[:i] + letters[i + 2:]
+        swap = rules.get(pair)
+        if swap is not None:
+            yield letters[:i] + swap + letters[i + 2:]
+    if len(letters) + 2 <= max_len:
+        for i in range(len(letters) + 1):
+            for z in pool:
+                yield letters[:i] + (z, z) + letters[i:]
+
+
+def rewrite_oracle(w1: Word, w2: Word, depth: int) -> str:
+    """Decide word equality by rewriting alone, never via the action.
+
+    Bidirectional breadth-first search from both words under involution
+    insertion/deletion and the pair swaps of relations(); EQUAL when
+    the searches meet within `depth` levels on each side, UNDETERMINED
+    otherwise.  Word length is capped two letters above the longer
+    input, so EQUAL is always sound while UNDETERMINED is inconclusive.
+    """
+    if w1.m != w2.m:
+        raise MixedM(f"depths differ: {w1.m} != {w2.m}")
+    rules = pair_rules(w1.m)
+    pool = alphabet(w1.m)
+    max_len = max(len(w1.letters), len(w2.letters)) + 2
+    seen = ({w1.letters}, {w2.letters})
+    frontier = [{w1.letters}, {w2.letters}]
+    if seen[0] & seen[1]:
+        return EQUAL
+    for _ in range(max(depth, 0)):
+        for side in (0, 1):
+            grown = set()
+            for w in frontier[side]:
+                for nb in _word_neighbours(w, rules, pool, max_len):
+                    if nb not in seen[side]:
+                        grown.add(nb)
+            seen[side].update(grown)
+            frontier[side] = grown
+            if seen[0] & seen[1]:
+                return EQUAL
+    return UNDETERMINED
 
 
 def r2_sites(d):

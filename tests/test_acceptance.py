@@ -13,10 +13,9 @@ from freeknot import (REDUCED_TO_EMPTY, YES, ChordDiagram, NormalForm, Word,
                       corrupted_apply_letter, evaluate, filtration, identity,
                       link_count, move_invariance_trial, normal_form_to_word,
                       parse_gauss_code, r3_sites, random_diagram, reduce,
-                      relation_check, rewrite_oracle,
-                      rotation_conjugacy_trial, scramble, search_nontrivial,
-                      serialize, word_of)
-from freeknot.group import _pair_rules
+                      relation_check, rotation_conjugacy_trial, scramble,
+                      search_nontrivial, serialize, word_of)
+from oracles import pair_rules, rewrite_oracle
 
 
 def report(label: str, ok: bool) -> bool:
@@ -135,7 +134,7 @@ def _random_word(rng, m, max_len):
 def _rewrite_randomly(rng, w, steps):
     """Apply `steps` random sound rewrites (cancellations, pair swaps,
     involution insertions) to a word."""
-    rules = _pair_rules(w.m)
+    rules = pair_rules(w.m)
     pool = alphabet(w.m)
     letters = w.letters
     for _ in range(steps):

@@ -8,7 +8,7 @@ import pytest
 
 import freeknot.cli
 import freeknot.parity
-from freeknot import NormalForm, conjugate, filtration
+from freeknot import NormalForm, conjugate, distinguish, filtration
 from freeknot.cli import main
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
@@ -127,6 +127,21 @@ class TestCompare:
         assert payload["exit_code"] == 1
         assert [e["relation"] for e in payload["per_m"]] \
             == ["distinct", "distinct"]
+
+    def test_one_distinguish_call_per_compare(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(d1, d2, m_list, mode):
+            calls.append((list(m_list), mode))
+            return distinguish(d1, d2, m_list, mode)
+
+        monkeypatch.setattr(freeknot.cli, "distinguish", counted,
+                            raising=False)
+        code, out, _ = run(capsys, "compare", "--json", "--gauss", WITNESS,
+                           "--gauss", "1 1", "--m", "1", "--m", "2")
+        assert code == 1
+        assert calls == [([1, 2], "long")]
+        assert json.loads(out)["verdict"] == "certified_distinct"
 
     def test_parse_error_exits_3(self, capsys):
         code, _, err = run(capsys, "compare", "--gauss", "1 2 3",

@@ -103,26 +103,26 @@ class TestDistinguish:
     def test_exact_values(self):
         trivial = parse_gauss_code("1 2 3 1 2 3")
         assert distinguish(trivial, parse_gauss_code("1 1"),
-                           [1, 2]) == SAME_INVARIANT
+                           [1, 2])[0] == SAME_INVARIANT
         assert distinguish(parse_gauss_code(WITNESS), ChordDiagram(),
-                           [1]) == CERTIFIED_DISTINCT
+                           [1])[0] == CERTIFIED_DISTINCT
 
     def test_free_mode_uses_conjugacy(self):
         d = parse_gauss_code(WITNESS)
         rotated = rotate_basepoint(d, 1)
         if evaluate(word_of(d, 1)) != evaluate(word_of(rotated, 1)):
-            assert distinguish(d, rotated, [1]) == CERTIFIED_DISTINCT
-        assert distinguish(d, rotated, [1], mode=FREE) == SAME_INVARIANT
+            assert distinguish(d, rotated, [1])[0] == CERTIFIED_DISTINCT
+        assert distinguish(d, rotated, [1], mode=FREE)[0] == SAME_INVARIANT
 
     def test_free_mode_is_exact_at_every_depth(self):
         assert distinguish(parse_gauss_code("1 1"),
                            parse_gauss_code("1 2 2 3 3 1"), [1],
-                           mode=FREE) == SAME_INVARIANT
+                           mode=FREE)[0] == SAME_INVARIANT
         d = parse_gauss_code(WITNESS)
         assert distinguish(d, parse_gauss_code("1 1"), [1],
-                           mode=FREE) == CERTIFIED_DISTINCT
+                           mode=FREE)[0] == CERTIFIED_DISTINCT
         rotated = rotate_basepoint(d, 3)
-        assert distinguish(d, rotated, [1, 2, 3], mode=FREE) \
+        assert distinguish(d, rotated, [1, 2, 3], mode=FREE)[0] \
             == SAME_INVARIANT
         for m in (1, 2, 3):
             a, b = evaluate(word_of(d, m)), evaluate(word_of(rotated, m))
@@ -131,6 +131,26 @@ class TestDistinguish:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             distinguish(ChordDiagram(), ChordDiagram(), [1], mode="loop")
+
+    def test_unknown_mode_is_rejected_without_depths(self):
+        d = parse_gauss_code(WITNESS)
+        with pytest.raises(ValueError, match="unknown mode"):
+            distinguish(d, d, [], mode="loop")
+
+    def test_one_entry_per_depth(self):
+        d = parse_gauss_code(WITNESS)
+        assert distinguish(d, d, []) == (SAME_INVARIANT, [])
+        verdict, per_m = distinguish(d, ChordDiagram(), [1, 2])
+        assert verdict == CERTIFIED_DISTINCT
+        assert per_m == [
+            {"m": m, "left": evaluate(word_of(d, m)).to_json(),
+             "right": {"m": m, "x": [0] * m, "eps": 0},
+             "relation": "distinct", "witness": None} for m in (1, 2)]
+        verdict, per_m = distinguish(d, rotate_basepoint(d, 1), [1],
+                                     mode=FREE)
+        assert verdict == SAME_INVARIANT
+        assert per_m[0]["relation"] == "conjugate"
+        assert per_m[0]["witness"] == ["P0"]
 
 
 class TestRotationCanonicalCode:

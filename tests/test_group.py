@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from freeknot import (EQUAL, NO, UNDETERMINED, YES, ConjugacyAnswer,
-                      LevelOutOfRange, MixedM, NormalForm, Word, alphabet,
-                      apply_letter, conjugate, conjugate_equal,
-                      corrupted_apply_letter, evaluate, identity, inverse,
-                      multiply, normal_form_to_word, parse_gauss_code,
-                      relation_check, relations, rewrite_oracle, word_of)
+from freeknot import (NO, YES, ConjugacyAnswer, LevelOutOfRange, MixedM,
+                      NormalForm, Word, alphabet, apply_letter, conjugate,
+                      conjugate_equal, corrupted_apply_letter, evaluate,
+                      identity, inverse, multiply, normal_form_to_word,
+                      parse_gauss_code, relation_check, relations, word_of)
+from oracles import EQUAL, UNDETERMINED, rewrite_oracle
 from support import normal_forms, random_point, words
 
 
@@ -33,6 +33,21 @@ class TestNormalForm:
     @given(normal_forms())
     def test_json_round_trip_everywhere(self, a):
         assert NormalForm.from_json(a.to_json()) == a
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"x": [1.5], "eps": 0}, "x"),
+        ({"x": ["a"], "eps": 0}, "x"),
+        ({"x": [True], "eps": 0}, "x"),
+        ({"x": "12", "eps": 0}, "x"),
+        ({"x": [1], "eps": True}, "eps"),
+        ({"x": [1], "eps": 1.0}, "eps"),
+        ({"x": [1], "eps": 2}, "eps"),
+        ({"m": 2, "x": [1], "eps": 0}, "m"),
+        ({"m": True, "x": [1], "eps": 0}, "m"),
+    ])
+    def test_json_rejects_malformed_fields(self, obj, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            NormalForm.from_json(obj)
 
 
 class TestApply:

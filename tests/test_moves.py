@@ -13,7 +13,7 @@ from freeknot import (CROSSED, NESTED, AdjointTriple, ChordDiagram,
                       r1_add, r1_remove, r1_sites, r2_add, r2_remove,
                       r2_sites, r3_apply, r3_sites, random_diagram,
                       rotate_basepoint, serialize)
-from freeknot.moves import ApplicableMoves
+from freeknot.moves import FIELD_SHAPES, MOVE_KINDS, ApplicableMoves
 from support import diagrams
 
 TRIPLE = parse_gauss_code("1 2 1 3 2 3")
@@ -267,3 +267,27 @@ class TestSerialization:
             move_from_json({"kind": "r1_add"})
         with pytest.raises(ValueError):
             move_from_json({})
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"kind": "r1_add", "gap": "x"}, "gap"),
+        ({"kind": "r1_add", "gap": True}, "gap"),
+        ({"kind": "r1_remove", "chord": [1, 2, 3]}, "chord"),
+        ({"kind": "r1_remove", "chord": [1.0, 2]}, "chord"),
+        ({"kind": "r2_remove", "chords": [[1, 3]]}, "chords"),
+        ({"kind": "r2_remove", "chords": [[1, 3], [2, "4"]]}, "chords"),
+        ({"kind": "r2_remove", "chords": [1, 3]}, "chords"),
+        ({"kind": "rotate", "steps": 1.5}, "steps"),
+        ({"kind": "r3", "anchors": [1, 2]}, "anchors"),
+        ({"kind": "r3", "anchors": "123"}, "anchors"),
+        ({"kind": "r2_add", "gap1": 0, "gap2": None,
+          "pattern": CROSSED}, "gap2"),
+        ({"kind": "r2_add", "gap1": 0, "gap2": 0, "pattern": "x"},
+         "pattern"),
+    ])
+    def test_json_rejects_malformed_fields(self, obj, field):
+        with pytest.raises(ValueError, match=f"malformed '{field}'"):
+            move_from_json(obj)
+
+    def test_every_field_has_a_shape(self):
+        assert set(FIELD_SHAPES) \
+            == {f for kind in MOVE_KINDS.values() for f in kind.fields}
