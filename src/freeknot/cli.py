@@ -2,9 +2,11 @@
 
 Subcommands: invariant, compare, scramble, reduce, search, selfcheck,
 moves.  Gauss codes come from repeatable --gauss flags or from standard
-input (one code per line).  Every randomised command prints its seed so
-runs can be replayed, and --json switches any command to a stable
-machine-readable form (sorted keys, fixed layout).
+input (one code per line).  Each subcommand computes its whole result
+and returns its exit code, its --json payload and its text lines; main
+alone writes to stdout, so an error leaves stdout empty, and --json
+(sorted keys, fixed layout) carries the same result the text shows.
+Every randomised command prints its seed so runs can be replayed.
 """
 
 import argparse
@@ -24,10 +26,6 @@ from .moves import enumerate_moves, move_to_json, move_to_text
 from .parity import filtration
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _read_stdin_lines() -> list[str]:
     # stdin may be a tty, detached, or (under a test runner) closed
     try:
@@ -39,19 +37,24 @@ def _read_stdin_lines() -> list[str]:
         return []
 
 
-def _collect_codes(args, needed: int | None) -> list[str]:
+def _diagrams(args, needed: int | None) -> list[ChordDiagram]:
+    """The parsed --gauss codes, topped up from stdin; `needed` of them."""
     codes = list(args.gauss or [])
     if needed is None:
-        if not codes:
-            codes = _read_stdin_lines()
+        codes = codes or _read_stdin_lines()
         if not codes:
             raise ValueError("no gauss codes given (use --gauss or stdin)")
-        return codes
-    if len(codes) < needed:
-        codes.extend(_read_stdin_lines()[:needed - len(codes)])
-    if len(codes) != needed:
-        raise ValueError(f"expected {needed} gauss codes, got {len(codes)}")
-    return codes
+    else:
+        if len(codes) < needed:
+            codes.extend(_read_stdin_lines()[:needed - len(codes)])
+        if len(codes) != needed:
+            raise ValueError(
+                f"expected {needed} gauss codes, got {len(codes)}")
+    return [parse_gauss_code(code) for code in codes]
+
+
+def _seed(args) -> int:
+    return args.seed if args.seed is not None else random.randrange(2 ** 32)
 
 
 def _chord_list(chords) -> list[list[int]]:
@@ -74,118 +77,92 @@ def _describe(d: ChordDiagram, m: int) -> dict:
     }
 
 
-def cmd_invariant(args) -> int:
-    codes = _collect_codes(args, None)
+def cmd_invariant(args):
     m_values = args.m or [1]
-    diagrams = [parse_gauss_code(code) for code in codes]
-    if args.json:
-        _emit({
-            "command": "invariant",
-            "diagrams": [{
-                "gauss": serialize(d),
-                "diagram": d.to_json(),
-                "results": [_describe(d, m) for m in m_values],
-            } for d in diagrams],
-        })
-        return 0
-    for index, d in enumerate(diagrams):
-        if index:
-            print()
-        print(f"gauss: {serialize(d) or '(empty)'}")
-        for m in m_values:
-            info = _describe(d, m)
-            sizes = " ".join(
-                f"|a{k}|={len(level)}"
-                for k, level in enumerate(info["filtration"]["levels"]))
-            splits = " ".join(
-                f"P{k}={len(s['odd'])} D{k}={len(s['even'])}"
-                for k, s in enumerate(info["filtration"]["splits"]))
-            nf = info["normal_form"]
-            tag = " (identity)" if info["is_identity"] else ""
-            print(f"m={m} levels: {sizes}")
-            print(f"m={m} splits: {splits}")
-            print(f"m={m} word: {' '.join(info['word']) or '(empty)'}")
-            print(f"m={m} normal form: x={nf['x']} eps={nf['eps']}{tag}")
-    return 0
+    diagrams = [{"gauss": serialize(d), "diagram": d.to_json(),
+                 "results": [_describe(d, m) for m in m_values]}
+                for d in _diagrams(args, None)]
+
+    def text():
+        for index, entry in enumerate(diagrams):
+            if index:
+                yield ""
+            yield f"gauss: {entry['gauss'] or '(empty)'}"
+            for info in entry["results"]:
+                m, nf = info["m"], info["normal_form"]
+                yield f"m={m} levels: " + " ".join(
+                    f"|a{k}|={len(level)}"
+                    for k, level in enumerate(info["filtration"]["levels"]))
+                yield f"m={m} splits: " + " ".join(
+                    f"P{k}={len(s['odd'])} D{k}={len(s['even'])}"
+                    for k, s in enumerate(info["filtration"]["splits"]))
+                yield f"m={m} word: {' '.join(info['word']) or '(empty)'}"
+                tag = " (identity)" if info["is_identity"] else ""
+                yield f"m={m} normal form: x={nf['x']} eps={nf['eps']}{tag}"
+    return 0, {"diagrams": diagrams}, text()
 
 
-def cmd_compare(args) -> int:
-    codes = _collect_codes(args, 2)
-    d1, d2 = (parse_gauss_code(code) for code in codes)
+def cmd_compare(args):
     m_values = args.m or [1]
-    verdict, per_m = distinguish(d1, d2, m_values, args.mode)
+    verdict, per_m = distinguish(*_diagrams(args, 2), m_values, args.mode)
     code = 1 if verdict == CERTIFIED_DISTINCT else 0
-    if args.json:
-        _emit({"command": "compare", "mode": args.mode, "m": m_values,
-               "per_m": per_m, "verdict": verdict, "exit_code": code})
-        return code
-    print(f"mode: {args.mode}")
-    for entry in per_m:
-        line = f"m={entry['m']}: {entry['relation']}"
-        if entry["witness"] is not None:
-            line += f" witness={' '.join(entry['witness']) or '(empty)'}"
-        print(line)
-    print(f"verdict: {verdict}")
-    return code
+
+    def text():
+        yield f"mode: {args.mode}"
+        for entry in per_m:
+            line = f"m={entry['m']}: {entry['relation']}"
+            if entry["witness"] is not None:
+                line += f" witness={' '.join(entry['witness']) or '(empty)'}"
+            yield line
+        yield f"verdict: {verdict}"
+    return code, {"mode": args.mode, "m": m_values, "per_m": per_m,
+                  "verdict": verdict, "exit_code": code}, text()
 
 
-def cmd_scramble(args) -> int:
-    codes = _collect_codes(args, 1)
-    d = parse_gauss_code(codes[0])
-    seed = args.seed if args.seed is not None else \
-        random.randrange(2 ** 32)
+def cmd_scramble(args):
+    [d] = _diagrams(args, 1)
+    seed = _seed(args)
     size_cap = args.max_chords if args.max_chords is not None else \
         max(2 * d.n, 4)
     result = scramble(d, args.moves, seed, size_cap)
-    if args.json:
-        _emit({"command": "scramble", "seed": seed, "moves": args.moves,
-               "size_cap": size_cap, "gauss": serialize(result),
-               "diagram": result.to_json()})
-        return 0
-    print(f"seed: {seed}")
-    print(f"applied: {args.moves} moves (size cap {size_cap})")
-    print(f"result: {serialize(result) or '(empty)'}")
-    return 0
+    gauss = serialize(result)
+
+    def text():
+        yield f"seed: {seed}"
+        yield f"applied: {args.moves} moves (size cap {size_cap})"
+        yield f"result: {gauss or '(empty)'}"
+    return 0, {"seed": seed, "moves": args.moves, "size_cap": size_cap,
+               "gauss": gauss, "diagram": result.to_json()}, text()
 
 
-def cmd_reduce(args) -> int:
-    codes = _collect_codes(args, 1)
-    d = parse_gauss_code(codes[0])
+def cmd_reduce(args):
+    [d] = _diagrams(args, 1)
     max_chords = args.max_chords if args.max_chords is not None else d.n + 1
     report = reduce(d, args.max_states, max_chords)
-    if args.json:
-        payload = report.to_json()
-        payload["command"] = "reduce"
-        _emit(payload)
-        return 0
-    print(f"outcome: {report.outcome}")
-    print(f"visited: {report.visited}")
-    if report.path is not None:
-        print(f"path ({len(report.path)} moves):")
-        for move in report.path:
-            print(f"  {move_to_text(move)}")
-    if report.diagram is not None:
-        print(f"result: {serialize(report.diagram) or '(empty)'}")
-    return 0
+
+    def text():
+        yield f"outcome: {report.outcome}"
+        yield f"visited: {report.visited}"
+        if report.path is not None:
+            yield f"path ({len(report.path)} moves):"
+            yield from (f"  {move_to_text(move)}" for move in report.path)
+        if report.diagram is not None:
+            yield f"result: {serialize(report.diagram) or '(empty)'}"
+    return 0, report.to_json(), text()
 
 
-def cmd_search(args) -> int:
-    m_values = args.m or [1]
-    per_m = []
-    for m in m_values:
-        witnesses = search_nontrivial(args.max_chords, m, args.max_states)
-        per_m.append({"m": m, "witnesses": [serialize(w) for w in witnesses]})
-    if args.json:
-        _emit({"command": "search", "max_chords": args.max_chords,
-               "max_states": args.max_states, "per_m": per_m})
-        return 0
-    for entry in per_m:
-        count = len(entry["witnesses"])
-        plural = "" if count == 1 else "es"
-        print(f"m={entry['m']}: {count} witness{plural}")
-        for code in entry["witnesses"]:
-            print(f"  {code}")
-    return 0
+def cmd_search(args):
+    per_m = [{"m": m, "witnesses": [serialize(w) for w in search_nontrivial(
+        args.max_chords, m, args.max_states)]} for m in args.m or [1]]
+
+    def text():
+        for entry in per_m:
+            count = len(entry["witnesses"])
+            plural = "" if count == 1 else "es"
+            yield f"m={entry['m']}: {count} witness{plural}"
+            yield from (f"  {code}" for code in entry["witnesses"])
+    return 0, {"max_chords": args.max_chords, "max_states": args.max_states,
+               "per_m": per_m}, text()
 
 
 def _random_point(rng: random.Random, m: int) -> NormalForm:
@@ -193,10 +170,9 @@ def _random_point(rng: random.Random, m: int) -> NormalForm:
                       rng.randint(0, 1))
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args):
     m_values = args.m or [1, 2, 3]
-    seed = args.seed if args.seed is not None else \
-        random.randrange(2 ** 32)
+    seed = _seed(args)
     rng = random.Random(seed)
     relation_failures = []
     for m in m_values:
@@ -207,45 +183,32 @@ def cmd_selfcheck(args) -> int:
         if relation_check(m, points, corrupted_apply_letter):
             relation_failures.append(
                 f"corrupted action not rejected at m={m}")
-    passed = 0
-    for i in range(args.trials):
-        if i % 10 == 9:
-            ok = rotation_conjugacy_trial(rng, m_values)
-        else:
-            ok = move_invariance_trial(rng, m_values)
-        passed += ok
+    passed = sum((rotation_conjugacy_trial if i % 10 == 9 else
+                  move_invariance_trial)(rng, m_values)
+                 for i in range(args.trials))
     relations_ok = not relation_failures
     trials_ok = passed == args.trials
-    if args.json:
-        _emit({"command": "selfcheck", "seed": seed, "m": m_values,
-               "samples": args.samples, "trials": args.trials,
-               "relations_ok": relations_ok,
-               "relation_failures": relation_failures,
-               "trials_passed": passed})
-        return 0 if relations_ok and trials_ok else 1
-    print(f"seed: {seed}")
-    relations_word = "OK" if relations_ok else "FAIL"
-    trials_word = "OK" if trials_ok else "FAIL"
-    print(f"relations {relations_word}; "
-          f"invariance trials {passed}/{args.trials} {trials_word}")
-    for failure in relation_failures:
-        print(f"  {failure}")
-    return 0 if relations_ok and trials_ok else 1
+    code = 0 if relations_ok and trials_ok else 1
+
+    def text():
+        yield f"seed: {seed}"
+        yield (f"relations {'OK' if relations_ok else 'FAIL'}; "
+               f"invariance trials {passed}/{args.trials} "
+               f"{'OK' if trials_ok else 'FAIL'}")
+        yield from (f"  {failure}" for failure in relation_failures)
+    return code, {"seed": seed, "m": m_values, "samples": args.samples,
+                  "trials": args.trials, "relations_ok": relations_ok,
+                  "relation_failures": relation_failures,
+                  "trials_passed": passed}, text()
 
 
-def cmd_moves(args) -> int:
-    codes = _collect_codes(args, 1)
-    d = parse_gauss_code(codes[0])
+def cmd_moves(args):
+    [d] = _diagrams(args, 1)
     max_chords = args.max_chords if args.max_chords is not None else d.n + 2
     moves = enumerate_moves(d, max_chords)
-    if args.json:
-        _emit({"command": "moves", "gauss": serialize(d),
-               "max_chords": max_chords,
-               "moves": [move_to_json(mv) for mv in moves]})
-        return 0
-    for move in moves:
-        print(move_to_text(move))
-    return 0
+    return 0, {"gauss": serialize(d), "max_chords": max_chords,
+               "moves": [move_to_json(mv) for mv in moves]}, \
+        (move_to_text(mv) for mv in moves)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,7 +302,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_numbers(args)
-        code = args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            lines = [json.dumps({"command": args.command, **payload},
+                                indent=2, sort_keys=True)]
+        for line in lines:
+            print(line)
         sys.stdout.flush()
         return code
     except ValueError as exc:

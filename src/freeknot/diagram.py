@@ -63,10 +63,16 @@ class ChordDiagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChordDiagram":
-        d = cls(tuple(pair) for pair in obj["chords"])
-        if obj.get("n", d.n) != d.n:
+        chords = json_object(obj, "chord diagram").get("chords")
+        if type(chords) is not list or not all(
+                type(c) is list and len(c) == 2
+                and all(type(e) is int for e in c) for c in chords):
             raise ValueError(
-                f"inconsistent chord count: n={obj['n']} with {d.n} chords")
+                f"chords must be a list of 2-int pairs, got {chords!r}")
+        d = cls(chords)
+        n = obj.get("n", d.n)
+        if type(n) is not int or n != d.n:
+            raise ValueError(f"n must be {d.n}, the chord count, got {n!r}")
         violations = validate(d)
         if violations:
             v = violations[0]
@@ -81,6 +87,13 @@ class ChordDiagram:
 
     def __repr__(self) -> str:
         return f"ChordDiagram({list(self.chords)!r})"
+
+
+def json_object(obj, what: str) -> dict:
+    """`obj` if it is a JSON object (a dict), else a ValueError."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
 
 
 def parse_gauss_code(text: str) -> ChordDiagram:

@@ -63,7 +63,7 @@ class SearchReport:
     """Outcome of a bounded breadth-first reduction.
 
     path replays from the start diagram to `diagram` when the outcome
-    carries one; visited counts distinct canonical codes seen.
+    carries one; visited counts distinct diagrams seen.
     """
 
     outcome: str  # reduced_to_empty | minimal_found | exhausted
@@ -89,14 +89,14 @@ class SearchReport:
 
 
 def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
-    """Breadth-first search over canonical Gauss codes under all moves.
+    """Breadth-first search over diagrams under all moves.
 
     Returns REDUCED_TO_EMPTY with a shortest path when the empty
     diagram is reachable within the caps, MINIMAL_FOUND with a
     least-chord-count diagram when the bounded space is exhausted, and
     EXHAUSTED when the state cap is hit first.
     """
-    visited = {serialize(d)}
+    visited = {d}
     queue = deque([(d, ())])
     best_d, best_path = d, ()
     while queue:
@@ -106,13 +106,12 @@ def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
                                 len(visited), max_states, max_chords)
         for move in enumerate_moves(current, max_chords):
             nxt = apply_move(current, move)
-            code = serialize(nxt)
-            if code in visited:
+            if nxt in visited:
                 continue
             if len(visited) >= max_states:
                 return SearchReport(EXHAUSTED, None, None,
                                     len(visited), max_states, max_chords)
-            visited.add(code)
+            visited.add(nxt)
             nxt_path = path + (move,)
             if nxt.n == 0:
                 return SearchReport(REDUCED_TO_EMPTY, nxt_path, nxt,

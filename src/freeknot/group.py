@@ -24,6 +24,7 @@ conjugate_equal all rest on it.
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from .diagram import json_object
 from .parity import (FINAL, LevelOutOfRange, Word, alphabet, double_prime,
                      letter_level, prime)
 
@@ -55,7 +56,8 @@ class NormalForm(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "NormalForm":
-        x, eps = obj["x"], obj["eps"]
+        obj = json_object(obj, "normal form")
+        x, eps = obj.get("x"), obj.get("eps")
         if type(x) is not list or any(type(v) is not int for v in x):
             raise ValueError(f"x must be a list of ints, got {x!r}")
         if type(eps) is not int or eps not in (0, 1):

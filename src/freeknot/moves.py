@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, NamedTuple
 
-from .diagram import Chord, ChordDiagram, renumber
+from .diagram import Chord, ChordDiagram, json_object, renumber
 
 
 class GapOutOfRange(ValueError):
@@ -352,7 +352,7 @@ FIELD_SHAPES = {"chord": _ints(2), "chords": _ints(2, _ints(2)),
 
 
 def move_from_json(obj: dict) -> Move:
-    kind = obj.get("kind")
+    kind = json_object(obj, "move").get("kind")
     fields = _kind(kind).fields
     for f in fields:
         if f not in obj:

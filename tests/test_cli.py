@@ -67,6 +67,21 @@ class TestInvariant:
         assert code == 0
         assert calls == [1, 2]
 
+    def test_failure_leaves_stdout_empty(self, capsys, monkeypatch):
+        calls = []
+
+        def failing_second(d, m):
+            calls.append(m)
+            if len(calls) == 2:
+                raise ValueError("second filtration fails")
+            return filtration(d, m)
+
+        monkeypatch.setattr(freeknot.cli, "filtration", failing_second)
+        code, out, err = run(capsys, "invariant", "--gauss", "1 1",
+                             "--gauss", "1 2 1 2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "invariant", "--gauss", "1 2 3")
         assert code == 2
@@ -267,6 +282,17 @@ class TestMoves:
         payload = json.loads(out)
         assert code == 0
         assert payload["moves"][0] == {"kind": "r1_remove", "chord": [1, 2]}
+
+    def test_json_formats_no_text(self, capsys, monkeypatch):
+        args = ("moves", "--json", "--gauss", WITNESS)
+        expected = run(capsys, *args)
+
+        def failing(move):
+            raise AssertionError("text formatted in --json mode")
+
+        monkeypatch.setattr(freeknot.cli, "move_to_text", failing)
+        assert run(capsys, *args) == expected
+        assert expected[0] == 0
 
 
 class TestArgumentValidation:

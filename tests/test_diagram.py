@@ -147,6 +147,23 @@ def test_json_rejects_invalid_diagram():
         ChordDiagram.from_json({"n": 2, "chords": [[1, 4], [3, 4]]})
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"chords": [[True, 2]]}, "chords"),
+    ({"chords": [["1", "2"]]}, "chords"),
+    ({"chords": [[1, 2, 3]]}, "chords"),
+    ({"chords": [[1.0, 2]]}, "chords"),
+    ({"chords": [1, 2]}, "chords"),
+    ({"chords": "12"}, "chords"),
+    ({}, "chords"),
+    ({"n": True, "chords": [[1, 2]]}, "n"),
+    ({"n": 1.0, "chords": [[1, 2]]}, "n"),
+    ([1], "chord diagram"),
+])
+def test_json_rejects_malformed_fields(obj, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ChordDiagram.from_json(obj)
+
+
 def test_json_rejects_inconsistent_count():
     with pytest.raises(ValueError):
         ChordDiagram.from_json({"n": 5, "chords": [[1, 2]]})

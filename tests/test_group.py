@@ -44,6 +44,9 @@ class TestNormalForm:
         ({"x": [1], "eps": 2}, "eps"),
         ({"m": 2, "x": [1], "eps": 0}, "m"),
         ({"m": True, "x": [1], "eps": 0}, "m"),
+        ({"eps": 0}, "x"),
+        ({"x": [1]}, "eps"),
+        ([1], "normal form"),
     ])
     def test_json_rejects_malformed_fields(self, obj, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):

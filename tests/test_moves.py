@@ -267,6 +267,8 @@ class TestSerialization:
             move_from_json({"kind": "r1_add"})
         with pytest.raises(ValueError):
             move_from_json({})
+        with pytest.raises(ValueError, match="^move must be a JSON object"):
+            move_from_json([1])
 
     @pytest.mark.parametrize("obj, field", [
         ({"kind": "r1_add", "gap": "x"}, "gap"),
