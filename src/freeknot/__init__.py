@@ -9,10 +9,9 @@ value (up to conjugacy, for the base-point-free question) to certify
 diagrams as inequivalent.
 """
 
-from .diagram import (Chord, ChordDiagram, EmptyTokenError, LabelCountError,
-                      SharedEndpointError, Violation, diagram_from_labels,
-                      link_count, linked, parse_gauss_code, serialize,
-                      validate)
+from .diagram import (Chord, ChordDiagram, LabelCountError,
+                      SharedEndpointError, Violation, link_count, linked,
+                      parse_gauss_code, serialize, validate)
 from .explore import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       MINIMAL_FOUND, REDUCED_TO_EMPTY, SAME_INVARIANT,
                       SearchReport, all_matchings, distinguish,
@@ -24,8 +23,8 @@ from .group import (NO, YES, ConjugacyAnswer, LevelOutOfRange, MixedM,
                     corrupted_apply_letter, evaluate, identity, inverse,
                     multiply, normal_form_to_word, relation_check, relations)
 from .moves import (CROSSED, NESTED, AdjointTriple, GapOutOfRange, Move,
-                    NotAnR1Site, NotAnR2Site, NotAnR3Site, adjoint_triple,
-                    apply_move, enumerate_moves, inverse_move, move_from_json,
+                    NotAnR1Site, NotAnR2Site, NotAnR3Site, apply_move,
+                    enumerate_moves, inverse_move, move_from_json,
                     move_to_json, move_to_text, r1_add, r1_remove, r1_sites,
                     r2_add, r2_remove, r2_sites, r3_apply, r3_sites,
                     rotate_basepoint)
@@ -34,21 +33,20 @@ from .parity import (FINAL, Filtration, InvalidM, Word, alphabet, delete_odd,
 
 __all__ = [
     "AdjointTriple", "CERTIFIED_DISTINCT", "CROSSED", "Chord", "ChordDiagram",
-    "ConjugacyAnswer", "EXHAUSTED", "EmptyTokenError", "FINAL", "FREE",
-    "Filtration", "GapOutOfRange", "InvalidM", "LONG", "LabelCountError",
-    "LevelOutOfRange", "MINIMAL_FOUND", "MixedM", "Move", "NESTED", "NO",
-    "NormalForm", "NotAnR1Site", "NotAnR2Site", "NotAnR3Site",
-    "REDUCED_TO_EMPTY", "SAME_INVARIANT", "SearchReport",
-    "SharedEndpointError", "Violation", "Word", "YES", "adjoint_triple",
-    "all_matchings", "alphabet", "apply_letter", "apply_move", "conjugate",
-    "conjugate_equal", "corrupted_apply_letter", "delete_odd",
-    "diagram_from_labels", "distinguish", "double_prime", "enumerate_moves",
-    "evaluate", "filtration", "identity", "inverse", "inverse_move",
-    "letter_level", "link_count", "linked", "move_from_json",
-    "move_invariance_trial", "move_to_json", "move_to_text", "multiply",
-    "normal_form_to_word", "parse_gauss_code", "prime", "r1_add", "r1_remove",
-    "r1_sites", "r2_add", "r2_remove", "r2_sites", "r3_apply", "r3_sites",
-    "random_diagram", "reduce", "relation_check", "relations",
-    "rotate_basepoint", "rotation_canonical_code", "rotation_conjugacy_trial",
-    "scramble", "search_nontrivial", "serialize", "validate", "word_of",
+    "ConjugacyAnswer", "EXHAUSTED", "FINAL", "FREE", "Filtration",
+    "GapOutOfRange", "InvalidM", "LONG", "LabelCountError", "LevelOutOfRange",
+    "MINIMAL_FOUND", "MixedM", "Move", "NESTED", "NO", "NormalForm",
+    "NotAnR1Site", "NotAnR2Site", "NotAnR3Site", "REDUCED_TO_EMPTY",
+    "SAME_INVARIANT", "SearchReport", "SharedEndpointError", "Violation",
+    "Word", "YES", "all_matchings", "alphabet", "apply_letter", "apply_move",
+    "conjugate", "conjugate_equal", "corrupted_apply_letter", "delete_odd",
+    "distinguish", "double_prime", "enumerate_moves", "evaluate", "filtration",
+    "identity", "inverse", "inverse_move", "letter_level", "link_count",
+    "linked", "move_from_json", "move_invariance_trial", "move_to_json",
+    "move_to_text", "multiply", "normal_form_to_word", "parse_gauss_code",
+    "prime", "r1_add", "r1_remove", "r1_sites", "r2_add", "r2_remove",
+    "r2_sites", "r3_apply", "r3_sites", "random_diagram", "reduce",
+    "relation_check", "relations", "rotate_basepoint",
+    "rotation_canonical_code", "rotation_conjugacy_trial", "scramble",
+    "search_nontrivial", "serialize", "validate", "word_of",
 ]

@@ -4,9 +4,9 @@ A diagram on n chords is a partition of the positions 1..2n into n
 unordered pairs.  The base point sits just before position 1 and
 nothing wraps across it.  Two chords are linked exactly when their
 endpoints alternate along the position line, which the sign of a
-four-difference product detects.  Linking is the primitive that every
-later construction (parity filtration, letter words, move invariance)
-is built from.
+four-difference product detects.  `linked` and `link_count` state
+that pairwise definition; the parity filtration reads the same linking
+parity from rank gaps instead, and the tests compare the two.
 """
 
 from collections import Counter
@@ -18,10 +18,6 @@ Chord = tuple[int, int]
 
 class LabelCountError(ValueError):
     """A Gauss-code label occurs some number of times other than two."""
-
-
-class EmptyTokenError(ValueError):
-    """A Gauss-code label is the empty string."""
 
 
 class SharedEndpointError(ValueError):
@@ -106,15 +102,8 @@ def parse_gauss_code(text: str) -> ChordDiagram:
     >>> parse_gauss_code("1 2 1 2").chords
     ((1, 3), (2, 4))
     """
-    return diagram_from_labels(text.split())
-
-
-def diagram_from_labels(labels: Iterable[str]) -> ChordDiagram:
-    """Build a diagram from a sequence of chord labels, one per position."""
     ends: dict[str, list[int]] = {}
-    for position, label in enumerate(labels, start=1):
-        if label == "":
-            raise EmptyTokenError(f"empty label at position {position}")
+    for position, label in enumerate(text.split(), start=1):
         ends.setdefault(label, []).append(position)
     chords = []
     for label, positions in ends.items():

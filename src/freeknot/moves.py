@@ -104,6 +104,8 @@ class _R2Insertions(Sequence):
         return (self.size + 1) * (self.size + 2)
 
     def __getitem__(self, i: int) -> tuple[int, int, str]:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
         # Counted from the last gap pair, pairs k with T(t) <= k < T(t+1),
         # T(t) = t(t+1)/2, are those whose gap1 is size - t.
         k = len(self) // 2 - 1 - i // 2
@@ -170,34 +172,19 @@ def r3_sites(d: ChordDiagram) -> list[AdjointTriple]:
     return sites
 
 
-def adjoint_triple(d: ChordDiagram, anchors) -> AdjointTriple:
-    """The diagram's adjoint triple anchored at (r, s, t), if any."""
-    anchors = tuple(sorted(anchors))
-    owner = d.end_map()
-    try:
-        chords3 = tuple(sorted(
-            {owner[a] for a in anchors} | {owner[a + 1] for a in anchors}))
-    except KeyError:
-        raise NotAnR3Site(f"no chord ends at anchors {anchors}") from None
-    if len(chords3) != 3 or _adjoint_anchors(chords3) != anchors:
-        raise NotAnR3Site(f"no completely adjoint triple at {anchors}")
-    return AdjointTriple(chords3, anchors)
-
-
-def r3_apply(d: ChordDiagram, triple: AdjointTriple) -> ChordDiagram:
-    """Rewire the triple by swapping each anchor with its neighbour.
+def r3_apply(d: ChordDiagram, anchors) -> ChordDiagram:
+    """Rewire the completely adjoint triple anchored at (r, s, t), given
+    in any order, by swapping each anchor with its neighbour.
 
     An involution: positions stay put, only the three chords change.
     """
-    replaced = set(triple.chords)
-    if not replaced <= set(d.chords):
-        raise NotAnR3Site(f"triple {triple.chords} not in diagram")
-    if _adjoint_anchors(triple.chords) != tuple(triple.anchors):
-        raise NotAnR3Site(f"{triple.chords} is not completely adjoint")
-    swap = {a + i: a + 1 - i for a in triple.anchors for i in (0, 1)}
-    new_chords = [c for c in d.chords if c not in replaced]
-    new_chords += [(swap[p], swap[q]) for p, q in triple.chords]
-    return ChordDiagram(new_chords)
+    anchors = tuple(sorted(anchors))
+    swap = {a + i: a + 1 - i for a in anchors for i in (0, 1)}
+    owner = d.end_map()
+    owners = {owner.get(p) for p in swap}
+    if None in owners or _adjoint_anchors(owners) != anchors:
+        raise NotAnR3Site(f"no completely adjoint triple at {anchors}")
+    return ChordDiagram((swap.get(p, p), swap.get(q, q)) for p, q in d.chords)
 
 
 def rotate_basepoint(d: ChordDiagram, steps: int) -> ChordDiagram:
@@ -246,7 +233,7 @@ MOVE_KINDS = {
     "r3": MoveKind(
         ("anchors",),
         lambda d, max_chords: [(t.anchors,) for t in r3_sites(d)],
-        lambda d, anchors: r3_apply(d, adjoint_triple(d, anchors)),
+        r3_apply,
         lambda anchors: Move("r3", (anchors,))),
     "r1_add": MoveKind(
         ("gap",),

@@ -3,10 +3,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
-from freeknot import (ChordDiagram, EmptyTokenError, LabelCountError,
-                      SharedEndpointError, Violation, diagram_from_labels,
-                      link_count, linked, parse_gauss_code, rotate_basepoint,
-                      serialize, validate)
+from freeknot import (ChordDiagram, LabelCountError, SharedEndpointError,
+                      Violation, link_count, linked, parse_gauss_code,
+                      rotate_basepoint, serialize, validate)
 from support import diagrams
 
 
@@ -33,9 +32,8 @@ def test_parse_rejects_bad_counts():
         parse_gauss_code("1 1 1 1")
 
 
-def test_labels_reject_empty_token():
-    with pytest.raises(EmptyTokenError):
-        diagram_from_labels(["1", "", "1", ""])
+def test_parse_whitespace_runs_make_no_label():
+    assert parse_gauss_code(" 1  2\t1\n 2 ") == parse_gauss_code("1 2 1 2")
 
 
 def test_chords_are_normalised():

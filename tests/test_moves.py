@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from freeknot import (CROSSED, NESTED, AdjointTriple, ChordDiagram,
                       GapOutOfRange, Move, NotAnR1Site, NotAnR2Site,
-                      NotAnR3Site, adjoint_triple, apply_move,
+                      NotAnR3Site, all_matchings, apply_move,
                       enumerate_moves, inverse_move, move_from_json,
                       move_to_json, move_to_text, parse_gauss_code,
                       r1_add, r1_remove, r1_sites, r2_add, r2_remove,
@@ -91,21 +92,36 @@ class TestR3:
 
     def test_apply(self):
         triple = r3_sites(TRIPLE)[0]
-        assert serialize(r3_apply(TRIPLE, triple)) == "1 2 3 2 3 1"
+        assert serialize(r3_apply(TRIPLE, triple.anchors)) == "1 2 3 2 3 1"
 
     def test_apply_is_an_involution(self):
         before = TRIPLE
         triple = r3_sites(before)[0]
-        after = r3_apply(before, triple)
-        assert r3_apply(after, r3_sites(after)[0]) == before
+        after = r3_apply(before, triple.anchors)
+        assert r3_apply(after, r3_sites(after)[0].anchors) == before
 
     def test_lookup_by_anchors(self):
-        assert adjoint_triple(TRIPLE, (1, 3, 5)) == r3_sites(TRIPLE)[0]
-        assert adjoint_triple(TRIPLE, (5, 1, 3)) == r3_sites(TRIPLE)[0]
+        assert r3_apply(TRIPLE, (5, 1, 3)) == r3_apply(TRIPLE, (1, 3, 5))
         with pytest.raises(NotAnR3Site):
-            adjoint_triple(TRIPLE, (1, 2, 3))
+            r3_apply(TRIPLE, (1, 2, 3))
         with pytest.raises(NotAnR3Site):
-            adjoint_triple(TRIPLE, (1, 3, 99))
+            r3_apply(TRIPLE, (1, 3, 99))
+
+    def test_applies_exactly_at_listed_sites(self):
+        """On every diagram of at most five chords, r3_apply accepts
+        exactly the anchors r3_sites lists, and undoes itself there."""
+        for n in range(6):
+            for chords in all_matchings(range(1, 2 * n + 1)):
+                d = ChordDiagram(chords)
+                applied = set()
+                for anchors in combinations(range(1, 2 * n), 3):
+                    try:
+                        after = r3_apply(d, anchors)
+                    except NotAnR3Site:
+                        continue
+                    assert r3_apply(after, anchors) == d
+                    applied.add(anchors)
+                assert applied == {t.anchors for t in r3_sites(d)}
 
 
 def _grown(n: int, rng: random.Random) -> ChordDiagram:
@@ -173,6 +189,16 @@ class TestApplicableMoves:
             for outside in (len(options), -1):
                 with pytest.raises(IndexError):
                     options[outside]
+
+    def test_r2_insertions_index_like_their_iteration(self):
+        for n in range(7):
+            d = random_diagram(n, random.Random(n))
+            insertions = MOVE_KINDS["r2_add"].sites(d, n + 2)
+            assert [insertions[i] for i in range(len(insertions))] \
+                == list(insertions)
+            for outside in (len(insertions), -1):
+                with pytest.raises(IndexError):
+                    insertions[outside]
 
     def test_every_index_on_a_large_diagram(self):
         d = _grown(30, random.Random(43))
