@@ -14,10 +14,10 @@ from .diagram import (Chord, ChordDiagram, LabelCountError,
                       parse_gauss_code, serialize, validate)
 from .explore import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       MINIMAL_FOUND, REDUCED_TO_EMPTY, SAME_INVARIANT,
-                      SearchReport, all_matchings, distinguish,
-                      move_invariance_trial, random_diagram, reduce,
-                      rotation_canonical_code, rotation_conjugacy_trial,
-                      scramble, search_nontrivial)
+                      SearchReport, distinguish, move_invariance_trial,
+                      random_diagram, reduce, rotation_canonical_code,
+                      rotation_classes, rotation_conjugacy_trial, scramble,
+                      search_nontrivial)
 from .group import (NO, YES, ConjugacyAnswer, LevelOutOfRange, MixedM,
                     NormalForm, apply_letter, conjugate, conjugate_equal,
                     corrupted_apply_letter, evaluate, identity, inverse,
@@ -38,15 +38,15 @@ __all__ = [
     "MINIMAL_FOUND", "MixedM", "Move", "NESTED", "NO", "NormalForm",
     "NotAnR1Site", "NotAnR2Site", "NotAnR3Site", "REDUCED_TO_EMPTY",
     "SAME_INVARIANT", "SearchReport", "SharedEndpointError", "Violation",
-    "Word", "YES", "all_matchings", "alphabet", "apply_letter", "apply_move",
-    "conjugate", "conjugate_equal", "corrupted_apply_letter", "delete_odd",
-    "distinguish", "double_prime", "enumerate_moves", "evaluate", "filtration",
-    "identity", "inverse", "inverse_move", "letter_level", "link_count",
-    "linked", "move_from_json", "move_invariance_trial", "move_to_json",
-    "move_to_text", "multiply", "normal_form_to_word", "parse_gauss_code",
-    "prime", "r1_add", "r1_remove", "r1_sites", "r2_add", "r2_remove",
-    "r2_sites", "r3_apply", "r3_sites", "random_diagram", "reduce",
-    "relation_check", "relations", "rotate_basepoint",
-    "rotation_canonical_code", "rotation_conjugacy_trial", "scramble",
-    "search_nontrivial", "serialize", "validate", "word_of",
+    "Word", "YES", "alphabet", "apply_letter", "apply_move", "conjugate",
+    "conjugate_equal", "corrupted_apply_letter", "delete_odd", "distinguish",
+    "double_prime", "enumerate_moves", "evaluate", "filtration", "identity",
+    "inverse", "inverse_move", "letter_level", "link_count", "linked",
+    "move_from_json", "move_invariance_trial", "move_to_json", "move_to_text",
+    "multiply", "normal_form_to_word", "parse_gauss_code", "prime", "r1_add",
+    "r1_remove", "r1_sites", "r2_add", "r2_remove", "r2_sites", "r3_apply",
+    "r3_sites", "random_diagram", "reduce", "relation_check", "relations",
+    "rotate_basepoint", "rotation_canonical_code", "rotation_classes",
+    "rotation_conjugacy_trial", "scramble", "search_nontrivial", "serialize",
+    "validate", "word_of",
 ]

@@ -152,14 +152,19 @@ def cmd_reduce(args):
 
 
 def cmd_search(args):
-    per_m = [{"m": m, "witnesses": [serialize(w) for w in search_nontrivial(
-        args.max_chords, m, args.max_states)]} for m in args.m or [1]]
+    per_m = []
+    for m in args.m or [1]:
+        found = search_nontrivial(args.max_chords, m, args.max_states)
+        per_m.append({"m": m, "witnesses": [serialize(w) for w in found],
+                      "examined": found.examined, "complete": found.complete})
 
     def text():
         for entry in per_m:
             count = len(entry["witnesses"])
             plural = "" if count == 1 else "es"
-            yield f"m={entry['m']}: {count} witness{plural}"
+            cut = ("" if entry["complete"] else
+                   f" (truncated after {entry['examined']} classes)")
+            yield f"m={entry['m']}: {count} witness{plural}{cut}"
             yield from (f"  {code}" for code in entry["witnesses"])
     return 0, {"max_chords": args.max_chords, "max_states": args.max_states,
                "per_m": per_m}, text()

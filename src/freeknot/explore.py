@@ -155,8 +155,8 @@ def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
 def rotation_canonical_code(d: ChordDiagram) -> str:
     """Lexicographically least Gauss code over all base-point rotations.
 
-    A key for rotation classes (token-wise on the label numbers), used
-    to enumerate diagrams once per class.
+    A key for rotation classes (token-wise on the label numbers), and
+    the representative `search_nontrivial` reports for each hit.
     """
     owner, size = d.end_map(), d.size
     twice = [owner[p] for p in range(1, size + 1)] * 2
@@ -165,47 +165,82 @@ def rotation_canonical_code(d: ChordDiagram) -> str:
     return " ".join(map(str, best))
 
 
-def all_matchings(positions) -> Iterator[tuple]:
-    """Every perfect matching of the given positions, as chord tuples."""
-    positions = list(positions)
-    if not positions:
-        yield ()
-        return
-    first = positions[0]
-    rest = positions[1:]
-    for i, q in enumerate(rest):
-        for tail in all_matchings(rest[:i] + rest[i + 1:]):
-            yield ((first, q),) + tail
+def rotation_classes(n: int) -> Iterator[ChordDiagram]:
+    """One diagram on n chords per rotation class (OEIS A007769), lazily.
+
+    Moving the base point shifts the gap sequence, (partner(i) - i) mod
+    2n over the positions i, cyclically, so the classes are necklaces of
+    gap sequences (J. Sawada, SIAM J. Discrete Math. 15(4), 2002).  An
+    FKM prenecklace recursion yields each class once, as its least gap
+    sequence, in increasing order: a position that an earlier chord ends
+    at takes that chord's gap back, any other starts a chord forward.
+    """
+    size = 2 * n
+    gaps = [0] * (size + 1)  # gaps[t] at position t; gaps[0] is a floor
+    back = [0] * (size + 1)  # the gap an earlier chord forces at t, or 0
+    chords = []
+
+    def extend(t, p):
+        if t > size:
+            if size % p == 0:
+                yield ChordDiagram(chords)
+            return
+        least = gaps[t - p]
+        if back[t]:
+            g = gaps[t] = back[t]
+            if g >= least:
+                yield from extend(t + 1, p if g == least else t)
+            return
+        for g in range(max(least, 1), size - t + 1):
+            if not back[t + g]:
+                gaps[t], back[t + g] = g, size - g
+                chords.append((t, t + g))
+                yield from extend(t + 1, p if g == least else t)
+                chords.pop()
+                back[t + g] = 0
+
+    return extend(1, 1)
 
 
-def search_nontrivial(max_chords: int, m: int,
-                      state_cap: int) -> list[ChordDiagram]:
+class Witnesses(list):
+    """The diagrams `search_nontrivial` certified, with the number of
+    rotation classes it examined and whether those were all of them."""
+
+    __slots__ = ("examined", "complete")
+
+    def __init__(self, found, examined: int, complete: bool):
+        super().__init__(found)
+        self.examined, self.complete = examined, complete
+
+
+def search_nontrivial(max_chords: int, m: int, state_cap: int) -> Witnesses:
     """Exhaustively scan diagrams with up to max_chords chords, one per
-    rotation class, and return (as canonical representatives) those
-    whose word evaluates away from the identity.
+    rotation class from `rotation_classes`, and return (as canonical
+    representatives) those whose word evaluates away from the identity.
 
     Every hit is a certified nontrivial free knot: the identity's
     conjugacy class is itself alone, so no sequence of moves and
-    rotations can bring a hit back to the empty diagram.  Enumeration
-    stops quietly once state_cap rotation classes were examined.
+    rotations can bring a hit back to the empty diagram.  Hits are
+    listed by chord count, then by `rotation_canonical_code` compared
+    token by token as integers.  The scan stops once state_cap rotation
+    classes were examined, and the result says so (`complete` false).
     """
     e = identity(m)
-    found = []
-    examined = 0
-    seen: set[str] = set()
+    found, examined, complete = [], 0, True
     for n in range(1, max_chords + 1):
-        for chords in all_matchings(range(1, 2 * n + 1)):
-            key = rotation_canonical_code(ChordDiagram(chords))
-            if key in seen:
-                continue
-            seen.add(key)
+        hits = []
+        for d in rotation_classes(n):
+            if examined == state_cap:
+                complete = False
+                break
             examined += 1
-            if examined > state_cap:
-                return found
-            representative = parse_gauss_code(key)
-            if evaluate(word_of(representative, m)) != e:
-                found.append(representative)
-    return found
+            if evaluate(word_of(d, m)) != e:
+                hits.append(rotation_canonical_code(d))
+        hits.sort(key=lambda code: [int(label) for label in code.split()])
+        found += map(parse_gauss_code, hits)
+        if not complete:
+            break
+    return Witnesses(found, examined, complete)
 
 
 def move_invariance_trial(rng: random.Random, m_values: Sequence[int],

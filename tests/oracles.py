@@ -4,17 +4,20 @@ Normal-form words are built and the group operations applied one
 letter at a time through the action, and conjugacy is explored by
 breadth-first closure under single-letter conjugation.  Word equality
 is tested by rewriting alone, never through the action.  Move sites
-are found by testing every pair and triple of chords.  Tests compare
-the library code against them.
+are found by testing every pair and triple of chords.  The exhaustive
+search lists every perfect matching and keeps the first of each
+rotation class.  Tests compare the library code against them.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
-from freeknot import (FINAL, NO, YES, AdjointTriple, MixedM, NormalForm,
-                      Word, all_matchings, alphabet, apply_letter,
-                      double_prime, identity, prime, relations)
+from freeknot import (FINAL, NO, YES, AdjointTriple, ChordDiagram, MixedM,
+                      NormalForm, Word, alphabet, apply_letter, double_prime,
+                      evaluate, identity, parse_gauss_code, prime, relations,
+                      rotation_canonical_code, word_of)
 
 EQUAL = "equal"
 UNDETERMINED = "undetermined"
@@ -208,3 +211,45 @@ def r3_sites(d):
              for chords3 in combinations(d.chords, 3)
              if (anchors := _adjoint_anchors(chords3)) is not None]
     return sorted(sites, key=lambda t: t.anchors)
+
+
+def all_matchings(positions):
+    """Every perfect matching of the given positions, as chord tuples."""
+    positions = list(positions)
+    if not positions:
+        yield ()
+        return
+    first = positions[0]
+    rest = positions[1:]
+    for i, q in enumerate(rest):
+        for tail in all_matchings(rest[:i] + rest[i + 1:]):
+            yield ((first, q),) + tail
+
+
+@cache
+def rotation_class_codes(n: int) -> tuple[str, ...]:
+    """The rotation-canonical code of every class on n chords, in the
+    order in which all_matchings first reaches the class."""
+    codes = {}
+    for chords in all_matchings(range(1, 2 * n + 1)):
+        codes.setdefault(rotation_canonical_code(ChordDiagram(chords)))
+    return tuple(codes)
+
+
+def search_by_matchings(max_chords: int, m: int, state_cap: int):
+    """The scan over every matching, keyed by rotation class: the
+    representatives whose word evaluates away from the identity, in
+    the order in which all_matchings first reaches their class, among
+    the first state_cap classes."""
+    e = identity(m)
+    found = []
+    examined = 0
+    for n in range(1, max_chords + 1):
+        for key in rotation_class_codes(n):
+            examined += 1
+            if examined > state_cap:
+                return found
+            representative = parse_gauss_code(key)
+            if evaluate(word_of(representative, m)) != e:
+                found.append(representative)
+    return found

@@ -239,8 +239,20 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["per_m"] == [{
             "m": 1,
-            "witnesses": [WITNESS, "1 2 1 3 4 2 4 5 3 5"],
+            "witnesses": ["1 2 1 3 4 2 4 5 3 5", WITNESS],
+            "examined": 131,
+            "complete": True,
         }]
+
+    def test_truncation_is_reported(self, capsys):
+        code, out, _ = run(capsys, "search", "--max-chords", "5",
+                           "--max-states", "10")
+        assert code == 0
+        assert out == "m=1: 0 witnesses (truncated after 10 classes)\n"
+        code, out, _ = run(capsys, "search", "--max-chords", "5", "--json",
+                           "--max-states", "130")
+        (entry,) = json.loads(out)["per_m"]
+        assert (entry["examined"], entry["complete"]) == (130, False)
 
 
 class TestSelfcheck:

@@ -1,5 +1,6 @@
 import json
 import random
+from collections.abc import Sized
 
 import pytest
 from hypothesis import given, settings
@@ -7,15 +8,19 @@ from hypothesis import given, settings
 import make_scramble_golden
 from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, MINIMAL_FOUND,
                       REDUCED_TO_EMPTY, SAME_INVARIANT, ChordDiagram,
-                      NormalForm, all_matchings, apply_move, conjugate,
-                      conjugate_equal, distinguish, evaluate,
-                      move_invariance_trial, parse_gauss_code, random_diagram,
-                      reduce, rotate_basepoint, rotation_canonical_code,
-                      rotation_conjugacy_trial, scramble, search_nontrivial,
-                      serialize, word_of)
+                      NormalForm, apply_move, conjugate, conjugate_equal,
+                      distinguish, evaluate, move_invariance_trial,
+                      parse_gauss_code, random_diagram, reduce,
+                      rotate_basepoint, rotation_canonical_code,
+                      rotation_classes, rotation_conjugacy_trial, scramble,
+                      search_nontrivial, serialize, word_of)
+from oracles import (all_matchings, rotation_class_codes,
+                     search_by_matchings)
 from support import diagrams
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
+# rotation classes of diagrams on n = 1..8 chords (OEIS A007769)
+CLASS_COUNTS = [1, 2, 5, 18, 105, 902, 9749, 127072]
 
 
 class TestRandomDiagram:
@@ -183,6 +188,42 @@ class TestAllMatchings:
         assert len(seen) == 15
 
 
+def gap_sequence(d: ChordDiagram) -> list[int]:
+    """(partner(i) - i) mod 2n for each position i = 1..2n."""
+    gaps = [0] * d.size
+    for p, q in d.chords:
+        gaps[p - 1], gaps[q - 1] = q - p, d.size - q + p
+    return gaps
+
+
+class TestRotationClasses:
+    @pytest.mark.parametrize("n", range(7))
+    def test_one_diagram_per_class_of_the_oracle(self, n):
+        codes = [rotation_canonical_code(d) for d in rotation_classes(n)]
+        assert len(set(codes)) == len(codes)
+        assert set(codes) == set(rotation_class_codes(n))
+
+    def test_counts_follow_oeis_a007769(self):
+        """Through eight chords each diagram's gap sequence is the least
+        of its rotations and exceeds the one before, so no class comes
+        twice, and the counts say that none is missing."""
+        for n, count in enumerate(CLASS_COUNTS, start=1):
+            previous, seen = [], 0
+            for d in rotation_classes(n):
+                gaps = gap_sequence(d)
+                assert d.n == n and gaps > previous
+                twice = gaps * 2
+                assert all(gaps <= twice[s:s + d.size]
+                           for s in range(1, d.size))
+                previous, seen = gaps, seen + 1
+            assert seen == count, n
+
+    def test_is_lazy(self):
+        classes = rotation_classes(8)
+        assert not isinstance(classes, Sized)
+        assert serialize(next(classes)) == "1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8"
+
+
 class TestSearchNontrivial:
     def test_nothing_below_five_chords(self):
         assert search_nontrivial(4, 1, 10**6) == []
@@ -190,12 +231,50 @@ class TestSearchNontrivial:
     def test_five_chord_witnesses(self):
         found = search_nontrivial(5, 1, 10**6)
         assert [serialize(d) for d in found] \
-            == ["1 2 1 3 4 2 5 3 5 4", "1 2 1 3 4 2 4 5 3 5"]
+            == ["1 2 1 3 4 2 4 5 3 5", "1 2 1 3 4 2 5 3 5 4"]
         assert [evaluate(word_of(d, 1)) for d in found] \
             == [NormalForm((8,), 0)] * 2
 
     def test_state_cap_stops_early(self):
         assert search_nontrivial(5, 1, 10) == []
+
+    @pytest.mark.parametrize("cap", [0, 1, 10, 26, 130, 131, 10**6])
+    def test_state_cap_is_reported(self, cap):
+        """131 classes on at most five chords; the scan says how many it
+        examined and whether that was all of them."""
+        found = search_nontrivial(5, 1, cap)
+        assert found.examined == min(cap, 131)
+        assert found.complete == (cap >= 131)
+        assert {serialize(d) for d in found} <= {
+            "1 2 1 3 4 2 4 5 3 5", "1 2 1 3 4 2 5 3 5 4"}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_same_witnesses_as_the_matching_scan(self, m):
+        found = [serialize(d) for d in search_nontrivial(6, m, 10**6)]
+        expected = [serialize(d) for d in search_by_matchings(6, m, 10**6)]
+        assert len(found) == len(expected) == 46
+        assert set(found) == set(expected)
+        tokens = [[int(label) for label in code.split()] for code in found]
+        assert tokens == sorted(tokens, key=lambda t: (len(t), t))
+
+
+class TestCensus:
+    """Witnesses per chord count on at most seven chords: depth 2 adds
+    17 at seven chords, and depth 3 adds none over depth 2."""
+
+    @pytest.mark.parametrize("m, per_n", [
+        (1, [0, 0, 0, 0, 2, 44, 810]),
+        (2, [0, 0, 0, 0, 2, 44, 827]),
+        (3, [0, 0, 0, 0, 2, 44, 827]),
+    ])
+    def test_witnesses_per_chord_count(self, m, per_n):
+        found = search_nontrivial(7, m, 10**6)
+        assert found.complete and found.examined == sum(CLASS_COUNTS[:7])
+        assert [sum(d.n == n for d in found) for n in range(1, 8)] == per_n
+        codes = [serialize(d) for d in found]
+        assert len(set(codes)) == len(codes)
+        assert all(rotation_canonical_code(d) == code
+                   for d, code in zip(found, codes))
 
 
 class TestTrials:

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 import oracles
 from freeknot import (CROSSED, NESTED, AdjointTriple, ChordDiagram,
                       GapOutOfRange, Move, NotAnR1Site, NotAnR2Site,
-                      NotAnR3Site, all_matchings, apply_move,
-                      enumerate_moves, inverse_move, move_from_json,
-                      move_to_json, move_to_text, parse_gauss_code,
-                      r1_add, r1_remove, r1_sites, r2_add, r2_remove,
-                      r2_sites, r3_apply, r3_sites, random_diagram,
-                      rotate_basepoint, serialize)
+                      NotAnR3Site, apply_move, enumerate_moves,
+                      inverse_move, move_from_json, move_to_json,
+                      move_to_text, parse_gauss_code, r1_add, r1_remove,
+                      r1_sites, r2_add, r2_remove, r2_sites, r3_apply,
+                      r3_sites, random_diagram, rotate_basepoint, serialize)
 from freeknot.moves import FIELD_SHAPES, MOVE_KINDS, ApplicableMoves
 from support import diagrams
 
@@ -111,7 +110,7 @@ class TestR3:
         """On every diagram of at most five chords, r3_apply accepts
         exactly the anchors r3_sites lists, and undoes itself there."""
         for n in range(6):
-            for chords in all_matchings(range(1, 2 * n + 1)):
+            for chords in oracles.all_matchings(range(1, 2 * n + 1)):
                 d = ChordDiagram(chords)
                 applied = set()
                 for anchors in combinations(range(1, 2 * n), 3):
