@@ -1,15 +1,19 @@
 """Command line front end.
 
 Subcommands: invariant, compare, scramble, reduce, search, selfcheck,
-moves.  Gauss codes come from repeatable --gauss flags or from standard
-input (one code per line).  Each subcommand computes its whole result
-and returns its exit code, its --json payload and its text lines; main
+moves.  Gauss codes come from repeatable --gauss flags or else from
+standard input, one code per line; compare takes exactly two, scramble,
+reduce and moves one.  Each subcommand computes its whole result and
+returns its exit code, its --json payload and its text lines; main
 alone writes to stdout, so an error leaves stdout empty, and --json
 (sorted keys, fixed layout) carries the same result the text shows.
 Every randomised command prints its seed so runs can be replayed.
+Exit status: 0 success, 1 compare found the diagrams distinct or
+selfcheck failed, 2 bad input, 141 stdout's reader closed the pipe.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -38,18 +42,13 @@ def _read_stdin_lines() -> list[str]:
 
 
 def _diagrams(args, needed: int | None) -> list[ChordDiagram]:
-    """The parsed --gauss codes, topped up from stdin; `needed` of them."""
-    codes = list(args.gauss or [])
-    if needed is None:
-        codes = codes or _read_stdin_lines()
-        if not codes:
-            raise ValueError("no gauss codes given (use --gauss or stdin)")
-    else:
-        if len(codes) < needed:
-            codes.extend(_read_stdin_lines()[:needed - len(codes)])
-        if len(codes) != needed:
-            raise ValueError(
-                f"expected {needed} gauss codes, got {len(codes)}")
+    """The parsed --gauss codes, or else stdin's; exactly `needed` of
+    them when that is given, at least one otherwise."""
+    codes = args.gauss if args.gauss is not None else _read_stdin_lines()
+    if not codes:
+        raise ValueError("no gauss codes given (use --gauss or stdin)")
+    if needed is not None and len(codes) != needed:
+        raise ValueError(f"expected {needed} gauss codes, got {len(codes)}")
     return [parse_gauss_code(code) for code in codes]
 
 
@@ -170,19 +169,15 @@ def cmd_search(args):
                "per_m": per_m}, text()
 
 
-def _random_point(rng: random.Random, m: int) -> NormalForm:
-    return NormalForm(tuple(rng.randint(-10, 10) for _ in range(m)),
-                      rng.randint(0, 1))
-
-
 def cmd_selfcheck(args):
     m_values = args.m or [1, 2, 3]
     seed = _seed(args)
     rng = random.Random(seed)
     relation_failures = []
     for m in m_values:
-        points = [identity(m)] + \
-            [_random_point(rng, m) for _ in range(args.samples - 1)]
+        points = [identity(m)] + [
+            NormalForm(tuple(rng.randint(-10, 10) for _ in range(m)),
+                       rng.randint(0, 1)) for _ in range(args.samples - 1)]
         if not relation_check(m, points):
             relation_failures.append(f"relations fail at m={m}")
         if relation_check(m, points, corrupted_apply_letter):
@@ -216,97 +211,89 @@ def cmd_moves(args):
         (move_to_text(mv) for mv in moves)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _at_least(low: int, name: str):
+    """An argparse type: an int of at least `low`, called `name`."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise ValueError(text)
+        return int(text)
+    parse.__name__ = name
+    return parse
+
+
+POSITIVE = _at_least(1, "positive int")
+COUNT = _at_least(0, "non-negative int")
+SHARED_FLAGS = {  # the flags that mean the same in every subcommand
+    "--json": dict(action="store_true", help="emit deterministic JSON"),
+    "--gauss": dict(action="append", help="gauss code (repeatable; "
+                    "without it, one code per line of stdin)"),
+    "--m": dict(action="append", type=POSITIVE, help="filtration depth "
+                "(repeatable; default 1, for selfcheck 1 2 3)"),
+    "--seed": dict(type=int, help="seed (default: fresh, printed)"),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freeknot",
         description="Parity-filtration word invariants of free knots.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, func, help_text, *shared):
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true",
-                       help="emit deterministic JSON")
+        for flag in ("--json", *shared):
+            p.add_argument(flag, **SHARED_FLAGS[flag])
         return p
 
-    p = add("invariant", cmd_invariant,
-            "filtration, word and normal form of diagrams")
-    p.add_argument("--gauss", action="append", help="gauss code (repeatable)")
-    p.add_argument("--m", action="append", type=int,
-                   help="filtration depth (repeatable, default 1)")
+    add("invariant", cmd_invariant,
+        "filtration, word and normal form of diagrams", "--gauss", "--m")
 
-    p = add("compare", cmd_compare,
-            "compare two diagrams (exit 0 same, 1 distinct, 3 bad input)")
-    p.add_argument("--gauss", action="append",
-                   help="gauss code (give twice, or pipe two lines)")
-    p.add_argument("--m", action="append", type=int,
-                   help="filtration depth (repeatable, default 1)")
+    p = add("compare", cmd_compare, "compare two diagrams (exit 0 same, "
+            "1 distinct, 2 bad input)", "--gauss", "--m")
     p.add_argument("--mode", choices=[LONG, FREE], default=LONG,
                    help="long compares values, free compares up to rotation")
 
-    p = add("scramble", cmd_scramble, "apply random moves to a diagram")
-    p.add_argument("--gauss", action="append", help="gauss code")
-    p.add_argument("--moves", type=int, default=100,
+    p = add("scramble", cmd_scramble, "apply random moves to a diagram",
+            "--gauss", "--seed")
+    p.add_argument("--moves", type=COUNT, default=100,
                    help="number of random moves")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed (default: fresh, printed)")
-    p.add_argument("--max-chords", type=int, default=None,
+    p.add_argument("--max-chords", type=COUNT,
                    help="size cap for insertions (default max(2n, 4))")
 
-    p = add("reduce", cmd_reduce, "breadth-first reduction of a diagram")
-    p.add_argument("--gauss", action="append", help="gauss code")
-    p.add_argument("--max-states", type=int, default=10000,
+    p = add("reduce", cmd_reduce, "breadth-first reduction of a diagram",
+            "--gauss")
+    p.add_argument("--max-states", type=COUNT, default=10000,
                    help="visited-state cap")
-    p.add_argument("--max-chords", type=int, default=None,
+    p.add_argument("--max-chords", type=COUNT,
                    help="chord budget while searching (default n+1)")
 
     p = add("search", cmd_search,
-            "exhaustive hunt for nontrivial free knots")
-    p.add_argument("--m", action="append", type=int,
-                   help="filtration depth (repeatable, default 1)")
-    p.add_argument("--max-chords", type=int, default=4,
+            "exhaustive hunt for nontrivial free knots", "--m")
+    p.add_argument("--max-chords", type=COUNT, default=4,
                    help="largest chord count to enumerate")
-    p.add_argument("--max-states", type=int, default=10 ** 6,
+    p.add_argument("--max-states", type=COUNT, default=10 ** 6,
                    help="rotation-class cap")
 
     p = add("selfcheck", cmd_selfcheck,
-            "relation checks plus randomized invariance trials")
-    p.add_argument("--m", action="append", type=int,
-                   help="depths to check (repeatable, default 1 2 3)")
-    p.add_argument("--samples", type=int, default=1000,
+            "relation checks plus randomized invariance trials",
+            "--m", "--seed")
+    p.add_argument("--samples", type=POSITIVE, default=1000,
                    help="sample points per relation check")
-    p.add_argument("--trials", type=int, default=10000,
+    p.add_argument("--trials", type=COUNT, default=10000,
                    help="randomized invariance trials")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed (default: fresh, printed)")
 
-    p = add("moves", cmd_moves, "list applicable moves")
-    p.add_argument("--gauss", action="append", help="gauss code")
-    p.add_argument("--list", action="store_true",
-                   help="list applicable moves (the default and only mode)")
-    p.add_argument("--max-chords", type=int, default=None,
+    p = add("moves", cmd_moves, "list applicable moves", "--gauss")
+    p.add_argument("--max-chords", type=COUNT,
                    help="chord budget for insertions (default n+2)")
 
     return parser
 
 
-def _check_numbers(args) -> None:
-    """Reject out-of-range numeric arguments before any output."""
-    for m in getattr(args, "m", None) or []:
-        if m < 1:
-            raise ValueError(f"--m must be a positive integer, got {m}")
-    for name in ("moves", "max_chords", "max_states", "samples", "trials"):
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be non-negative, got {value}")
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_numbers(args)
+        args = _parser().parse_args(argv)
         code, payload, lines = args.func(args)
         if args.json:
             lines = [json.dumps({"command": args.command, **payload},
@@ -315,9 +302,12 @@ def main(argv=None) -> int:
             print(line)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:
+        # argparse has printed the help (status 0) or a usage error (2)
+        return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if args.command == "compare" else 2
+        return 2
     except BrokenPipeError:
         # The reader closed the pipe (`freeknot ... | head`).  Point
         # stdout at devnull so the flush at exit cannot fail again, and

@@ -28,6 +28,9 @@ REDUCED_TO_EMPTY = "reduced_to_empty"
 MINIMAL_FOUND = "minimal_found"
 EXHAUSTED = "exhausted"
 
+TRIAL_MAX_CHORDS = 8  # the randomised trials draw diagrams of 1 to 8 chords
+TRIAL_SIZE_CAP = 10  # and list the moves that keep them within 10 chords
+
 
 def random_diagram(n: int, rng: random.Random) -> ChordDiagram:
     """A uniformly random diagram on n chords: repeatedly pair the
@@ -243,12 +246,12 @@ def search_nontrivial(max_chords: int, m: int, state_cap: int) -> Witnesses:
     return Witnesses(found, examined, complete)
 
 
-def move_invariance_trial(rng: random.Random, m_values: Sequence[int],
-                          max_n: int = 8, size_cap: int = 10) -> bool:
+def move_invariance_trial(rng: random.Random,
+                          m_values: Sequence[int]) -> bool:
     """One random trial: does a uniformly chosen applicable move
     (rotations excluded) preserve the value at every given depth?"""
-    d = random_diagram(rng.randint(1, max_n), rng)
-    options = [mv for mv in enumerate_moves(d, size_cap)
+    d = random_diagram(rng.randint(1, TRIAL_MAX_CHORDS), rng)
+    options = [mv for mv in enumerate_moves(d, TRIAL_SIZE_CAP)
                if mv.kind != "rotate"]
     moved = apply_move(d, options[rng.randrange(len(options))])
     return all(
@@ -256,12 +259,12 @@ def move_invariance_trial(rng: random.Random, m_values: Sequence[int],
         for m in m_values)
 
 
-def rotation_conjugacy_trial(rng: random.Random, m_values: Sequence[int],
-                             max_n: int = 8) -> bool:
+def rotation_conjugacy_trial(rng: random.Random,
+                             m_values: Sequence[int]) -> bool:
     """One random trial: after a one-step rotation the value must be
     the conjugate by the word's first letter, and the conjugacy test
     must certify the two values conjugate with a valid witness."""
-    d = random_diagram(rng.randint(1, max_n), rng)
+    d = random_diagram(rng.randint(1, TRIAL_MAX_CHORDS), rng)
     rotated = rotate_basepoint(d, 1)
     for m in m_values:
         w = word_of(d, m)

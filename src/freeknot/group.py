@@ -190,28 +190,16 @@ def conjugate(a: NormalForm, by: Word | Sequence[str]) -> NormalForm:
 def relations(m: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """All defining pair relations at depth m as (left, right) words.
 
-    Involutions z z = e for every letter; for levels i < j the swaps
-    Di Pj = Pj Pi and Di Dj = Dj Pi together with their companions
-    Pi Pj = Pj Di and Pi Dj = Dj Di obtained by conjugating with the
-    involutions; and against the final letter Pi F = F Di with its
-    companion Di F = F Pi.
+    Every letter is an involution, z z = e, and a level-i letter passes
+    any letter y of a higher level, or F, by trading Pi for Di or back:
+    Pi y = y Di and Di y = y Pi.
     """
-    rels: list[tuple[tuple[str, ...], tuple[str, ...]]] = [
-        ((z, z), ()) for z in alphabet(m)]
+    letters = alphabet(m)
+    rels = [((z, z), ()) for z in letters]
     for i in range(m):
         pi, di = prime(i), double_prime(i)
-        for j in range(i + 1, m):
-            pj, dj = prime(j), double_prime(j)
-            rels.extend([
-                ((di, pj), (pj, pi)),
-                ((di, dj), (dj, pi)),
-                ((pi, pj), (pj, di)),
-                ((pi, dj), (dj, di)),
-            ])
-        rels.extend([
-            ((pi, FINAL), (FINAL, di)),
-            ((di, FINAL), (FINAL, pi)),
-        ])
+        for y in letters[2 * i + 2:]:  # alphabet runs level by level, F last
+            rels.extend([((pi, y), (y, di)), ((di, y), (y, pi))])
     return rels
 
 

@@ -70,7 +70,7 @@ def cases() -> list[tuple[list[str], str | None]]:
         both(["reduce", "--gauss", code, "--max-states", "300"])
     for code in codes[:7]:
         both(["moves", "--gauss", code])
-    both(["moves", "--gauss", "1 2 1 2", "--max-chords", "2", "--list"])
+    both(["moves", "--gauss", "1 2 1 2", "--max-chords", "2"])
     both(["invariant"], "1 1\n" + WITNESSES[0] + "\n")
     both(["invariant", "--gauss", "", "--gauss", "1 2 3 1 2 3"])
 

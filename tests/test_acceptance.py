@@ -28,7 +28,7 @@ def test_move_invariance_10k():
     every depth m in {1, 2, 3}; ten thousand randomized trials on
     diagrams of up to eight chords."""
     rng = random.Random(20260818)
-    passed = sum(move_invariance_trial(rng, [1, 2, 3], max_n=8)
+    passed = sum(move_invariance_trial(rng, [1, 2, 3])
                  for _ in range(10_000))
     assert report("move invariance 10000 trials m=1,2,3",
                   passed == 10_000), f"only {passed}/10000 trials held"
@@ -39,7 +39,7 @@ def test_rotation_conjugacy_1k():
     word's first letter, and the conjugacy test certifies the pair
     with a replayable witness; one thousand randomized trials."""
     rng = random.Random(20260819)
-    passed = sum(rotation_conjugacy_trial(rng, [1, 2, 3], max_n=8)
+    passed = sum(rotation_conjugacy_trial(rng, [1, 2, 3])
                  for _ in range(1_000))
     assert report("rotation conjugacy 1000 trials",
                   passed == 1_000), f"only {passed}/1000 trials held"

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import shutil
 import signal
@@ -158,16 +160,23 @@ class TestCompare:
         assert calls == [([1, 2], "long")]
         assert json.loads(out)["verdict"] == "certified_distinct"
 
-    def test_parse_error_exits_3(self, capsys):
+    def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "compare", "--gauss", "1 2 3",
                            "--gauss", "1 1")
-        assert code == 3
+        assert code == 2
         assert "error:" in err
 
-    def test_missing_second_code_exits_3(self, capsys):
+    def test_missing_second_code_exits_2(self, capsys):
         code, _, err = run(capsys, "compare", "--gauss", "1 1")
-        assert code == 3
+        assert code == 2
         assert "expected 2 gauss codes" in err
+
+    def test_stdin_is_not_read_when_gauss_is_given(self, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 1\n"))
+        code, out, err = run(capsys, "compare", "--gauss", "1 1")
+        assert (code, out) == (2, "")
+        assert "expected 2 gauss codes, got 1" in err
 
 
 class TestScramble:
@@ -277,7 +286,7 @@ class TestSelfcheck:
 class TestMoves:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "moves", "--gauss", "1 1",
-                           "--max-chords", "2", "--list")
+                           "--max-chords", "2")
         assert code == 0
         assert out.splitlines() == [
             "r1_remove chord=(1,2)",
@@ -310,7 +319,7 @@ class TestMoves:
 class TestArgumentValidation:
     @pytest.mark.parametrize("argv, exit_code, message", [
         (["invariant", "--m", "0", "--gauss", "1 1"], 2, "--m"),
-        (["compare", "--m", "-1", "--gauss", "1 1", "--gauss", "1 1"], 3,
+        (["compare", "--m", "-1", "--gauss", "1 1", "--gauss", "1 1"], 2,
          "--m"),
         (["scramble", "--moves", "-5", "--gauss", "1 1", "--seed", "1"], 2,
          "--moves"),
@@ -319,13 +328,52 @@ class TestArgumentValidation:
         (["reduce", "--max-states", "-1", "--gauss", "1 1"], 2,
          "--max-states"),
         (["selfcheck", "--trials", "-1", "--seed", "1"], 2, "--trials"),
+        (["compare", "--m", "x", "--gauss", "1 1", "--gauss", "1 1"], 2,
+         "--m"),
+        (["compare", "--mode", "bogus", "--gauss", "1 1", "--gauss", "1 1"],
+         2, "--mode"),
+        (["compare", "--m", "0", "--gauss", "1 1", "--gauss", "1 1"], 2,
+         "--m"),
+        (["selfcheck", "--samples", "0", "--seed", "1"], 2, "--samples"),
     ])
     def test_rejected_before_any_output(self, capsys, argv, exit_code,
                                         message):
         code, out, err = run(capsys, *argv)
         assert code == exit_code
         assert out == ""
-        assert err.startswith("error: " + message)
+        assert f"error: argument {message}: " in err
+
+    @pytest.mark.parametrize("command, lines", [
+        ("reduce", "1 1\n1 2 1 2\n"),
+        ("compare", "1 1\n1 1\n1 2 1 2\n"),
+    ], ids=["reduce", "compare"])
+    def test_surplus_stdin_lines_are_rejected(self, capsys, monkeypatch,
+                                              command, lines):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "")
+        assert "gauss codes, got" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: freeknot")
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        freeknot.cli._parser.cache_clear()
+        assert run(capsys, "invariant", "--gauss", "1 1")[0] == 0
+        assert built
+        built.clear()
+        assert run(capsys, "invariant", "--gauss", "1 1")[0] == 0
+        assert built == []
 
     def test_closed_pipe_ends_quietly(self):
         # more output than a pipe buffers, so the writer meets the

@@ -167,6 +167,21 @@ class TestRelations:
         assert len(relations(2)) == 13
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_explicit_listing(self, m):
+        # four swaps per pair of levels i < j, two F swaps per level
+        expected = {((z, z), ()) for z in alphabet(m)}
+        for i in range(m):
+            pi, di = f"P{i}", f"D{i}"
+            for j in range(i + 1, m):
+                pj, dj = f"P{j}", f"D{j}"
+                expected |= {((di, pj), (pj, pi)), ((di, dj), (dj, pi)),
+                             ((pi, pj), (pj, di)), ((pi, dj), (dj, di))}
+            expected |= {((pi, "F"), ("F", di)), ((di, "F"), ("F", pi))}
+        listed = relations(m)
+        assert len(listed) == len(set(listed))
+        assert set(listed) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_hold_on_random_points(self, m):
         rng = random.Random(100 + m)
         points = [random_point(rng, m) for _ in range(300)]
