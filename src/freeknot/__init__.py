@@ -9,44 +9,43 @@ value (up to conjugacy, for the base-point-free question) to certify
 diagrams as inequivalent.
 """
 
-from .diagram import (Chord, ChordDiagram, LabelCountError,
-                      SharedEndpointError, Violation, link_count, linked,
-                      parse_gauss_code, serialize, validate)
+from .diagram import (Chord, ChordDiagram, LabelCountError, parse_gauss_code,
+                      serialize)
 from .explore import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       MINIMAL_FOUND, REDUCED_TO_EMPTY, SAME_INVARIANT,
                       SearchReport, distinguish, move_invariance_trial,
                       random_diagram, reduce, rotation_canonical_code,
                       rotation_classes, rotation_conjugacy_trial, scramble,
                       search_nontrivial)
-from .group import (NO, YES, ConjugacyAnswer, LevelOutOfRange, MixedM,
-                    NormalForm, apply_letter, conjugate, conjugate_equal,
+from .group import (NO, YES, ConjugacyAnswer, MixedM, NormalForm,
+                    apply_letter, conjugate, conjugate_equal,
                     corrupted_apply_letter, evaluate, identity, inverse,
                     multiply, normal_form_to_word, relation_check, relations)
-from .moves import (CROSSED, NESTED, AdjointTriple, GapOutOfRange, Move,
-                    NotAnR1Site, NotAnR2Site, NotAnR3Site, apply_move,
-                    enumerate_moves, inverse_move, move_from_json,
-                    move_to_json, move_to_text, r1_add, r1_remove, r1_sites,
-                    r2_add, r2_remove, r2_sites, r3_apply, r3_sites,
-                    rotate_basepoint)
-from .parity import (FINAL, Filtration, InvalidM, Word, alphabet, delete_odd,
-                     double_prime, filtration, letter_level, prime, word_of)
+from .moves import (CROSSED, NESTED, GapOutOfRange, Move, NotAnR1Site,
+                    NotAnR2Site, NotAnR3Site, apply_move, enumerate_moves,
+                    inverse_move, move_to_json, move_to_text, r1_add,
+                    r1_remove, r1_sites, r2_add, r2_remove, r2_sites,
+                    r3_apply, r3_sites, rotate_basepoint)
+from .parity import (FINAL, Filtration, InvalidM, LevelOutOfRange, Word,
+                     alphabet, double_prime, filtration, letter_level, prime,
+                     word_of)
 
 __all__ = [
-    "AdjointTriple", "CERTIFIED_DISTINCT", "CROSSED", "Chord", "ChordDiagram",
+    "CERTIFIED_DISTINCT", "CROSSED", "Chord", "ChordDiagram",
     "ConjugacyAnswer", "EXHAUSTED", "FINAL", "FREE", "Filtration",
     "GapOutOfRange", "InvalidM", "LONG", "LabelCountError", "LevelOutOfRange",
     "MINIMAL_FOUND", "MixedM", "Move", "NESTED", "NO", "NormalForm",
     "NotAnR1Site", "NotAnR2Site", "NotAnR3Site", "REDUCED_TO_EMPTY",
-    "SAME_INVARIANT", "SearchReport", "SharedEndpointError", "Violation",
-    "Word", "YES", "alphabet", "apply_letter", "apply_move", "conjugate",
-    "conjugate_equal", "corrupted_apply_letter", "delete_odd", "distinguish",
-    "double_prime", "enumerate_moves", "evaluate", "filtration", "identity",
-    "inverse", "inverse_move", "letter_level", "link_count", "linked",
-    "move_from_json", "move_invariance_trial", "move_to_json", "move_to_text",
-    "multiply", "normal_form_to_word", "parse_gauss_code", "prime", "r1_add",
-    "r1_remove", "r1_sites", "r2_add", "r2_remove", "r2_sites", "r3_apply",
-    "r3_sites", "random_diagram", "reduce", "relation_check", "relations",
-    "rotate_basepoint", "rotation_canonical_code", "rotation_classes",
+    "SAME_INVARIANT", "SearchReport", "Word", "YES", "alphabet",
+    "apply_letter", "apply_move", "conjugate", "conjugate_equal",
+    "corrupted_apply_letter", "distinguish", "double_prime",
+    "enumerate_moves", "evaluate", "filtration", "identity", "inverse",
+    "inverse_move", "letter_level", "move_invariance_trial", "move_to_json",
+    "move_to_text", "multiply", "normal_form_to_word", "parse_gauss_code",
+    "prime", "r1_add", "r1_remove", "r1_sites", "r2_add", "r2_remove",
+    "r2_sites", "r3_apply", "r3_sites", "random_diagram", "reduce",
+    "relation_check", "relations", "rotate_basepoint",
+    "rotation_canonical_code", "rotation_classes",
     "rotation_conjugacy_trial", "scramble", "search_nontrivial", "serialize",
-    "validate", "word_of",
+    "word_of",
 ]

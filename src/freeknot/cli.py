@@ -2,11 +2,12 @@
 
 Subcommands: invariant, compare, scramble, reduce, search, selfcheck,
 moves.  Gauss codes come from repeatable --gauss flags or else from
-standard input, one code per line; compare takes exactly two, scramble,
-reduce and moves one.  Each subcommand computes its whole result and
-returns its exit code, its --json payload and its text lines; main
-alone writes to stdout, so an error leaves stdout empty, and --json
-(sorted keys, fixed layout) carries the same result the text shows.
+standard input, where every line is one code and a blank line is the
+empty diagram; compare takes exactly two, scramble, reduce and moves
+one.  Each subcommand computes its whole result and returns its exit
+code, its --json payload and its text lines; main alone writes to
+stdout, so an error leaves stdout empty, and --json (sorted keys,
+fixed layout) carries the same result the text shows.
 Every randomised command prints its seed so runs can be replayed.
 Exit status: 0 success, 1 compare found the diagrams distinct or
 selfcheck failed, 2 bad input, 141 stdout's reader closed the pipe.
@@ -35,8 +36,7 @@ def _read_stdin_lines() -> list[str]:
     try:
         if sys.stdin is None or sys.stdin.isatty():
             return []
-        return [ln.strip() for ln in sys.stdin.read().splitlines()
-                if ln.strip()]
+        return sys.stdin.read().splitlines()
     except (OSError, ValueError):
         return []
 

@@ -24,9 +24,7 @@ conjugate_equal all rest on it.
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .diagram import json_object
-from .parity import (FINAL, LevelOutOfRange, Word, alphabet, double_prime,
-                     letter_level, prime)
+from .parity import FINAL, Word, alphabet, double_prime, letter_level, prime
 
 
 class MixedM(ValueError):
@@ -53,19 +51,6 @@ class NormalForm(NamedTuple):
 
     def to_json(self) -> dict:
         return {"m": self.m, "x": list(self.x), "eps": self.eps}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NormalForm":
-        obj = json_object(obj, "normal form")
-        x, eps = obj.get("x"), obj.get("eps")
-        if type(x) is not list or any(type(v) is not int for v in x):
-            raise ValueError(f"x must be a list of ints, got {x!r}")
-        if type(eps) is not int or eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {eps!r}")
-        m = obj.get("m", len(x))
-        if type(m) is not int or m != len(x):
-            raise ValueError(f"m must be {len(x)}, the length of x, got {m!r}")
-        return cls(tuple(x), eps)
 
 
 def identity(m: int) -> NormalForm:
@@ -175,14 +160,8 @@ def inverse(a: NormalForm) -> NormalForm:
                       a.eps)
 
 
-def conjugate(a: NormalForm, by: Word | Sequence[str]) -> NormalForm:
-    """The conjugate w^-1 a w for a conjugating word w."""
-    if isinstance(by, Word):
-        if by.m != a.m:
-            raise MixedM(f"depths differ: {a.m} != {by.m}")
-        letters = by.letters
-    else:
-        letters = tuple(by)
+def conjugate(a: NormalForm, letters: Sequence[str]) -> NormalForm:
+    """The conjugate w^-1 a w for a conjugating word w, given as letters."""
     w = _fold(identity(a.m), letters)
     return multiply(multiply(inverse(w), a), w)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, NamedTuple
 
-from .diagram import Chord, ChordDiagram, json_object, renumber
+from .diagram import Chord, ChordDiagram, renumber
 
 
 class GapOutOfRange(ValueError):
@@ -127,14 +127,6 @@ def _r2_pair(gap1: int, gap2: int, pattern: str) -> tuple[Chord, Chord]:
     return ((a1, b1), (a2, b2)) if pattern == CROSSED else ((a1, b2), (a2, b1))
 
 
-class AdjointTriple(NamedTuple):
-    """Three chords whose six ends pair into adjacent positions
-    (r, r+1), (s, s+1), (t, t+1), each pair spanning two chords."""
-
-    chords: tuple[Chord, Chord, Chord]
-    anchors: tuple[int, int, int]
-
-
 def _adjoint_anchors(chords3) -> tuple[int, int, int] | None:
     ends = sorted(e for c in chords3 for e in c)
     if len(set(ends)) != 6:
@@ -149,8 +141,10 @@ def _adjoint_anchors(chords3) -> tuple[int, int, int] | None:
     return tuple(anchors)
 
 
-def r3_sites(d: ChordDiagram) -> list[AdjointTriple]:
-    """Every completely adjoint triple, ordered by anchors.
+def r3_sites(d: ChordDiagram) -> list[tuple[int, int, int]]:
+    """The anchors (r, s, t) of every completely adjoint triple, sorted:
+    three chords whose six ends pair into adjacent positions (r, r+1),
+    (s, s+1), (t, t+1), each pair spanning two chords.
 
     A triple is found once, from its lowest end r: its first two chords
     start at r and r + 1, and its third chord owns a position next to
@@ -167,8 +161,8 @@ def r3_sites(d: ChordDiagram) -> list[AdjointTriple]:
         for third in {owner.get(far - 1), owner.get(far + 1)} - {None}:
             anchors = _adjoint_anchors((first, second, third))
             if anchors and anchors[0] == r:
-                sites.append(AdjointTriple((first, second, third), anchors))
-    sites.sort(key=lambda t: t.anchors)
+                sites.append(anchors)
+    sites.sort()
     return sites
 
 
@@ -232,7 +226,7 @@ MOVE_KINDS = {
         _r2_remove_inverse),
     "r3": MoveKind(
         ("anchors",),
-        lambda d, max_chords: [(t.anchors,) for t in r3_sites(d)],
+        lambda d, max_chords: [(anchors,) for anchors in r3_sites(d)],
         r3_apply,
         lambda anchors: Move("r3", (anchors,))),
     "r1_add": MoveKind(
@@ -303,10 +297,10 @@ def _named_params(move: Move):
     return zip(_kind(move.kind).fields, move.params, strict=True)
 
 
-def _nested(value, inner: type, outer: type):
-    """`value` with every `inner` sequence, at any depth, made `outer`."""
-    if isinstance(value, inner):
-        return outer([_nested(v, inner, outer) for v in value])
+def _listed(value):
+    """`value` with every tuple, at any depth, made a list."""
+    if isinstance(value, tuple):
+        return [_listed(v) for v in value]
     return value
 
 
@@ -320,33 +314,7 @@ def _text_value(value) -> str:
 
 def move_to_json(move: Move) -> dict:
     return {"kind": move.kind, **{
-        f: _nested(v, tuple, list) for f, v in _named_params(move)}}
-
-
-def _int(value) -> bool:
-    return type(value) is int
-
-
-def _ints(count: int, item: Callable[[object], bool] = _int):
-    return lambda value: (isinstance(value, (list, tuple))
-                          and len(value) == count and all(map(item, value)))
-
-
-# The JSON shape of every field named in MOVE_KINDS.
-FIELD_SHAPES = {"chord": _ints(2), "chords": _ints(2, _ints(2)),
-                "anchors": _ints(3), "gap": _int, "gap1": _int, "gap2": _int,
-                "pattern": lambda value: value in PATTERNS, "steps": _int}
-
-
-def move_from_json(obj: dict) -> Move:
-    kind = json_object(obj, "move").get("kind")
-    fields = _kind(kind).fields
-    for f in fields:
-        if f not in obj:
-            raise ValueError(f"{kind} move lacks field {f!r}")
-        if not FIELD_SHAPES[f](obj[f]):
-            raise ValueError(f"{kind} move has a malformed {f!r}: {obj[f]!r}")
-    return Move(kind, tuple(_nested(obj[f], list, tuple) for f in fields))
+        f: _listed(v) for f, v in _named_params(move)}}
 
 
 def move_to_text(move: Move) -> str:

@@ -13,7 +13,7 @@ k, Dk its even part, and F the residue.
 from dataclasses import dataclass
 from typing import Collection, NamedTuple
 
-from .diagram import Chord, ChordDiagram, renumber
+from .diagram import Chord, ChordDiagram
 
 FINAL = "F"
 
@@ -42,11 +42,11 @@ def alphabet(m: int) -> tuple[str, ...]:
     return (*letters, FINAL)
 
 
-def letter_level(letter: str, m: int | None = None) -> int | None:
+def letter_level(letter: str, m: int) -> int | None:
     """Level index of a P/D letter, or None for the final letter.
 
     The letter must be spelled as alphabet(m) spells it (ASCII digits,
-    no leading zero) and, when m is given, its level must lie below m.
+    no leading zero), and its level must lie below m.
     """
     if letter == FINAL:
         return None
@@ -54,10 +54,9 @@ def letter_level(letter: str, m: int | None = None) -> int | None:
     if (letter[:1] in ("P", "D") and digits.isascii() and digits.isdecimal()
             and (digits == "0" or digits[0] != "0")):
         k = int(digits)
-        if m is None or k < m:
+        if k < m:
             return k
-    depth = "" if m is None else f" at depth {m}"
-    raise LevelOutOfRange(f"letter {letter!r} has no level{depth}")
+    raise LevelOutOfRange(f"letter {letter!r} has no level at depth {m}")
 
 
 class Word(NamedTuple):
@@ -126,13 +125,6 @@ def filtration(d: ChordDiagram, m: int) -> Filtration:
     levels.append(remaining)
     return Filtration(m, tuple(levels), tuple(splits),
                       Word(tuple(letters), m))
-
-
-def delete_odd(d: ChordDiagram) -> ChordDiagram:
-    """Drop every chord linked with an odd number of chords, renumbering
-    the surviving ends to 1..2n' in order."""
-    odd = _odd(d.chords)
-    return renumber([c for c in d.chords if c not in odd])
 
 
 def word_of(d: ChordDiagram, m: int) -> Word:

@@ -3,24 +3,49 @@
 Normal-form words are built and the group operations applied one
 letter at a time through the action, and conjugacy is explored by
 breadth-first closure under single-letter conjugation.  Word equality
-is tested by rewriting alone, never through the action.  Move sites
-are found by testing every pair and triple of chords.  The exhaustive
-search lists every perfect matching and keeps the first of each
-rotation class.  Tests compare the library code against them.
+is tested by rewriting alone, never through the action.  Linking is
+tested chord pair by chord pair, and move sites are found by testing
+every pair and triple of chords.  The exhaustive search lists every
+perfect matching and keeps the first of each rotation class.  Tests
+compare the library code against them.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import Iterable
 
-from freeknot import (FINAL, NO, YES, AdjointTriple, ChordDiagram, MixedM,
+from freeknot import (FINAL, NO, YES, Chord, ChordDiagram, MixedM,
                       NormalForm, Word, alphabet, apply_letter, double_prime,
                       evaluate, identity, parse_gauss_code, prime, relations,
                       rotation_canonical_code, word_of)
 
 EQUAL = "equal"
 UNDETERMINED = "undetermined"
+
+
+class SharedEndpointError(ValueError):
+    """Two chords handed to a pairwise test share an endpoint."""
+
+
+def linked(c1: Chord, c2: Chord) -> bool:
+    """Are two chords of one diagram linked?
+
+    True exactly when the endpoints alternate along the line, i.e. when
+    (p1-p2)(p1-q2)(q1-p2)(q1-q2) < 0.  Symmetric, and stable under
+    rotating the base point.
+    """
+    p1, q1 = c1
+    p2, q2 = c2
+    if p1 in (p2, q2) or q1 in (p2, q2):
+        raise SharedEndpointError(f"chords {c1} and {c2} share an endpoint")
+    return (p1 - p2) * (p1 - q2) * (q1 - p2) * (q1 - q2) < 0
+
+
+def link_count(p: Chord, b: Iterable[Chord]) -> int:
+    """Number of chords in b linked with p; p never counts against itself."""
+    return sum(1 for c in b if c != p and linked(p, c))
 
 
 def fold(point: NormalForm, letters) -> NormalForm:
@@ -206,11 +231,9 @@ def _adjoint_anchors(chords3):
 
 
 def r3_sites(d):
-    """Every completely adjoint triple of chords, ordered by anchors."""
-    sites = [AdjointTriple(chords3, anchors)
-             for chords3 in combinations(d.chords, 3)
-             if (anchors := _adjoint_anchors(chords3)) is not None]
-    return sorted(sites, key=lambda t: t.anchors)
+    """The anchors of every completely adjoint triple of chords, sorted."""
+    return sorted(anchors for chords3 in combinations(d.chords, 3)
+                  if (anchors := _adjoint_anchors(chords3)) is not None)
 
 
 def all_matchings(positions):

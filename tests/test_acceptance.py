@@ -11,11 +11,12 @@ import random
 from freeknot import (REDUCED_TO_EMPTY, YES, ChordDiagram, NormalForm, Word,
                       alphabet, apply_move, conjugate, conjugate_equal,
                       corrupted_apply_letter, evaluate, filtration, identity,
-                      link_count, move_invariance_trial, normal_form_to_word,
+                      move_invariance_trial, normal_form_to_word,
                       parse_gauss_code, r3_sites, random_diagram, reduce,
                       relation_check, rotation_conjugacy_trial, scramble,
                       search_nontrivial, serialize, word_of)
-from oracles import pair_rules, rewrite_oracle
+from oracles import link_count, pair_rules, rewrite_oracle
+from support import triple_chords
 
 
 def report(label: str, ok: bool) -> bool:
@@ -71,14 +72,13 @@ def test_adjoint_triples_balance_10k():
     for _ in range(10_000):
         d = random_diagram(rng.randint(3, 10), rng)
         filt = filtration(d, 3)
-        for triple in r3_sites(d):
-            if sum(link_count(c, d.chords) % 2
-                   for c in triple.chords) not in (0, 2):
+        for anchors in r3_sites(d):
+            triple = triple_chords(d, anchors)
+            if sum(link_count(c, d.chords) % 2 for c in triple) not in (0, 2):
                 failures += 1
             for level in filt.levels:
-                if all(c in level for c in triple.chords):
-                    inner = sum(link_count(c, level) % 2
-                                for c in triple.chords)
+                if triple <= level:
+                    inner = sum(link_count(c, level) % 2 for c in triple)
                     if inner % 2:
                         failures += 1
     assert report("adjoint triple parity 10000 diagrams",

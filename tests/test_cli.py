@@ -89,10 +89,20 @@ class TestInvariant:
         assert code == 2
         assert "error:" in err
 
-    def test_no_input_exits_2(self, capsys):
+    def test_no_input_exits_2(self, capsys, monkeypatch):
         code, _, err = run(capsys, "invariant")
         assert code == 2
         assert "no gauss codes" in err
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        code, out, err = run(capsys, "invariant")
+        assert (code, out) == (2, "")
+        assert "no gauss codes given" in err
+
+    def test_blank_stdin_line_is_the_empty_diagram(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n"))
+        code, out, _ = run(capsys, "invariant")
+        assert code == 0
+        assert out.splitlines()[0] == "gauss: (empty)"
 
 
 class TestCompare:
@@ -125,8 +135,9 @@ class TestCompare:
         assert payload["verdict"] == "same_invariant"
         for entry in payload["per_m"]:
             assert entry["relation"] == "conjugate"
-            left = NormalForm.from_json(entry["left"])
-            right = NormalForm.from_json(entry["right"])
+            left, right = (NormalForm(tuple(entry[side]["x"]),
+                                      entry[side]["eps"])
+                           for side in ("left", "right"))
             assert conjugate(left, entry["witness"]) == right
 
     def test_free_mode_distinct_exits_1(self, capsys):
@@ -170,6 +181,13 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--gauss", "1 1")
         assert code == 2
         assert "expected 2 gauss codes" in err
+
+    def test_blank_stdin_line_is_the_empty_diagram(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n1 1\n"))
+        code, out, _ = run(capsys, "compare")
+        assert code == 0
+        assert (code, out) == run(capsys, "compare", "--gauss", "",
+                                  "--gauss", "1 1")[:2]
 
     def test_stdin_is_not_read_when_gauss_is_given(self, capsys,
                                                    monkeypatch):

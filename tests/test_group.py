@@ -28,29 +28,15 @@ class TestNormalForm:
 
     def test_json_round_trip(self):
         a = nf((-2, 1), 1)
-        assert NormalForm.from_json(a.to_json()) == a
+        obj = a.to_json()
+        assert obj == {"m": 2, "x": [-2, 1], "eps": 1}
+        assert NormalForm(tuple(obj["x"]), obj["eps"]) == a
 
     @given(normal_forms())
     def test_json_round_trip_everywhere(self, a):
-        assert NormalForm.from_json(a.to_json()) == a
-
-    @pytest.mark.parametrize("obj, field", [
-        ({"x": [1.5], "eps": 0}, "x"),
-        ({"x": ["a"], "eps": 0}, "x"),
-        ({"x": [True], "eps": 0}, "x"),
-        ({"x": "12", "eps": 0}, "x"),
-        ({"x": [1], "eps": True}, "eps"),
-        ({"x": [1], "eps": 1.0}, "eps"),
-        ({"x": [1], "eps": 2}, "eps"),
-        ({"m": 2, "x": [1], "eps": 0}, "m"),
-        ({"m": True, "x": [1], "eps": 0}, "m"),
-        ({"eps": 0}, "x"),
-        ({"x": [1]}, "eps"),
-        ([1], "normal form"),
-    ])
-    def test_json_rejects_malformed_fields(self, obj, field):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            NormalForm.from_json(obj)
+        obj = a.to_json()
+        assert obj["m"] == a.m
+        assert NormalForm(tuple(obj["x"]), obj["eps"]) == a
 
 
 class TestApply:
@@ -119,16 +105,16 @@ class TestGroupOperations:
         assert inverse(nf((3,), 1)) == nf((-3,), 1)
         assert inverse(nf((2,), 1)) == nf((2,), 1)  # a reflection
 
-    def test_conjugate_accepts_word_or_letters(self):
+    def test_conjugate_by_letters(self):
         a = evaluate(word_of(parse_gauss_code("1 2 1 3 2 3"), 1))
-        assert conjugate(a, ("F",)) == conjugate(a, Word(("F",), 1)) == a
+        assert conjugate(a, ("F",)) == a
         assert conjugate(nf((1,), 0), ("D0", "F")) == nf((3,), 0)
+        with pytest.raises(LevelOutOfRange):
+            conjugate(nf((1,), 0), ("P1",))
 
     def test_mixed_depths_rejected(self):
         with pytest.raises(MixedM):
             multiply(nf((1,), 0), nf((1, 0), 0))
-        with pytest.raises(MixedM):
-            conjugate(nf((1,), 0), Word(("P0",), 2))
         with pytest.raises(MixedM):
             relation_check(1, [nf((0, 0), 0)])
 

@@ -1,10 +1,24 @@
 """The package surface: `__all__` lists exactly the public names the
 package binds, so `from freeknot import *` never names a removed or
-missing object."""
+missing object; the names the library dropped stay dropped; and the
+runtime needs nothing beyond the standard library."""
 
+import importlib
+import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import freeknot
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Readers and checks that no library or CLI code called, and the
+# pairwise linking test, which lives on in tests/oracles.py.
+DROPPED = ("Violation", "validate", "linked", "link_count",
+           "SharedEndpointError", "move_from_json", "delete_odd",
+           "AdjointTriple", "json_object", "FIELD_SHAPES")
 
 
 def test_every_exported_name_resolves_once():
@@ -19,3 +33,26 @@ def test_all_lists_every_public_binding():
               and not isinstance(value, types.ModuleType)}
     assert set(freeknot.__all__) == public
 
+
+def test_dropped_names_stay_dropped():
+    modules = [freeknot] + [
+        importlib.import_module(f"freeknot.{info.name}")
+        for info in pkgutil.iter_modules(freeknot.__path__)]
+    assert len(modules) == 7
+    for module in modules:
+        for name in DROPPED:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for cls in (freeknot.ChordDiagram, freeknot.NormalForm):
+        assert not hasattr(cls, "from_json"), cls.__name__
+
+
+def test_runtime_needs_only_the_standard_library():
+    # -S skips site-packages and -I ignores PYTHONPATH and the user site
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import freeknot.cli; "
+            "assert freeknot.__file__.startswith(sys.argv[1]); "
+            "sys.exit(freeknot.cli.main(['invariant', '--gauss', '1 1']))")
+    result = subprocess.run([sys.executable, "-S", "-I", "-c", code, str(SRC)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("gauss: 1 1\n")

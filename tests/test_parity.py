@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given
 
 from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
-                      NormalForm, alphabet, apply_letter, delete_odd,
-                      double_prime, filtration, letter_level, link_count,
-                      parse_gauss_code, prime, r3_sites, random_diagram,
-                      rotate_basepoint, serialize, word_of)
-from freeknot.diagram import renumber
-from support import diagrams
+                      NormalForm, alphabet, apply_letter, double_prime,
+                      filtration, letter_level, parse_gauss_code, prime,
+                      r3_sites, random_diagram, rotate_basepoint, word_of)
+from oracles import link_count
+from support import diagrams, triple_chords
 
 
 def test_letter_helpers():
     assert prime(0) == "P0" and double_prime(2) == "D2"
     assert alphabet(2) == ("P0", "D0", "P1", "D1", "F")
-    assert letter_level("P3") == 3
-    assert letter_level(FINAL) is None
+    assert letter_level("P3", 4) == 3
+    assert letter_level(FINAL, 1) is None
     assert [letter_level(z, 3) for z in alphabet(3)] \
         == [0, 0, 1, 1, 2, 2, None]
 
@@ -25,7 +24,7 @@ def test_letter_helpers():
 @pytest.mark.parametrize("letter", ["X7", "P+0", "P00", "Q1", "P", "D-1"])
 def test_letter_level_rejects_what_the_action_rejects(letter):
     with pytest.raises(LevelOutOfRange):
-        letter_level(letter)
+        letter_level(letter, 100)  # rejected by its spelling at any depth
     with pytest.raises(LevelOutOfRange) as by_action:
         apply_letter(NormalForm((0,) * 3, 0), letter)
     with pytest.raises(LevelOutOfRange) as by_level:
@@ -34,7 +33,7 @@ def test_letter_level_rejects_what_the_action_rejects(letter):
 
 
 def test_letter_level_bounded_by_depth():
-    assert letter_level("D2", 3) == 2 and letter_level("D7") == 7
+    assert letter_level("D2", 3) == 2 and letter_level("D7", 8) == 7
     with pytest.raises(LevelOutOfRange, match="depth 2"):
         letter_level("D2", 2)
 
@@ -108,13 +107,6 @@ def test_deeper_filtrations_refine_the_residue(d):
     assert shallow.prime_split == deep.prime_split[:2]
 
 
-def test_delete_odd_examples():
-    assert serialize(delete_odd(parse_gauss_code("1 2 1 3 2 3"))) == "1 1"
-    assert serialize(delete_odd(parse_gauss_code("1 2 3 1 2 3"))) \
-        == "1 2 3 1 2 3"
-    assert delete_odd(ChordDiagram()).n == 0
-
-
 def test_word_examples():
     assert word_of(parse_gauss_code("1 2 1 3 2 3"), 1).letters \
         == ("D0", "F", "D0", "D0", "F", "D0")
@@ -178,16 +170,15 @@ def test_large_diagrams_match_the_pairwise_definition():
             assert list(f.levels) == levels
             assert list(f.prime_split) == splits
             assert f.word == (word, m) == word_of(d, m)
-        kept = [c for c in d.chords if link_count(c, d.chords) % 2 == 0]
-        assert delete_odd(d) == renumber(kept)
 
 
 def test_adjoint_triples_carry_zero_or_two_odd_chords():
     rng = random.Random(20240817)
     for _ in range(400):
         d = random_diagram(rng.randint(3, 9), rng)
-        for triple in r3_sites(d):
-            odd = sum(link_count(c, d.chords) % 2 for c in triple.chords)
+        for anchors in r3_sites(d):
+            odd = sum(link_count(c, d.chords) % 2
+                      for c in triple_chords(d, anchors))
             assert odd in (0, 2)
 
 
@@ -196,10 +187,10 @@ def test_level_adjoint_triples_balance_inside_their_level():
     for _ in range(400):
         d = random_diagram(rng.randint(3, 9), rng)
         f = filtration(d, 3)
-        for triple in r3_sites(d):
+        for anchors in r3_sites(d):
+            triple = triple_chords(d, anchors)
             for k in range(3):
                 level = f.levels[k]
-                if all(c in level for c in triple.chords):
-                    inner = sum(link_count(c, level) % 2
-                                for c in triple.chords)
+                if triple <= level:
+                    inner = sum(link_count(c, level) % 2 for c in triple)
                     assert inner % 2 == 0
