@@ -297,10 +297,10 @@ def _named_params(move: Move):
     return zip(_kind(move.kind).fields, move.params, strict=True)
 
 
-def _listed(value):
-    """`value` with every tuple, at any depth, made a list."""
-    if isinstance(value, tuple):
-        return [_listed(v) for v in value]
+def _nested(value, inner: type, outer: type):
+    """`value` with every `inner` sequence, at any depth, made `outer`."""
+    if isinstance(value, inner):
+        return outer([_nested(v, inner, outer) for v in value])
     return value
 
 
@@ -314,7 +314,37 @@ def _text_value(value) -> str:
 
 def move_to_json(move: Move) -> dict:
     return {"kind": move.kind, **{
-        f: _listed(v) for f, v in _named_params(move)}}
+        f: _nested(v, tuple, list) for f, v in _named_params(move)}}
+
+
+def _int(value) -> bool:
+    return type(value) is int
+
+
+def _ints(count: int, item: Callable[[object], bool] = _int):
+    return lambda value: (isinstance(value, (list, tuple))
+                          and len(value) == count and all(map(item, value)))
+
+
+# The JSON shape of every field named in MOVE_KINDS.
+FIELD_SHAPES = {"chord": _ints(2), "chords": _ints(2, _ints(2)),
+                "anchors": _ints(3), "gap": _int, "gap1": _int, "gap2": _int,
+                "pattern": lambda value: value in PATTERNS, "steps": _int}
+
+
+def move_from_json(obj: dict) -> Move:
+    """The move a move_to_json record describes, every field checked
+    against FIELD_SHAPES; anything else raises ValueError."""
+    if type(obj) is not dict:
+        raise ValueError(f"move must be a JSON object, got {obj!r}")
+    kind = obj.get("kind")
+    fields = _kind(kind).fields
+    for f in fields:
+        if f not in obj:
+            raise ValueError(f"{kind} move lacks field {f!r}")
+        if not FIELD_SHAPES[f](obj[f]):
+            raise ValueError(f"{kind} move has a malformed {f!r}: {obj[f]!r}")
+    return Move(kind, tuple(_nested(obj[f], list, tuple) for f in fields))
 
 
 def move_to_text(move: Move) -> str:

@@ -4,8 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
-from freeknot import ChordDiagram, Move, NormalForm, Word, alphabet
-from freeknot.moves import MOVE_KINDS
+from freeknot import ChordDiagram, NormalForm, Word, alphabet
 
 
 @st.composite
@@ -33,19 +32,6 @@ def words(draw, min_m=1, max_m=3, max_len=10):
 def random_point(rng: random.Random, m: int, bound: int = 10) -> NormalForm:
     return NormalForm(tuple(rng.randint(-bound, bound) for _ in range(m)),
                       rng.randint(0, 1))
-
-
-def _tupled(value):
-    if isinstance(value, list):
-        return tuple(map(_tupled, value))
-    return value
-
-
-def move_from_json(obj: dict) -> Move:
-    """The move a move_to_json record writes: its fields read in
-    MOVE_KINDS order, every list made a tuple."""
-    kind = obj["kind"]
-    return Move(kind, tuple(_tupled(obj[f]) for f in MOVE_KINDS[kind].fields))
 
 
 def triple_chords(d: ChordDiagram, anchors) -> set:

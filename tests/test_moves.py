@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 import oracles
 from freeknot import (CROSSED, NESTED, ChordDiagram, GapOutOfRange, Move,
                       NotAnR1Site, NotAnR2Site, NotAnR3Site, apply_move,
-                      enumerate_moves, inverse_move, move_to_json,
-                      move_to_text, parse_gauss_code, r1_add, r1_remove,
-                      r1_sites, r2_add, r2_remove, r2_sites, r3_apply,
-                      r3_sites, random_diagram, rotate_basepoint, serialize)
-from freeknot.moves import MOVE_KINDS, ApplicableMoves
-from support import diagrams, move_from_json, triple_chords
+                      enumerate_moves, inverse_move, move_from_json,
+                      move_to_json, move_to_text, parse_gauss_code, r1_add,
+                      r1_remove, r1_sites, r2_add, r2_remove, r2_sites,
+                      r3_apply, r3_sites, random_diagram, rotate_basepoint,
+                      serialize)
+from freeknot.moves import FIELD_SHAPES, MOVE_KINDS, ApplicableMoves
+from support import diagrams, triple_chords
 
 TRIPLE = parse_gauss_code("1 2 1 3 2 3")
 
@@ -282,3 +283,37 @@ class TestSerialization:
         assert move_to_text(Move("r1_add", (3,))) == "r1_add gap=3"
         assert move_to_json(Move("r1_add", (3,))) \
             == {"kind": "r1_add", "gap": 3}
+
+    def test_bad_json(self):
+        with pytest.raises(ValueError):
+            move_from_json({"kind": "slide"})
+        with pytest.raises(ValueError, match="gap"):
+            move_from_json({"kind": "r1_add"})
+        with pytest.raises(ValueError):
+            move_from_json({})
+        with pytest.raises(ValueError, match="^move must be a JSON object"):
+            move_from_json([1])
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"kind": "r1_add", "gap": "x"}, "gap"),
+        ({"kind": "r1_add", "gap": True}, "gap"),
+        ({"kind": "r1_remove", "chord": [1, 2, 3]}, "chord"),
+        ({"kind": "r1_remove", "chord": [1.0, 2]}, "chord"),
+        ({"kind": "r2_remove", "chords": [[1, 3]]}, "chords"),
+        ({"kind": "r2_remove", "chords": [[1, 3], [2, "4"]]}, "chords"),
+        ({"kind": "r2_remove", "chords": [1, 3]}, "chords"),
+        ({"kind": "rotate", "steps": 1.5}, "steps"),
+        ({"kind": "r3", "anchors": [1, 2]}, "anchors"),
+        ({"kind": "r3", "anchors": "123"}, "anchors"),
+        ({"kind": "r2_add", "gap1": 0, "gap2": None,
+          "pattern": CROSSED}, "gap2"),
+        ({"kind": "r2_add", "gap1": 0, "gap2": 0, "pattern": "x"},
+         "pattern"),
+    ])
+    def test_json_rejects_malformed_fields(self, obj, field):
+        with pytest.raises(ValueError, match=f"malformed '{field}'"):
+            move_from_json(obj)
+
+    def test_every_field_has_a_shape(self):
+        assert set(FIELD_SHAPES) \
+            == {f for kind in MOVE_KINDS.values() for f in kind.fields}

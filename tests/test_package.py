@@ -17,8 +17,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Readers and checks that no library or CLI code called, and the
 # pairwise linking test, which lives on in tests/oracles.py.
 DROPPED = ("Violation", "validate", "linked", "link_count",
-           "SharedEndpointError", "move_from_json", "delete_odd",
-           "AdjointTriple", "json_object", "FIELD_SHAPES")
+           "SharedEndpointError", "delete_odd", "AdjointTriple",
+           "json_object")
 
 
 def test_every_exported_name_resolves_once():
