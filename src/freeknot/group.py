@@ -22,6 +22,7 @@ conjugate_equal all rest on it.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .parity import FINAL, Word, alphabet, double_prime, letter_level, prime
@@ -57,6 +58,13 @@ def identity(m: int) -> NormalForm:
     return NormalForm((0,) * m, 0)
 
 
+def _step(x: list[int], eps: int, k: int, letter: str) -> None:
+    """Move x[k] for the level-k letter: Pk up and Dk down when
+    x[k] + ... + x[m-1] + eps is even, the other way when it is odd."""
+    step = 1 if letter[0] == "P" else -1
+    x[k] += step if (sum(x[k:]) + eps) % 2 == 0 else -step
+
+
 def apply_letter(point: NormalForm, letter: str) -> NormalForm:
     """Right-multiply a point by one letter.
 
@@ -71,11 +79,9 @@ def apply_letter(point: NormalForm, letter: str) -> NormalForm:
     if letter == FINAL:
         return NormalForm(point.x, 1 - point.eps)
     k = letter_level(letter, point.m)
-    step = 1 if (sum(point.x[k:]) + point.eps) % 2 == 0 else -1
-    if letter[0] == "D":
-        step = -step
-    x = point.x
-    return NormalForm(x[:k] + (x[k] + step,) + x[k + 1:], point.eps)
+    x = list(point.x)
+    _step(x, point.eps, k, letter)
+    return NormalForm(tuple(x), point.eps)
 
 
 def corrupted_apply_letter(point: NormalForm, letter: str) -> NormalForm:
@@ -90,23 +96,25 @@ def corrupted_apply_letter(point: NormalForm, letter: str) -> NormalForm:
     return q._replace(eps=q.eps ^ point.eps)
 
 
-Action = Callable[[NormalForm, str], NormalForm]
-
-
-def _fold(point: NormalForm, letters: Iterable[str],
-          action: Action = apply_letter) -> NormalForm:
-    for z in letters:
-        point = action(point, z)
-    return point
-
-
 def evaluate(word: Word) -> NormalForm:
     """Evaluate a word left to right starting from the identity.
+
+    Each distinct letter is read once, by letter_level, into a table of
+    levels; apply_letter states the action, and both move a coordinate
+    through _step.
 
     >>> evaluate(Word(("P0", "F"), 1))
     NormalForm(x=(1,), eps=1)
     """
-    return _fold(identity(word.m), word.letters)
+    level = {z: letter_level(z, word.m) for z in dict.fromkeys(word.letters)}
+    x, eps = [0] * word.m, 0
+    for z in word.letters:
+        k = level[z]
+        if k is None:
+            eps ^= 1
+        else:
+            _step(x, eps, k, z)
+    return NormalForm(tuple(x), eps)
 
 
 def _signs(p: NormalForm) -> list[int]:
@@ -162,7 +170,7 @@ def inverse(a: NormalForm) -> NormalForm:
 
 def conjugate(a: NormalForm, letters: Sequence[str]) -> NormalForm:
     """The conjugate w^-1 a w for a conjugating word w, given as letters."""
-    w = _fold(identity(a.m), letters)
+    w = reduce(apply_letter, letters, identity(a.m))
     return multiply(multiply(inverse(w), a), w)
 
 
@@ -182,6 +190,9 @@ def relations(m: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     return rels
 
 
+Action = Callable[[NormalForm, str], NormalForm]
+
+
 def relation_check(m: int, sample_points: Iterable[NormalForm],
                    action: Action = apply_letter) -> bool:
     """Do both sides of every relation act identically on every sample?"""
@@ -190,7 +201,7 @@ def relation_check(m: int, sample_points: Iterable[NormalForm],
         if point.m != m:
             raise MixedM(f"sample point has depth {point.m}, expected {m}")
         for lhs, rhs in rels:
-            if _fold(point, lhs, action) != _fold(point, rhs, action):
+            if reduce(action, lhs, point) != reduce(action, rhs, point):
                 return False
     return True
 

@@ -11,6 +11,7 @@ k, Dk its even part, and F the residue.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Collection, NamedTuple
 
 from .diagram import Chord, ChordDiagram
@@ -82,18 +83,21 @@ class Filtration:
     word: Word
 
 
-def _odd(chords: Collection[Chord]) -> frozenset[Chord]:
+def _odd(chords: Collection[Chord], size: int) -> frozenset[Chord]:
     """The chords linked with an odd number of the others in the set.
 
     Any other chord of the set has two ends strictly inside a chord
     (p, q) when it is nested in it, one end when it is linked with it,
     and none otherwise.  So the set's ends strictly inside (p, q) number
     the linking count plus twice the nested count, which has the
-    linking count's parity.  With the set's ends ranked in order, that
-    number is rank(q) - rank(p) - 1: a chord is odd exactly when the
-    rank gap between its ends is even.
+    linking count's parity.  Ranking the set's ends by one scan of the
+    positions 1..size, that number is rank(q) - rank(p) - 1: a chord is
+    odd exactly when the rank gap between its ends is even.
     """
-    rank = {e: i for i, e in enumerate(sorted(e for c in chords for e in c))}
+    present = [0] * (size + 1)
+    for p, q in chords:
+        present[p] = present[q] = 1
+    rank = list(accumulate(present))
     return frozenset(c for c in chords if (rank[c[1]] - rank[c[0]]) % 2 == 0)
 
 
@@ -113,9 +117,9 @@ def filtration(d: ChordDiagram, m: int) -> Filtration:
     levels = []
     splits = []
     for k in range(m):
-        level = _odd(remaining)
+        level = _odd(remaining, d.size)
         remaining -= level
-        odd = _odd(level)
+        odd = _odd(level, d.size)
         even = level - odd
         levels.append(level)
         splits.append((odd, even))

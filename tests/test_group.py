@@ -80,6 +80,19 @@ class TestEvaluate:
     def test_empty_word(self):
         assert evaluate(Word((), 2)) == identity(2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(words(max_m=4, max_len=300))
+    def test_matches_the_one_letter_action(self, w):
+        assert evaluate(w) == oracles.fold(identity(w.m), w.letters)
+
+    def test_long_word_with_large_coordinates(self):
+        target = nf((1500, -2000, 1499), 1)
+        w = normal_form_to_word(target)
+        assert len(w.letters) == 5000
+        assert evaluate(w) == oracles.fold(identity(3), w.letters) == target
+        assert relation_check(3, [target]) is True
+        assert relation_check(3, [target], corrupted_apply_letter) is False
+
 
 class TestNormalFormWords:
     def test_canonical_letter_order(self):

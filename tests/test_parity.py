@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 
 from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
-                      NormalForm, alphabet, apply_letter, double_prime,
-                      filtration, letter_level, parse_gauss_code, prime,
-                      r3_sites, random_diagram, rotate_basepoint, word_of)
+                      NormalForm, Word, alphabet, apply_letter, double_prime,
+                      evaluate, filtration, letter_level, parse_gauss_code,
+                      prime, r3_sites, random_diagram, rotate_basepoint,
+                      word_of)
 from oracles import link_count
 from support import diagrams, triple_chords
 
@@ -21,15 +22,23 @@ def test_letter_helpers():
         == [0, 0, 1, 1, 2, 2, None]
 
 
-@pytest.mark.parametrize("letter", ["X7", "P+0", "P00", "Q1", "P", "D-1"])
+MISSPELLED = ["X7", "P+0", "P00", "Q1", "P", "D-1"]
+
+
+@pytest.mark.parametrize("letter", MISSPELLED + ["P3", "D3"])
 def test_letter_level_rejects_what_the_action_rejects(letter):
-    with pytest.raises(LevelOutOfRange):
-        letter_level(letter, 100)  # rejected by its spelling at any depth
+    if letter in MISSPELLED:
+        with pytest.raises(LevelOutOfRange):
+            letter_level(letter, 100)  # rejected by its spelling at any depth
     with pytest.raises(LevelOutOfRange) as by_action:
         apply_letter(NormalForm((0,) * 3, 0), letter)
     with pytest.raises(LevelOutOfRange) as by_level:
         letter_level(letter, 3)
     assert str(by_level.value) == str(by_action.value)
+    for letters in ((letter,), ("P0", "F", letter, "D2")):
+        with pytest.raises(LevelOutOfRange) as by_evaluate:
+            evaluate(Word(letters, 3))
+        assert str(by_evaluate.value) == str(by_level.value)
 
 
 def test_letter_level_bounded_by_depth():
@@ -170,6 +179,38 @@ def test_large_diagrams_match_the_pairwise_definition():
             assert list(f.levels) == levels
             assert list(f.prime_split) == splits
             assert f.word == (word, m) == word_of(d, m)
+
+
+def _nested(n):
+    return " ".join(map(str, [*range(1, n + 1), *range(n, 0, -1)]))
+
+
+def _linked(n):
+    return " ".join(map(str, [*range(1, n + 1)] * 2))
+
+
+# the two 5-chord witnesses, the second relabelled 6..10
+WITNESSES = ("1 2 1 3 4 2 4 5 3 5", "6 7 6 8 9 7 10 8 10 9")
+EDGE_SHAPES = {
+    "empty": "",
+    "one-chord": "1 1",
+    **{f"nested-{n}": _nested(n) for n in (2, 3, 8, 21)},
+    **{f"linked-{n}": _linked(n) for n in (2, 3, 8, 21)},
+    "witness-sum": " ".join(WITNESSES),
+    # the second witness inside the first, between its third and fourth ends
+    "witness-in-witness": "1 2 1 " + WITNESSES[1] + " 3 4 2 4 5 3 5",
+}
+
+
+@pytest.mark.parametrize("code", EDGE_SHAPES.values(), ids=EDGE_SHAPES)
+def test_edge_shapes_match_the_pairwise_definition(code):
+    d = parse_gauss_code(code)
+    for m in range(1, 5):
+        levels, splits, word = _defining_filtration(d, m)
+        f = filtration(d, m)
+        assert list(f.levels) == levels
+        assert list(f.prime_split) == splits
+        assert f.word == (word, m)
 
 
 def test_adjoint_triples_carry_zero_or_two_odd_chords():
