@@ -142,6 +142,7 @@ def cmd_reduce(args):
     def text():
         yield f"outcome: {report.outcome}"
         yield f"visited: {report.visited}"
+        yield f"shortest: {'yes' if report.shortest else 'no'}"
         if report.path is not None:
             yield f"path ({len(report.path)} moves):"
             yield from (f"  {move_to_text(move)}" for move in report.path)
@@ -262,8 +263,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-chords", type=COUNT,
                    help="size cap for insertions (default max(2n, 4))")
 
-    p = add("reduce", cmd_reduce, "breadth-first reduction of a diagram",
-            "--gauss")
+    p = add("reduce", cmd_reduce, "reduce a diagram by a removal descent, "
+            "then an A* search for a shortest path", "--gauss")
     p.add_argument("--max-states", type=COUNT, default=10000,
                    help="visited-state cap")
     p.add_argument("--max-chords", type=COUNT,

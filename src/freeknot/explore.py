@@ -1,14 +1,17 @@
 """Randomised and exhaustive exploration of the move graph.
 
-Scrambling drives the invariance checks; reduction asks whether a
-diagram reaches the empty one within explicit caps; the exhaustive
-search hunts for diagrams whose word evaluates away from the identity,
-which certifies them as nontrivial free knots.
+Scrambling drives the invariance checks; reduction looks for a
+shortest path to the empty diagram within explicit caps, by a descent
+through removals and then an A* search that proves the path shortest;
+the exhaustive search hunts for diagrams whose word evaluates away from
+the identity, which certifies them as nontrivial free knots.
 """
 
 import random
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
+from math import inf
 from typing import Iterator, Sequence
 
 from .diagram import (ChordDiagram, first_appearance, parse_gauss_code,
@@ -63,10 +66,11 @@ def scramble(d: ChordDiagram, move_count: int, seed: int,
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of a bounded breadth-first reduction.
+    """Outcome of a bounded reduction.
 
     path replays from the start diagram to `diagram` when the outcome
-    carries one; visited counts distinct diagrams seen.
+    carries one; visited counts distinct diagrams seen; shortest says
+    that no shorter path to `diagram` exists within the chord budget.
     """
 
     outcome: str  # reduced_to_empty | minimal_found | exhausted
@@ -75,6 +79,7 @@ class SearchReport:
     visited: int
     max_states: int
     max_chords: int
+    shortest: bool
 
     def to_json(self) -> dict:
         return {
@@ -88,42 +93,139 @@ class SearchReport:
             "visited": self.visited,
             "max_states": self.max_states,
             "max_chords": self.max_chords,
+            "shortest": self.shortest,
         }
 
 
-def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
-    """Breadth-first search over diagrams under all moves.
+# The moves the descent tries, in this order: removals, then the
+# triple move, which keeps the size.
+DESCENT_ORDER = {"r2_remove": 0, "r1_remove": 1, "r3": 2}
 
-    Returns REDUCED_TO_EMPTY with a shortest path when the empty
-    diagram is reachable within the caps, MINIMAL_FOUND with a
-    least-chord-count diagram when the bounded space is exhausted, and
-    EXHAUSTED when the state cap is hit first.
+
+def _lower_bound(d: ChordDiagram) -> int:
+    """ceil(n/2): one move changes the chord count by at most two."""
+    return (d.n + 1) // 2
+
+
+def _descend(d: ChordDiagram, seen: set, max_states: int):
+    """The first path to the empty diagram that a depth-first search
+    through DESCENT_ORDER finds, or None.  Every diagram it reaches
+    joins `seen`, which never grows past max_states."""
+    def branch(current):
+        moves = [mv for mv in enumerate_moves(current, current.n)
+                 if mv.kind in DESCENT_ORDER]
+        return iter(sorted(moves, key=lambda mv: DESCENT_ORDER[mv.kind]))
+
+    stack, path = [(d, branch(d))], []
+    while stack:
+        current, moves = stack[-1]
+        move = next(moves, None)
+        if move is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        nxt = apply_move(current, move)
+        if nxt in seen:
+            continue
+        if len(seen) >= max_states:
+            return None
+        seen.add(nxt)
+        path.append(move)
+        if nxt.n == 0:
+            return tuple(path)
+        stack.append((nxt, branch(nxt)))
+    return None
+
+
+def _path(parent: dict, state: ChordDiagram) -> tuple[Move, ...]:
+    moves = []
+    while parent[state] is not None:
+        state, move = parent[state]
+        moves.append(move)
+    return tuple(reversed(moves))
+
+
+def _a_star(d: ChordDiagram, max_chords: int, seen: set, max_states: int,
+            incumbent):
+    """A* from d under all moves, pruned by the incumbent path.
+
+    Returns (incumbent, least, finished): the shortest path to the
+    empty diagram found so far; (path, diagram) for the first expanded
+    diagram of least chord count and a shortest path to it, or None
+    when cut; and whether the search ran out of states below the bound
+    before `seen` reached max_states.
     """
-    visited = {d}
-    queue = deque([(d, ())])
-    best_d, best_path = d, ()
-    while queue:
-        current, path = queue.popleft()
-        if current.n == 0:
-            return SearchReport(REDUCED_TO_EMPTY, path, current,
-                                len(visited), max_states, max_chords)
-        for move in enumerate_moves(current, max_chords):
+    g_of, parent, closed = {d: 0}, {d: None}, set()
+    tie = count()
+    frontier = [(_lower_bound(d), next(tie), d)]
+    least = d
+    while frontier:
+        f, _, current = heappop(frontier)
+        limit = inf if incumbent is None else len(incumbent)
+        if f >= limit:
+            break
+        if current in closed:
+            continue
+        closed.add(current)
+        if current.n < least.n:
+            least = current
+        g = g_of[current] + 1
+        # a child above 2(limit - g - 1) chords has g + h >= limit
+        budget = min(max_chords, 2 * (limit - g - 1))
+        for move in enumerate_moves(current, budget):
             nxt = apply_move(current, move)
-            if nxt in visited:
+            if (g + _lower_bound(nxt) >= limit or nxt in closed
+                    or g_of.get(nxt, inf) <= g):
                 continue
-            if len(visited) >= max_states:
-                return SearchReport(EXHAUSTED, None, None,
-                                    len(visited), max_states, max_chords)
-            visited.add(nxt)
-            nxt_path = path + (move,)
+            if nxt not in seen:
+                if len(seen) >= max_states:
+                    return incumbent, None, False
+                seen.add(nxt)
+            g_of[nxt], parent[nxt] = g, (current, move)
             if nxt.n == 0:
-                return SearchReport(REDUCED_TO_EMPTY, nxt_path, nxt,
-                                    len(visited), max_states, max_chords)
-            if nxt.n < best_d.n:
-                best_d, best_path = nxt, nxt_path
-            queue.append((nxt, nxt_path))
-    return SearchReport(MINIMAL_FOUND, best_path, best_d,
-                        len(visited), max_states, max_chords)
+                incumbent, limit = _path(parent, nxt), g
+            else:
+                heappush(frontier, (g + _lower_bound(nxt), next(tie), nxt))
+    return incumbent, (_path(parent, least), least), True
+
+
+def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
+    """Look for a shortest path to the empty diagram within the caps.
+
+    Stage 1 is a depth-first descent through R2 removals, then R1
+    removals, then R3 moves; the first path that empties the diagram
+    becomes the incumbent.  Stage 2 is an A* search (Hart, Nilsson and
+    Raphael, 1968) over all moves, insertions kept within max_chords
+    chords, ordered by g + ceil(n/2) with ties broken by insertion
+    order.  One move changes the chord count by at most two, so
+    ceil(n/2) is a consistent lower bound on the moves left: a state is
+    closed when it is expanded, and one with g + ceil(n/2) at least
+    the incumbent's length is pruned.  Both stages draw on one cap of
+    max_states distinct diagrams, so visited never exceeds it.
+
+    REDUCED_TO_EMPTY carries the incumbent; MINIMAL_FOUND, when the
+    empty diagram is out of reach, a shortest path to a least-chord
+    diagram of the bounded space; EXHAUSTED says that the cap was hit
+    before either was found.  `shortest` is true exactly when A*
+    finished under the cap, so that the path is a shortest one within
+    the chord budget.
+    """
+    if max_states < 1:
+        return SearchReport(EXHAUSTED, None, None, 0, max_states,
+                            max_chords, False)
+    seen = {d}
+    incumbent = () if d.n == 0 else _descend(d, seen, max_states)
+    incumbent, least, finished = _a_star(d, max_chords, seen, max_states,
+                                         incumbent)
+    if incumbent is not None:
+        outcome, path, diagram = REDUCED_TO_EMPTY, incumbent, ChordDiagram()
+    elif finished:
+        outcome, (path, diagram) = MINIMAL_FOUND, least
+    else:
+        outcome, path, diagram = EXHAUSTED, None, None
+    return SearchReport(outcome, path, diagram, len(seen), max_states,
+                        max_chords, finished)
 
 
 def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],

@@ -117,7 +117,12 @@ def filtration(d: ChordDiagram, m: int) -> Filtration:
     levels = []
     splits = []
     for k in range(m):
-        level = _odd(remaining, d.size)
+        level = _odd(remaining, d.size) if remaining else frozenset()
+        if not level:
+            # remaining stays as it is, so no later round extracts a chord
+            levels += [level] * (m - k)
+            splits += [(level, level)] * (m - k)
+            break
         remaining -= level
         odd = _odd(level, d.size)
         even = level - odd

@@ -6,8 +6,9 @@ breadth-first closure under single-letter conjugation.  Word equality
 is tested by rewriting alone, never through the action.  Linking is
 tested chord pair by chord pair, and move sites are found by testing
 every pair and triple of chords.  The exhaustive search lists every
-perfect matching and keeps the first of each rotation class.  Tests
-compare the library code against them.
+perfect matching and keeps the first of each rotation class, and
+reduction is a breadth-first search over every move.  Tests compare
+the library code against them.
 """
 
 from collections import deque
@@ -16,9 +17,11 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable
 
-from freeknot import (FINAL, NO, YES, Chord, ChordDiagram, MixedM,
-                      NormalForm, Word, alphabet, apply_letter, double_prime,
-                      evaluate, identity, parse_gauss_code, prime, relations,
+from freeknot import (EXHAUSTED, FINAL, MINIMAL_FOUND, NO, REDUCED_TO_EMPTY,
+                      YES, Chord, ChordDiagram, MixedM, NormalForm,
+                      SearchReport, Word, alphabet, apply_letter, apply_move,
+                      double_prime, enumerate_moves, evaluate, identity,
+                      parse_gauss_code, prime, relations,
                       rotation_canonical_code, word_of)
 
 EQUAL = "equal"
@@ -276,3 +279,41 @@ def search_by_matchings(max_chords: int, m: int, state_cap: int):
             if evaluate(word_of(representative, m)) != e:
                 found.append(representative)
     return found
+
+
+def breadth_first_reduce(d: ChordDiagram, max_states: int,
+                         max_chords: int) -> SearchReport:
+    """Breadth-first search over diagrams under all moves.
+
+    Returns REDUCED_TO_EMPTY with a shortest path when the empty
+    diagram is reachable within the caps, MINIMAL_FOUND with a
+    least-chord-count diagram when the bounded space is exhausted, and
+    EXHAUSTED when the state cap is hit first.
+    """
+    visited = {d}
+    queue = deque([(d, ())])
+    best_d, best_path = d, ()
+    while queue:
+        current, path = queue.popleft()
+        if current.n == 0:
+            return SearchReport(REDUCED_TO_EMPTY, path, current,
+                                len(visited), max_states, max_chords, True)
+        for move in enumerate_moves(current, max_chords):
+            nxt = apply_move(current, move)
+            if nxt in visited:
+                continue
+            if len(visited) >= max_states:
+                return SearchReport(EXHAUSTED, None, None,
+                                    len(visited), max_states, max_chords,
+                                    False)
+            visited.add(nxt)
+            nxt_path = path + (move,)
+            if nxt.n == 0:
+                return SearchReport(REDUCED_TO_EMPTY, nxt_path, nxt,
+                                    len(visited), max_states, max_chords,
+                                    True)
+            if nxt.n < best_d.n:
+                best_d, best_path = nxt, nxt_path
+            queue.append((nxt, nxt_path))
+    return SearchReport(MINIMAL_FOUND, best_path, best_d,
+                        len(visited), max_states, max_chords, True)

@@ -231,7 +231,8 @@ class TestReduce:
         assert code == 0
         assert out.splitlines() == [
             "outcome: reduced_to_empty",
-            "visited: 11",
+            "visited: 3",
+            "shortest: yes",
             "path (2 moves):",
             "  r2_remove chords=(1,4),(2,5)",
             "  r1_remove chord=(1,2)",
@@ -246,6 +247,7 @@ class TestReduce:
         assert payload["outcome"] == "reduced_to_empty"
         assert payload["gauss"] == ""
         assert len(payload["path"]) == 2
+        assert payload["shortest"] is True
 
     def test_exhausted_under_small_cap(self, capsys):
         code, out, _ = run(capsys, "reduce", "--gauss", WITNESS,

@@ -4,6 +4,7 @@ from collections.abc import Sized
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import make_scramble_golden
 from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, MINIMAL_FOUND,
@@ -14,8 +15,8 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, MINIMAL_FOUND,
                       rotate_basepoint, rotation_canonical_code,
                       rotation_classes, rotation_conjugacy_trial, scramble,
                       search_nontrivial, serialize, word_of)
-from oracles import (all_matchings, rotation_class_codes,
-                     search_by_matchings)
+from oracles import (all_matchings, breadth_first_reduce,
+                     rotation_class_codes, search_by_matchings)
 from support import diagrams
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
@@ -64,11 +65,21 @@ class TestScramble:
             NormalForm((8,), 0), NormalForm((-8,), 0))
 
 
+def replay(d, path):
+    for move in path:
+        d = apply_move(d, move)
+    return d
+
+
 class TestReduce:
     def test_empty_input(self):
         rep = reduce(ChordDiagram(), 10, 1)
         assert rep.outcome == REDUCED_TO_EMPTY
         assert rep.path == () and rep.visited == 1
+        # not even the start diagram fits under a zero cap
+        rep = reduce(ChordDiagram(), 0, 1)
+        assert (rep.outcome, rep.visited, rep.shortest) == (EXHAUSTED, 0,
+                                                            False)
 
     def test_unknotted_three_chords(self):
         d = parse_gauss_code("1 2 3 1 2 3")
@@ -102,6 +113,65 @@ class TestReduce:
         assert obj["outcome"] == REDUCED_TO_EMPTY
         assert obj["gauss"] == ""
         assert obj["path"] == [{"kind": "r1_remove", "chord": [1, 2]}]
+        assert obj["shortest"] is True
+
+    @given(diagrams(max_n=6), st.integers(0, 2), st.integers(0, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_breadth_first_oracle(self, d, extra, cap):
+        rep = reduce(d, cap, d.n + extra)
+        assert rep.visited <= cap
+        assert (rep.path is None) == (rep.outcome == EXHAUSTED)
+        if rep.path is not None:
+            assert replay(d, rep.path) == rep.diagram
+        if rep.outcome == REDUCED_TO_EMPTY:
+            assert rep.diagram == ChordDiagram()
+        oracle = breadth_first_reduce(d, 1000, d.n + extra)
+        if oracle.outcome != EXHAUSTED and rep.shortest:
+            assert rep.outcome == oracle.outcome
+            assert len(rep.path) == len(oracle.path)
+            assert rep.diagram.n == oracle.diagram.n
+
+    @pytest.mark.parametrize("code", [
+        WITNESS, "1 2 1 3 2 4 5 4 3 5", "1 1 2 3 2 4 5 3 6 4 6 5",
+        "1 2 1 3 4 4 5 2 6 3 6 5", "1 2 3 4 1 5 6 2 7 3 4 5 7 6"])
+    def test_least_diagram_as_near_as_the_oracle_finds_it(self, code):
+        """Diagrams that no move sequence within their own size empties,
+        some with a kink or a removable pair around a witness."""
+        d = parse_gauss_code(code)
+        rep = reduce(d, 6000, d.n)
+        oracle = breadth_first_reduce(d, 6000, d.n)
+        assert rep.outcome == oracle.outcome == MINIMAL_FOUND
+        assert rep.shortest
+        assert len(rep.path) == len(oracle.path)
+        assert rep.diagram.n == oracle.diagram.n
+        assert replay(d, rep.path) == rep.diagram
+
+    def test_cap_cutting_the_proof_keeps_the_descent_path(self):
+        """The descent empties this diagram in 4 moves through 5 states;
+        proving that 3 moves suffice needs more states than that."""
+        d = parse_gauss_code("1 2 3 4 4 2 5 5 3 1")
+        cut = reduce(d, 5, d.n + 1)
+        assert (cut.outcome, cut.shortest, cut.visited) == (
+            REDUCED_TO_EMPTY, False, 5)
+        assert len(cut.path) == 4 and replay(d, cut.path) == ChordDiagram()
+        full = reduce(d, 1000, d.n + 1)
+        assert (full.outcome, full.shortest) == (REDUCED_TO_EMPTY, True)
+        assert len(full.path) == 3 and replay(d, full.path) == ChordDiagram()
+
+    @pytest.mark.parametrize("code, outcome, moves, chords", [
+        ("1 2 3 1 4 2 5 3 4 5", REDUCED_TO_EMPTY, 8, 0),
+        ("1 2 1 3 2 4 3 5 4 5", REDUCED_TO_EMPTY, 7, 0),
+        ("1 2 1 3 2 4 5 4 3 5", MINIMAL_FOUND, 0, 5),
+    ])
+    def test_hard_small_unknots(self, code, outcome, moves, chords):
+        """Five-chord diagrams the removal descent cannot empty: the
+        first two need insertions on the way, the third is as small as
+        it gets within seven chords."""
+        d = parse_gauss_code(code)
+        rep = reduce(d, 20000, 7)
+        assert (rep.outcome, rep.shortest) == (outcome, True)
+        assert len(rep.path) == moves and rep.diagram.n == chords
+        assert replay(d, rep.path) == rep.diagram
 
 
 class TestDistinguish:

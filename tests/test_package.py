@@ -47,12 +47,14 @@ def test_dropped_names_stay_dropped():
 
 
 def test_runtime_needs_only_the_standard_library():
-    # -S skips site-packages and -I ignores PYTHONPATH and the user site
+    # -S skips site-packages, -I ignores PYTHONPATH and the user site,
+    # and -B writes no bytecode (-I also ignores PYTHONDONTWRITEBYTECODE)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import freeknot.cli; "
             "assert freeknot.__file__.startswith(sys.argv[1]); "
             "sys.exit(freeknot.cli.main(['invariant', '--gauss', '1 1']))")
-    result = subprocess.run([sys.executable, "-S", "-I", "-c", code, str(SRC)],
+    result = subprocess.run([sys.executable, "-S", "-I", "-B", "-c", code,
+                             str(SRC)],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("gauss: 1 1\n")

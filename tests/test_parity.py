@@ -213,6 +213,20 @@ def test_edge_shapes_match_the_pairwise_definition(code):
         assert f.word == (word, m)
 
 
+@pytest.mark.parametrize("code", ["1 2 1 2", _linked(4), "1 2 1 2 3 4 3 4"])
+def test_rounds_after_every_chord_left_are_empty(code):
+    """Every chord is linked with an odd number of others, so all of
+    them leave in round 0 and the four later rounds have nothing left."""
+    d = parse_gauss_code(code)
+    levels, splits, word = _defining_filtration(d, 5)
+    f = filtration(d, 5)
+    assert f.levels[0] == frozenset(d.chords)
+    assert list(f.levels) == levels
+    assert list(f.prime_split) == splits
+    assert f.word == (word, 5)
+    assert not any(f.levels[1:])
+
+
 def test_adjoint_triples_carry_zero_or_two_odd_chords():
     rng = random.Random(20240817)
     for _ in range(400):
