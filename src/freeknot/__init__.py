@@ -23,9 +23,9 @@ from .group import (NO, YES, ConjugacyAnswer, MixedM, NormalForm,
                     multiply, normal_form_to_word, relation_check, relations)
 from .moves import (CROSSED, NESTED, GapOutOfRange, Move, NotAnR1Site,
                     NotAnR2Site, NotAnR3Site, apply_move, enumerate_moves,
-                    inverse_move, move_from_json, move_to_json, move_to_text,
-                    r1_add, r1_remove, r1_sites, r2_add, r2_remove, r2_sites,
-                    r3_apply, r3_sites, rotate_basepoint)
+                    move_to_json, move_to_text, r1_add, r1_remove, r1_sites,
+                    r2_add, r2_remove, r2_sites, r3_apply, r3_sites,
+                    rotate_basepoint)
 from .parity import (FINAL, Filtration, InvalidM, LevelOutOfRange, Word,
                      alphabet, double_prime, filtration, letter_level, prime,
                      word_of)
@@ -40,12 +40,11 @@ __all__ = [
     "apply_letter", "apply_move", "conjugate", "conjugate_equal",
     "corrupted_apply_letter", "distinguish", "double_prime",
     "enumerate_moves", "evaluate", "filtration", "identity", "inverse",
-    "inverse_move", "letter_level", "move_from_json", "move_invariance_trial",
-    "move_to_json", "move_to_text", "multiply", "normal_form_to_word",
-    "parse_gauss_code", "prime", "r1_add", "r1_remove", "r1_sites", "r2_add",
-    "r2_remove", "r2_sites", "r3_apply", "r3_sites", "random_diagram",
-    "reduce", "relation_check", "relations", "rotate_basepoint",
-    "rotation_canonical_code", "rotation_classes",
+    "letter_level", "move_invariance_trial", "move_to_json", "move_to_text",
+    "multiply", "normal_form_to_word", "parse_gauss_code", "prime", "r1_add",
+    "r1_remove", "r1_sites", "r2_add", "r2_remove", "r2_sites", "r3_apply",
+    "r3_sites", "random_diagram", "reduce", "relation_check", "relations",
+    "rotate_basepoint", "rotation_canonical_code", "rotation_classes",
     "rotation_conjugacy_trial", "scramble", "search_nontrivial", "serialize",
     "word_of",
 ]

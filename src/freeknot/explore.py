@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from .diagram import (ChordDiagram, first_appearance, parse_gauss_code,
                       serialize)
 from .group import YES, conjugate, conjugate_equal, evaluate, identity
-from .moves import (ApplicableMoves, Move, apply_move, enumerate_moves,
+from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
                     move_to_json, rotate_basepoint)
 from .parity import word_of
 
@@ -57,7 +57,7 @@ def scramble(d: ChordDiagram, move_count: int, seed: int,
             f"size_cap {size_cap} below current chord count {d.n}")
     rng = random.Random(seed)
     for _ in range(move_count):
-        options = ApplicableMoves(d, size_cap)
+        options = enumerate_moves(d, size_cap)
         if not options:
             break
         d = apply_move(d, options[rng.randrange(len(options))])
@@ -99,7 +99,7 @@ class SearchReport:
 
 # The moves the descent tries, in this order: removals, then the
 # triple move, which keeps the size.
-DESCENT_ORDER = {"r2_remove": 0, "r1_remove": 1, "r3": 2}
+DESCENT_ORDER = ("r2_remove", "r1_remove", "r3")
 
 
 def _lower_bound(d: ChordDiagram) -> int:
@@ -112,9 +112,8 @@ def _descend(d: ChordDiagram, seen: set, max_states: int):
     through DESCENT_ORDER finds, or None.  Every diagram it reaches
     joins `seen`, which never grows past max_states."""
     def branch(current):
-        moves = [mv for mv in enumerate_moves(current, current.n)
-                 if mv.kind in DESCENT_ORDER]
-        return iter(sorted(moves, key=lambda mv: DESCENT_ORDER[mv.kind]))
+        return (Move(name, params) for name in DESCENT_ORDER
+                for params in MOVE_KINDS[name].sites(current, current.n))
 
     stack, path = [(d, branch(d))], []
     while stack:

@@ -170,7 +170,7 @@ def inverse(a: NormalForm) -> NormalForm:
 
 def conjugate(a: NormalForm, letters: Sequence[str]) -> NormalForm:
     """The conjugate w^-1 a w for a conjugating word w, given as letters."""
-    w = reduce(apply_letter, letters, identity(a.m))
+    w = evaluate(Word(tuple(letters), a.m))
     return multiply(multiply(inverse(w), a), w)
 
 

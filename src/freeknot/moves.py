@@ -36,7 +36,7 @@ NESTED = "nested"
 PATTERNS = (CROSSED, NESTED)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Move:
     """One applicable move: a kind tag plus kind-specific parameters."""
 
@@ -196,18 +196,11 @@ def rotate_basepoint(d: ChordDiagram, steps: int) -> ChordDiagram:
 
 
 class MoveKind(NamedTuple):
-    """How one kind of move is listed, applied, undone and written."""
+    """How one kind of move is listed, applied and written."""
 
     fields: tuple[str, ...]  # Move.params by name, in JSON and text
     sites: Callable[[ChordDiagram, int], Sequence[tuple]]  # (d, max_chords)
     apply: Callable[..., ChordDiagram]  # (d, *params)
-    inverse: Callable[..., Move]  # (*params), applied to the result
-
-
-def _r2_remove_inverse(pair) -> Move:
-    (p1, q1), (p2, q2) = ChordDiagram(pair).chords
-    return Move("r2_add", (p1 - 1, min(q1, q2) - 3,
-                           CROSSED if q1 < q2 else NESTED))
 
 
 # Every move kind, in the order enumerate_moves lists them: removals
@@ -217,36 +210,29 @@ MOVE_KINDS = {
     "r1_remove": MoveKind(
         ("chord",),
         lambda d, max_chords: [(c,) for c in r1_sites(d)],
-        r1_remove,
-        lambda chord: Move("r1_add", (min(chord) - 1,))),
+        r1_remove),
     "r2_remove": MoveKind(
         ("chords",),
         lambda d, max_chords: [(pair,) for pair in r2_sites(d)],
-        r2_remove,
-        _r2_remove_inverse),
+        r2_remove),
     "r3": MoveKind(
         ("anchors",),
         lambda d, max_chords: [(anchors,) for anchors in r3_sites(d)],
-        r3_apply,
-        lambda anchors: Move("r3", (anchors,))),
+        r3_apply),
     "r1_add": MoveKind(
         ("gap",),
         lambda d, max_chords: [(gap,) for gap in range(d.size + 1)]
         if d.n + 1 <= max_chords else [],
-        r1_add,
-        lambda gap: Move("r1_remove", ((gap + 1, gap + 2),))),
+        r1_add),
     "r2_add": MoveKind(
         ("gap1", "gap2", "pattern"),
         lambda d, max_chords: _R2Insertions(d.size)
         if d.n + 2 <= max_chords else [],
-        r2_add,
-        lambda gap1, gap2, pattern:
-        Move("r2_remove", (_r2_pair(gap1, gap2, pattern),))),
+        r2_add),
     "rotate": MoveKind(
         ("steps",),
         lambda d, max_chords: [(1,), (-1,)] if d.n else [],
-        rotate_basepoint,
-        lambda steps: Move("rotate", (-steps,))),
+        rotate_basepoint),
 }
 
 
@@ -259,8 +245,8 @@ def _kind(name) -> MoveKind:
 
 class ApplicableMoves(Sequence):
     """The moves enumerate_moves lists, in its order, each built when
-    indexed: drawing one costs the site scans, not the O(n^2) list of
-    R2 insertions."""
+    indexed or reached by iteration: drawing one costs the site scans,
+    not the O(n^2) list of R2 insertions."""
 
     def __init__(self, d: ChordDiagram, max_chords: int):
         self._sites = [(name, kind.sites(d, max_chords))
@@ -276,31 +262,29 @@ class ApplicableMoves(Sequence):
             i -= len(sites)
         raise IndexError(i)
 
+    def __iter__(self):
+        return (Move(name, params) for name, sites in self._sites
+                for params in sites)
 
-def enumerate_moves(d: ChordDiagram, max_chords: int) -> list[Move]:
+
+def enumerate_moves(d: ChordDiagram, max_chords: int) -> ApplicableMoves:
     """Every applicable move, kind by kind in the order of MOVE_KINDS,
     with insertions kept within `max_chords` chords."""
-    return [Move(name, params) for name, kind in MOVE_KINDS.items()
-            for params in kind.sites(d, max_chords)]
+    return ApplicableMoves(d, max_chords)
 
 
 def apply_move(d: ChordDiagram, move: Move) -> ChordDiagram:
     return _kind(move.kind).apply(d, *move.params)
 
 
-def inverse_move(d: ChordDiagram, move: Move) -> Move:
-    """The move undoing `move`, to be applied to apply_move(d, move)."""
-    return _kind(move.kind).inverse(*move.params)
-
-
 def _named_params(move: Move):
     return zip(_kind(move.kind).fields, move.params, strict=True)
 
 
-def _nested(value, inner: type, outer: type):
-    """`value` with every `inner` sequence, at any depth, made `outer`."""
-    if isinstance(value, inner):
-        return outer([_nested(v, inner, outer) for v in value])
+def _listed(value):
+    """`value` with every tuple, at any depth, made a list."""
+    if isinstance(value, tuple):
+        return [_listed(v) for v in value]
     return value
 
 
@@ -314,37 +298,7 @@ def _text_value(value) -> str:
 
 def move_to_json(move: Move) -> dict:
     return {"kind": move.kind, **{
-        f: _nested(v, tuple, list) for f, v in _named_params(move)}}
-
-
-def _int(value) -> bool:
-    return type(value) is int
-
-
-def _ints(count: int, item: Callable[[object], bool] = _int):
-    return lambda value: (isinstance(value, (list, tuple))
-                          and len(value) == count and all(map(item, value)))
-
-
-# The JSON shape of every field named in MOVE_KINDS.
-FIELD_SHAPES = {"chord": _ints(2), "chords": _ints(2, _ints(2)),
-                "anchors": _ints(3), "gap": _int, "gap1": _int, "gap2": _int,
-                "pattern": lambda value: value in PATTERNS, "steps": _int}
-
-
-def move_from_json(obj: dict) -> Move:
-    """The move a move_to_json record describes, every field checked
-    against FIELD_SHAPES; anything else raises ValueError."""
-    if type(obj) is not dict:
-        raise ValueError(f"move must be a JSON object, got {obj!r}")
-    kind = obj.get("kind")
-    fields = _kind(kind).fields
-    for f in fields:
-        if f not in obj:
-            raise ValueError(f"{kind} move lacks field {f!r}")
-        if not FIELD_SHAPES[f](obj[f]):
-            raise ValueError(f"{kind} move has a malformed {f!r}: {obj[f]!r}")
-    return Move(kind, tuple(_nested(obj[f], list, tuple) for f in fields))
+        f: _listed(v) for f, v in _named_params(move)}}
 
 
 def move_to_text(move: Move) -> str:

@@ -4,7 +4,8 @@ import random
 
 from hypothesis import strategies as st
 
-from freeknot import ChordDiagram, NormalForm, Word, alphabet
+from freeknot import ChordDiagram, Move, NormalForm, Word, alphabet
+from freeknot.moves import MOVE_KINDS, PATTERNS
 
 
 @st.composite
@@ -38,3 +39,27 @@ def triple_chords(d: ChordDiagram, anchors) -> set:
     """The three chords of the adjoint triple anchored at (r, s, t)."""
     owner = d.end_map()
     return {owner[p] for a in anchors for p in (a, a + 1)}
+
+
+def move_from_json(obj: dict) -> Move:
+    """The move a move_to_json record describes, read back unchecked."""
+    def tupled(value):
+        return tuple(map(tupled, value)) if type(value) is list else value
+    fields = MOVE_KINDS[obj["kind"]].fields
+    return Move(obj["kind"], tuple(tupled(obj[f]) for f in fields))
+
+
+def _int(value) -> bool:
+    return type(value) is int  # True and False are not ints in JSON
+
+
+def _ints(count: int, item=_int):
+    return lambda value: (type(value) is list and len(value) == count
+                          and all(map(item, value)))
+
+
+# The JSON shape of every field named in MOVE_KINDS, as move_to_json
+# writes it.
+FIELD_SHAPES = {"chord": _ints(2), "chords": _ints(2, _ints(2)),
+                "anchors": _ints(3), "gap": _int, "gap1": _int, "gap2": _int,
+                "pattern": lambda value: value in PATTERNS, "steps": _int}
