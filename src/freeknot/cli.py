@@ -152,11 +152,12 @@ def cmd_reduce(args):
 
 
 def cmd_search(args):
-    per_m = []
-    for m in args.m or [1]:
-        found = search_nontrivial(args.max_chords, m, args.max_states)
-        per_m.append({"m": m, "witnesses": [serialize(w) for w in found],
-                      "examined": found.examined, "complete": found.complete})
+    depths = args.m or [1]
+    found, examined, complete = search_nontrivial(args.max_chords, depths,
+                                                  args.max_states)
+    per_m = [{"m": m, "witnesses": [serialize(w) for w in hits],
+              "examined": examined, "complete": complete}
+             for m, hits in zip(depths, found)]
 
     def text():
         for entry in per_m:

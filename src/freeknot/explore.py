@@ -10,16 +10,16 @@ the identity, which certifies them as nontrivial free knots.
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
+from itertools import chain, count, islice
 from math import inf
 from typing import Iterator, Sequence
 
 from .diagram import (ChordDiagram, first_appearance, parse_gauss_code,
                       serialize)
-from .group import YES, conjugate, conjugate_equal, evaluate, identity
+from .group import YES, conjugate, conjugate_equal, evaluate
 from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
                     move_to_json, rotate_basepoint)
-from .parity import word_of
+from .parity import FINAL, InvalidM, Word, alphabet, word_of
 
 SAME_INVARIANT = "same_invariant"
 CERTIFIED_DISTINCT = "certified_distinct"
@@ -306,45 +306,43 @@ def rotation_classes(n: int) -> Iterator[ChordDiagram]:
     return extend(1, 1)
 
 
-class Witnesses(list):
-    """The diagrams `search_nontrivial` certified, with the number of
-    rotation classes it examined and whether those were all of them."""
+def search_nontrivial(max_chords: int, depths: Sequence[int],
+                      state_cap: int) -> tuple[list[list], int, bool]:
+    """Scan diagrams on up to max_chords chords, one per rotation class
+    from `rotation_classes`, for words that evaluate away from the
+    identity; such a hit is a certified nontrivial free knot, since the
+    identity's conjugacy class is itself alone.
 
-    __slots__ = ("examined", "complete")
-
-    def __init__(self, found, examined: int, complete: bool):
-        super().__init__(found)
-        self.examined, self.complete = examined, complete
-
-
-def search_nontrivial(max_chords: int, m: int, state_cap: int) -> Witnesses:
-    """Exhaustively scan diagrams with up to max_chords chords, one per
-    rotation class from `rotation_classes`, and return (as canonical
-    representatives) those whose word evaluates away from the identity.
-
-    Every hit is a certified nontrivial free knot: the identity's
-    conjugacy class is itself alone, so no sequence of moves and
-    rotations can bring a hit back to the empty diagram.  Hits are
-    listed by chord count, then by `rotation_canonical_code` compared
-    token by token as integers.  The scan stops once state_cap rotation
-    classes were examined, and the result says so (`complete` false).
+    One pass serves every depth: each class gets one word at the
+    deepest depth, read at depth m through a letter table that turns
+    every letter of a level >= m into F.  Returns (witnesses, examined,
+    complete): witnesses[i] holds the hits at depths[i] as
+    `rotation_canonical_code` diagrams, by chord count and then token by
+    token as integers; the scan stops after state_cap classes, and
+    complete says whether that was all of them.
     """
-    e = identity(m)
-    found, examined, complete = [], 0, True
-    for n in range(1, max_chords + 1):
-        hits = []
-        for d in rotation_classes(n):
-            if examined == state_cap:
-                complete = False
-                break
-            examined += 1
-            if evaluate(word_of(d, m)) != e:
-                hits.append(rotation_canonical_code(d))
-        hits.sort(key=lambda code: [int(label) for label in code.split()])
-        found += map(parse_gauss_code, hits)
-        if not complete:
-            break
-    return Witnesses(found, examined, complete)
+    if not depths or min(depths) < 1:
+        raise InvalidM(f"depths must be positive integers, got {depths}")
+    deep = max(depths)
+    tables = {m: {z: z if z in alphabet(m) else FINAL
+                  for z in alphabet(deep)} for m in depths}
+    hits: dict[int, list[str]] = {m: [] for m in tables}
+    classes = chain.from_iterable(map(rotation_classes,
+                                      range(1, max_chords + 1)))
+    examined = 0
+    for d in islice(classes, state_cap):
+        examined += 1
+        letters, code = word_of(d, deep).letters, None
+        for m, table in tables.items():
+            if not evaluate(Word(tuple([table[z] for z in letters]),
+                                 m)).is_identity:
+                code = code or rotation_canonical_code(d)
+                hits[m].append(code)
+    complete = next(classes, None) is None
+    diagrams = {c: parse_gauss_code(c) for c in set().union(*hits.values())}
+    order = lambda code: (code.count(" "), [int(t) for t in code.split()])
+    return ([[diagrams[c] for c in sorted(hits[m], key=order)]
+             for m in depths], examined, complete)
 
 
 def move_invariance_trial(rng: random.Random,

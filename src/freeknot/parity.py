@@ -7,12 +7,15 @@ is cut once more by linking parity inside the level into an odd part
 and an even part.  Reading the positions 1..2n and writing down each
 end's class yields the word of the diagram over the alphabet
 P0, D0, ..., P{m-1}, D{m-1}, F, where Pk marks the odd part of level
-k, Dk its even part, and F the residue.
+k, Dk its even part, and F the residue.  So the word holds the whole
+filtration, and `filtration` reads the levels back from it.  A round
+never looks ahead: the word at depth m < M is the word at depth M with
+every letter of a level >= m read as F.
 """
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Collection, NamedTuple
+from typing import NamedTuple
 
 from .diagram import Chord, ChordDiagram
 
@@ -83,14 +86,15 @@ class Filtration:
     word: Word
 
 
-def _odd(chords: Collection[Chord], size: int) -> frozenset[Chord]:
-    """The chords linked with an odd number of the others in the set.
+def _split(chords: list[Chord], size: int) -> tuple[list[Chord], list[Chord]]:
+    """Cut a chord list into the chords linked with an odd number of
+    the others in the list and the rest, both in list order.
 
-    Any other chord of the set has two ends strictly inside a chord
+    Any other chord of the list has two ends strictly inside a chord
     (p, q) when it is nested in it, one end when it is linked with it,
-    and none otherwise.  So the set's ends strictly inside (p, q) number
-    the linking count plus twice the nested count, which has the
-    linking count's parity.  Ranking the set's ends by one scan of the
+    and none otherwise.  So the list's ends strictly inside (p, q)
+    number the linking count plus twice the nested count, which has the
+    linking count's parity.  Ranking the list's ends by one scan of the
     positions 1..size, that number is rank(q) - rank(p) - 1: a chord is
     odd exactly when the rank gap between its ends is even.
     """
@@ -98,51 +102,48 @@ def _odd(chords: Collection[Chord], size: int) -> frozenset[Chord]:
     for p, q in chords:
         present[p] = present[q] = 1
     rank = list(accumulate(present))
-    return frozenset(c for c in chords if (rank[c[1]] - rank[c[0]]) % 2 == 0)
-
-
-def filtration(d: ChordDiagram, m: int) -> Filtration:
-    """Extract the odd chords m times, split every exhausted level, and
-    write down the word.
-
-    Round k removes the chords linked with an odd number of the chords
-    still present; what survives all m rounds is the residue.  The
-    number of chords in each odd part is always even (a handshake
-    count), which is what makes the letter words evaluate consistently.
-    """
-    if m < 1:
-        raise InvalidM(f"depth must be a positive integer, got {m}")
-    remaining = frozenset(d.chords)
-    letters = [FINAL] * d.size
-    levels = []
-    splits = []
-    for k in range(m):
-        level = _odd(remaining, d.size) if remaining else frozenset()
-        if not level:
-            # remaining stays as it is, so no later round extracts a chord
-            levels += [level] * (m - k)
-            splits += [(level, level)] * (m - k)
-            break
-        remaining -= level
-        odd = _odd(level, d.size)
-        even = level - odd
-        levels.append(level)
-        splits.append((odd, even))
-        for part, letter in ((odd, prime(k)), (even, double_prime(k))):
-            for p, q in part:
-                letters[p - 1] = letters[q - 1] = letter
-    levels.append(remaining)
-    return Filtration(m, tuple(levels), tuple(splits),
-                      Word(tuple(letters), m))
+    odd, even = [], []
+    for c in chords:
+        (even if (rank[c[1]] - rank[c[0]]) % 2 else odd).append(c)
+    return odd, even
 
 
 def word_of(d: ChordDiagram, m: int) -> Word:
-    """The word of a diagram: position j carries the letter of its chord.
-
-    Both ends of a chord carry the same letter, so every letter occurs
-    an even number of times and the word has length 2n.
+    """The word of a diagram at depth m: position j carries the letter
+    of its chord.  Round k splits level k off the chords still present
+    and splits it again into its Pk and Dk parts; once a round finds no
+    odd chord, no later round can.
 
     >>> word_of(ChordDiagram([(1, 3), (2, 5), (4, 6)]), 1).letters
     ('D0', 'F', 'D0', 'D0', 'F', 'D0')
     """
-    return filtration(d, m).word
+    if m < 1:
+        raise InvalidM(f"depth must be a positive integer, got {m}")
+    letters = [FINAL] * d.size
+    remaining = list(d.chords)
+    for k in range(m):
+        level, remaining = _split(remaining, d.size)
+        if not level:
+            break
+        for part, letter in zip(_split(level, d.size),
+                                (prime(k), double_prime(k))):
+            for p, q in part:
+                letters[p - 1] = letters[q - 1] = letter
+    return Word(tuple(letters), m)
+
+
+def filtration(d: ChordDiagram, m: int) -> Filtration:
+    """The levels and splits of the word of d at depth m: level k holds
+    the chords lettered Pk or Dk, and the residue those lettered F.
+
+    The number of chords in each odd part is always even (a handshake
+    count), which is what makes the letter words evaluate consistently.
+    """
+    word = word_of(d, m)
+    parts: dict[str, list[Chord]] = {z: [] for z in alphabet(m)}
+    for c in d.chords:
+        parts[word.letters[c[0] - 1]].append(c)
+    splits = tuple((frozenset(parts[prime(k)]),
+                    frozenset(parts[double_prime(k)])) for k in range(m))
+    levels = (*(odd | even for odd, even in splits), frozenset(parts[FINAL]))
+    return Filtration(m, levels, splits, word)

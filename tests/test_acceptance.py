@@ -89,7 +89,7 @@ def test_nontrivial_witnesses_survive_scrambling():
     """The exhaustive hunt up to six chords certifies nontrivial free
     knots at depth one, and a 100-move scramble of every witness keeps
     its value in the same conjugacy class, with a replayable witness."""
-    found = search_nontrivial(6, 1, 10**6)
+    (found,), _, _ = search_nontrivial(6, [1], 10**6)
     ok = len(found) > 0
     for i, d in enumerate(found):
         value = evaluate(word_of(d, 1))

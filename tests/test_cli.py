@@ -10,7 +10,8 @@ import pytest
 
 import freeknot.cli
 import freeknot.parity
-from freeknot import NormalForm, conjugate, distinguish, filtration
+from freeknot import (NormalForm, conjugate, distinguish, filtration,
+                      search_nontrivial)
 from freeknot.cli import main
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
@@ -282,6 +283,20 @@ class TestSearch:
                            "--max-states", "130")
         (entry,) = json.loads(out)["per_m"]
         assert (entry["examined"], entry["complete"]) == (130, False)
+
+    def test_one_call_serves_every_depth(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return search_nontrivial(*args)
+        monkeypatch.setattr(freeknot.cli, "search_nontrivial", counted)
+        args = ("search", "--json", "--max-chords", "6")
+        code, out, _ = run(capsys, *args, "--m", "3", "--m", "1", "--m", "3")
+        assert code == 0 and calls == [(6, [3, 1, 3], 10**6)]
+        singles = [json.loads(run(capsys, *args, "--m", m)[1])["per_m"]
+                   for m in ("3", "1", "3")]
+        assert json.loads(out)["per_m"] == [e for (e,) in singles]
 
 
 class TestSelfcheck:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import make_scramble_golden
 from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, MINIMAL_FOUND,
                       REDUCED_TO_EMPTY, SAME_INVARIANT, ChordDiagram,
-                      NormalForm, apply_move, conjugate, conjugate_equal,
-                      distinguish, evaluate, move_invariance_trial,
+                      InvalidM, NormalForm, apply_move, conjugate,
+                      conjugate_equal, distinguish, evaluate,
+                      move_invariance_trial,
                       parse_gauss_code, random_diagram, reduce,
                       rotate_basepoint, rotation_canonical_code,
                       rotation_classes, rotation_conjugacy_trial, scramble,
@@ -296,36 +297,74 @@ class TestRotationClasses:
 
 class TestSearchNontrivial:
     def test_nothing_below_five_chords(self):
-        assert search_nontrivial(4, 1, 10**6) == []
+        assert search_nontrivial(4, [1], 10**6) == ([[]], 26, True)
 
     def test_five_chord_witnesses(self):
-        found = search_nontrivial(5, 1, 10**6)
+        (found,), _, _ = search_nontrivial(5, [1], 10**6)
         assert [serialize(d) for d in found] \
             == ["1 2 1 3 4 2 4 5 3 5", "1 2 1 3 4 2 5 3 5 4"]
         assert [evaluate(word_of(d, 1)) for d in found] \
             == [NormalForm((8,), 0)] * 2
 
     def test_state_cap_stops_early(self):
-        assert search_nontrivial(5, 1, 10) == []
+        assert search_nontrivial(5, [1], 10)[0] == [[]]
 
     @pytest.mark.parametrize("cap", [0, 1, 10, 26, 130, 131, 10**6])
     def test_state_cap_is_reported(self, cap):
         """131 classes on at most five chords; the scan says how many it
         examined and whether that was all of them."""
-        found = search_nontrivial(5, 1, cap)
-        assert found.examined == min(cap, 131)
-        assert found.complete == (cap >= 131)
+        (found,), examined, complete = search_nontrivial(5, [1], cap)
+        assert examined == min(cap, 131)
+        assert complete == (cap >= 131)
         assert {serialize(d) for d in found} <= {
             "1 2 1 3 4 2 4 5 3 5", "1 2 1 3 4 2 5 3 5 4"}
 
+    @pytest.mark.parametrize("max_chords, depths, cap", [
+        (0, [0], 10), (3, [0], 0), (3, [0], 10), (3, [], 10), (0, [], 0),
+        (3, [2, -1], 10)])
+    def test_bad_depths_are_rejected_before_the_scan(self, max_chords,
+                                                     depths, cap):
+        with pytest.raises(InvalidM):
+            search_nontrivial(max_chords, depths, cap)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_same_witnesses_as_the_matching_scan(self, m):
-        found = [serialize(d) for d in search_nontrivial(6, m, 10**6)]
+        (found,), _, _ = search_nontrivial(6, [m], 10**6)
+        found = [serialize(d) for d in found]
         expected = [serialize(d) for d in search_by_matchings(6, m, 10**6)]
         assert len(found) == len(expected) == 46
         assert set(found) == set(expected)
         tokens = [[int(label) for label in code.split()] for code in found]
         assert tokens == sorted(tokens, key=lambda t: (len(t), t))
+
+    @pytest.mark.parametrize("cap", [0, 10, 131, 1000, 10**6])
+    def test_one_pass_matches_a_scan_per_depth(self, cap):
+        """Each depth's witnesses are the matching scan's hits among the
+        classes the pass examined, and those of a scan at that depth
+        alone.  Cap 1000 stops inside six chords, where the two scans
+        take the classes in other orders but reach the same hits."""
+        depths = [3, 1, 2, 1]
+        found, examined, complete = search_nontrivial(6, depths, cap)
+        total = sum(CLASS_COUNTS[:6])
+        assert examined == min(cap, total)
+        assert complete == (cap >= total)
+        classes = [rotation_canonical_code(d) for n in range(1, 7)
+                   for d in rotation_classes(n)][:cap]
+        for m, hits in zip(depths, found):
+            codes = [serialize(d) for d in hits]
+            assert len(set(codes)) == len(codes)
+            every = {serialize(d) for d in search_by_matchings(6, m, 10**6)}
+            assert set(codes) == every.intersection(classes)
+            assert set(codes) == {
+                serialize(d) for d in search_by_matchings(6, m, cap)}
+            assert codes == [serialize(d) for d in
+                             search_nontrivial(6, [m], cap)[0][0]]
+
+
+@pytest.fixture(scope="module")
+def census_7():
+    """One pass over the classes on at most seven chords at m = 1, 2, 3."""
+    return search_nontrivial(7, [1, 2, 3], 10**6)
 
 
 class TestCensus:
@@ -337,14 +376,15 @@ class TestCensus:
         (2, [0, 0, 0, 0, 2, 44, 827]),
         (3, [0, 0, 0, 0, 2, 44, 827]),
     ])
-    def test_witnesses_per_chord_count(self, m, per_n):
-        found = search_nontrivial(7, m, 10**6)
-        assert found.complete and found.examined == sum(CLASS_COUNTS[:7])
-        assert [sum(d.n == n for d in found) for n in range(1, 8)] == per_n
-        codes = [serialize(d) for d in found]
+    def test_witnesses_per_chord_count(self, census_7, m, per_n):
+        found, examined, complete = census_7
+        assert complete and examined == sum(CLASS_COUNTS[:7])
+        assert [sum(d.n == n for d in found[m - 1])
+                for n in range(1, 8)] == per_n
+        codes = [serialize(d) for d in found[m - 1]]
         assert len(set(codes)) == len(codes)
         assert all(rotation_canonical_code(d) == code
-                   for d, code in zip(found, codes))
+                   for d, code in zip(found[m - 1], codes))
 
 
 class TestTrials:

@@ -2,7 +2,8 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
                       NormalForm, Word, alphabet, apply_letter, double_prime,
@@ -114,6 +115,16 @@ def test_deeper_filtrations_refine_the_residue(d):
     assert shallow.levels[:2] == deep.levels[:2]
     assert shallow.levels[2] == deep.levels[2] | deep.levels[3]
     assert shallow.prime_split == deep.prime_split[:2]
+
+
+@given(diagrams(), st.integers(1, 3), st.integers(2, 4))
+def test_shallower_words_read_deeper_levels_as_final(d, m, deep):
+    """A round never looks ahead, so the word at depth m is the deeper
+    word with every letter of a level >= m read as F."""
+    assume(m < deep)
+    relabelled = tuple(z if z == FINAL or letter_level(z, deep) < m
+                       else FINAL for z in word_of(d, deep).letters)
+    assert word_of(d, m) == (relabelled, m)
 
 
 def test_word_examples():
