@@ -20,6 +20,7 @@ import os
 import random
 import signal
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .diagram import ChordDiagram, parse_gauss_code, serialize
 from .explore import (CERTIFIED_DISTINCT, FREE, LONG, distinguish,
@@ -293,13 +294,75 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The item types whose lists are encoded in one join, and their encoders.
+_FLAT = {int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _json_text(value) -> str:
+    """`value` as json.dumps(value, indent=2, sort_keys=True) writes it.
+
+    That call takes json's pure-Python path, one generator per nesting
+    level for every token; here finished chunks go into one list that is
+    joined once.
+    """
+    chunks = []
+    _put_json(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _put_json(value, indent: str, append) -> None:
+    """Append the chunks of `value`; `indent` is a newline and the
+    spaces that start its line.
+
+    Dicts (str keys only), lists and tuples recurse; exact strs and ints
+    are encoded directly, a list of only ints or only strs in one join,
+    and every other scalar by json.dumps itself.  Exact type tests keep
+    bools, an int subclass, off the int path.  Not a closure: a nested
+    function that calls itself is a reference cycle, which would keep
+    every chunk alive until the collector's next full pass.
+    """
+    if type(value) is str:
+        append(encode_basestring_ascii(value))
+    elif type(value) is int:
+        append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        encode = _FLAT.get(kinds.pop()) if len(kinds) == 1 else None
+        if encode:
+            append("[" + inner + ("," + inner).join(map(encode, value))
+                   + indent + "]")
+            return
+        head = "[" + inner
+        for item in value:
+            append(head)
+            _put_json(item, inner, append)
+            head = "," + inner
+        append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = indent + "  "
+        head = "{" + inner
+        for key in sorted(value):
+            append(head + encode_basestring_ascii(key) + ": ")
+            _put_json(value[key], inner, append)
+            head = "," + inner
+        append(indent + "}")
+    else:
+        append(json.dumps(value))
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         code, payload, lines = args.func(args)
         if args.json:
-            lines = [json.dumps({"command": args.command, **payload},
-                                indent=2, sort_keys=True)]
+            lines = [_json_text({"command": args.command, **payload})]
         for line in lines:
             print(line)
         sys.stdout.flush()

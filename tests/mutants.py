@@ -1,0 +1,126 @@
+"""One-line mutants of the library, each of which some test must catch.
+
+    python tests/mutants.py
+
+Every entry of MUTANTS names a file of src/freeknot, an exact text that
+occurs there once, its replacement, and the test modules that must fail
+once the replacement is in.  The script copies src/, tests/ and
+pyproject.toml into a temporary directory and runs every named module
+there on the unchanged copy, which must pass.  Then, one mutant at a
+time, it writes the mutant into the copy and runs that mutant's modules
+with `python -m pytest -x -q -p no:cacheprovider` under
+PYTHONDONTWRITEBYTECODE=1; pytest must report failed tests (status 1).
+A mutant that survives means a test is missing: add the test, never
+weaken the mutant or widen its list of modules.  Standard library only;
+exit status 0 when every mutant is caught, 1 otherwise.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/freeknot
+    old: str
+    new: str
+    modules: tuple[str, ...]  # under tests/, each of which must fail
+
+
+MOVES = ("test_moves.py",)
+PARITY = ("test_parity.py",)
+GROUP = ("test_group.py",)
+EXPLORE = ("test_explore.py",)
+JSON_TEXT = ("test_json_text.py",)
+
+MUTANTS = [
+    Mutant("r1_add lists no last gap", "moves.py",
+           "for gap in range(d.size + 1)", "for gap in range(d.size)", MOVES),
+    Mutant("_split swaps odd and even", "parity.py",
+           "(even if (rank[c[1]] - rank[c[0]]) % 2 else odd)",
+           "(odd if (rank[c[1]] - rank[c[0]]) % 2 else even)", PARITY),
+    Mutant("_step drops eps from the parity sum", "group.py",
+           "(sum(x[k:]) + eps) % 2 == 0", "sum(x[k:]) % 2 == 0", GROUP),
+    Mutant("r2_sites misses nested pairs", "moves.py",
+           "abs(c2[1] - c1[1]) == 1", "c2[1] - c1[1] == 1", MOVES),
+    Mutant("r3_sites keeps a triple from every end", "moves.py",
+           "if anchors and anchors[0] == r:", "if anchors:", MOVES),
+    Mutant("rotate_basepoint turns the other way", "moves.py",
+           "(((p - 1 - steps) % size) + 1, ((q - 1 - steps) % size) + 1)",
+           "(((p - 1 + steps) % size) + 1, ((q - 1 + steps) % size) + 1)",
+           MOVES),
+    Mutant("_R2Insertions.__getitem__ off by one", "moves.py",
+           "k = len(self) // 2 - 1 - i // 2", "k = len(self) // 2 - i // 2",
+           MOVES),
+    Mutant("conjugate_equal tests twice mod 8", "group.py",
+           "twice % 4 != 2 * odd", "twice % 8 != 2 * odd", GROUP),
+    Mutant("_lower_bound is inadmissible", "explore.py",
+           "return (d.n + 1) // 2", "return d.n", EXPLORE),
+    Mutant("rotation_classes keeps every prenecklace", "explore.py",
+           "if size % p == 0:", "if True:", EXPLORE),
+    Mutant("search_nontrivial reads one level too many", "explore.py",
+           "z if z in alphabet(m) else FINAL",
+           "z if z in alphabet(m + 1) else FINAL", EXPLORE),
+    Mutant("_put_json puts bools on the int path", "cli.py",
+           "elif type(value) is int:", "elif isinstance(value, int):",
+           JSON_TEXT),
+    Mutant("_put_json leaves keys unsorted", "cli.py",
+           "for key in sorted(value):", "for key in value:", JSON_TEXT),
+]
+
+
+def pytest(copy: Path, modules) -> int:
+    """Run test modules of the copy; pytest's exit status."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(copy / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *(f"tests/{module}" for module in modules)],
+        cwd=copy, env=env, capture_output=True, text=True)
+    # no example database carries over from one run to the next
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+    if result.returncode not in (0, 1):
+        print(result.stdout[-2000:] + result.stderr[-2000:])
+    return result.returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        modules = sorted({module for m in MUTANTS for module in m.modules})
+        if pytest(copy, modules) != 0:
+            print(f"the unchanged copy fails {modules}")
+            return 1
+        survivors = []
+        for m in MUTANTS:
+            path = copy / "src" / "freeknot" / m.file
+            source = path.read_text()
+            if source.count(m.old) != 1:
+                print(f"{m.name}: {m.old!r} does not occur once in {m.file}")
+                survivors.append(m.name)
+                continue
+            path.write_text(source.replace(m.old, m.new))
+            status = pytest(copy, m.modules)
+            path.write_text(source)
+            caught = status == 1
+            print(f"{'caught' if caught else 'SURVIVED'} (pytest {status}): "
+                  f"{m.name}")
+            if not caught:
+                survivors.append(m.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,10 +7,12 @@ is tested by rewriting alone, never through the action.  Linking is
 tested chord pair by chord pair, and move sites are found by testing
 every pair and triple of chords.  The exhaustive search lists every
 perfect matching and keeps the first of each rotation class, and
-reduction is a breadth-first search over every move.  Tests compare
-the library code against them.
+reduction is a breadth-first search over every move.  The CLI's
+--json text is json's own indented encoder.  Tests compare the library
+code against them.
 """
 
+import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
@@ -317,3 +319,8 @@ def breadth_first_reduce(d: ChordDiagram, max_states: int,
             queue.append((nxt, nxt_path))
     return SearchReport(MINIMAL_FOUND, best_path, best_d,
                         len(visited), max_states, max_chords, True)
+
+
+def indented_json(value) -> str:
+    """The --json layout: json's pure-Python indented encoder."""
+    return json.dumps(value, indent=2, sort_keys=True)
