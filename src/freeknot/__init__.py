@@ -18,9 +18,8 @@ from .explore import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       rotation_classes, rotation_conjugacy_trial, scramble,
                       search_nontrivial)
 from .group import (NO, YES, ConjugacyAnswer, MixedM, NormalForm,
-                    apply_letter, conjugate, conjugate_equal,
-                    corrupted_apply_letter, evaluate, identity, inverse,
-                    multiply, normal_form_to_word, relation_check, relations)
+                    apply_letter, conjugate_equal, corrupted_apply_letter,
+                    evaluate, identity, relation_check, relations)
 from .moves import (CROSSED, NESTED, GapOutOfRange, Move, NotAnR1Site,
                     NotAnR2Site, NotAnR3Site, apply_move, enumerate_moves,
                     move_to_json, move_to_text, r1_add, r1_remove, r1_sites,
@@ -37,13 +36,12 @@ __all__ = [
     "MINIMAL_FOUND", "MixedM", "Move", "NESTED", "NO", "NormalForm",
     "NotAnR1Site", "NotAnR2Site", "NotAnR3Site", "REDUCED_TO_EMPTY",
     "SAME_INVARIANT", "SearchReport", "Word", "YES", "alphabet",
-    "apply_letter", "apply_move", "conjugate", "conjugate_equal",
-    "corrupted_apply_letter", "distinguish", "double_prime",
-    "enumerate_moves", "evaluate", "filtration", "identity", "inverse",
-    "letter_level", "move_invariance_trial", "move_to_json", "move_to_text",
-    "multiply", "normal_form_to_word", "parse_gauss_code", "prime", "r1_add",
-    "r1_remove", "r1_sites", "r2_add", "r2_remove", "r2_sites", "r3_apply",
-    "r3_sites", "random_diagram", "reduce", "relation_check", "relations",
+    "apply_letter", "apply_move", "conjugate_equal", "corrupted_apply_letter",
+    "distinguish", "double_prime", "enumerate_moves", "evaluate", "filtration",
+    "identity", "letter_level", "move_invariance_trial", "move_to_json",
+    "move_to_text", "parse_gauss_code", "prime", "r1_add", "r1_remove",
+    "r1_sites", "r2_add", "r2_remove", "r2_sites", "r3_apply", "r3_sites",
+    "random_diagram", "reduce", "relation_check", "relations",
     "rotate_basepoint", "rotation_canonical_code", "rotation_classes",
     "rotation_conjugacy_trial", "scramble", "search_nontrivial", "serialize",
     "word_of",

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .diagram import (ChordDiagram, first_appearance, parse_gauss_code,
                       serialize)
-from .group import YES, conjugate, conjugate_equal, evaluate
+from .group import YES, conjugate_equal, evaluate
 from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
                     move_to_json, rotate_basepoint)
 from .parity import FINAL, InvalidM, Word, alphabet, word_of
@@ -362,16 +362,19 @@ def rotation_conjugacy_trial(rng: random.Random,
                              m_values: Sequence[int]) -> bool:
     """One random trial: after a one-step rotation the value must be
     the conjugate by the word's first letter, and the conjugacy test
-    must certify the two values conjugate with a valid witness."""
+    must certify the two values conjugate with a valid witness.  Every
+    letter is an involution, so w^-1 a w is the word w reversed, then
+    a's word, then w, evaluated through the letter action."""
     d = random_diagram(rng.randint(1, TRIAL_MAX_CHORDS), rng)
     rotated = rotate_basepoint(d, 1)
     for m in m_values:
-        w = word_of(d, m)
-        a = evaluate(w)
+        letters = word_of(d, m).letters
         b = evaluate(word_of(rotated, m))
-        if b != conjugate(a, (w.letters[0],)):
+        if b != evaluate(Word((letters[0], *letters, letters[0]), m)):
             return False
-        answer = conjugate_equal(a, b)
-        if answer.verdict != YES or conjugate(a, answer.witness) != b:
+        answer = conjugate_equal(evaluate(Word(letters, m)), b)
+        w = answer.witness
+        if answer.verdict != YES or \
+                evaluate(Word((*reversed(w), *letters, *w), m)) != b:
             return False
     return True

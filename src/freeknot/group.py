@@ -17,13 +17,12 @@ which relation_check exposes (see corrupted_apply_letter).
 On points the group law has a closed form.  With
 s_k(p) = (-1)^(p.x[k] + ... + p.x[m-1] + p.eps), the product is
 (a.b).x[k] = a.x[k] + s_k(a) b.x[k] with the flags added mod 2;
-multiply, inverse, conjugate and the exact conjugacy test
-conjugate_equal all rest on it.
+the exact conjugacy test conjugate_equal rests on it.
 """
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .parity import FINAL, Word, alphabet, double_prime, letter_level, prime
 
@@ -139,41 +138,6 @@ def _walk(k: int, target: int, above: int) -> tuple[str, ...]:
     return tuple(pair[i % 2] for i in range(abs(target)))
 
 
-def normal_form_to_word(nf: NormalForm) -> Word:
-    """A fixed word evaluating to nf.
-
-    The final letter comes first when eps is set; then each coordinate
-    is walked to its target one unit at a time from the top level down,
-    picking whichever letter moves toward the target under the live
-    parity.  evaluate(normal_form_to_word(nf)) == nf for every point.
-    """
-    above = _signs(nf)[1:] + [-1 if nf.eps else 1]  # s_{k+1}(nf)
-    letters = [FINAL] * nf.eps
-    for k in range(nf.m - 1, -1, -1):
-        letters.extend(_walk(k, nf.x[k], above[k]))
-    return Word(tuple(letters), nf.m)
-
-
-def multiply(a: NormalForm, b: NormalForm) -> NormalForm:
-    """Group product: the point b's word reaches starting from a."""
-    if a.m != b.m:
-        raise MixedM(f"depths differ: {a.m} != {b.m}")
-    x = tuple(ak + s * bk for ak, s, bk in zip(a.x, _signs(a), b.x))
-    return NormalForm(x, a.eps ^ b.eps)
-
-
-def inverse(a: NormalForm) -> NormalForm:
-    """Solve a.c = e level by level: c_k = -s_k(a) a_k, same flag."""
-    return NormalForm(tuple(-s * ak for ak, s in zip(a.x, _signs(a))),
-                      a.eps)
-
-
-def conjugate(a: NormalForm, letters: Sequence[str]) -> NormalForm:
-    """The conjugate w^-1 a w for a conjugating word w, given as letters."""
-    w = evaluate(Word(tuple(letters), a.m))
-    return multiply(multiply(inverse(w), a), w)
-
-
 def relations(m: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """All defining pair relations at depth m as (left, right) words.
 
@@ -210,7 +174,8 @@ def relation_check(m: int, sample_points: Iterable[NormalForm],
 class ConjugacyAnswer:
     """Outcome of a conjugacy test.
 
-    When the verdict is YES, conjugate(a, witness) == b.
+    When the verdict is YES, the witness word w conjugates a to b:
+    w^-1 a w = b, where w^-1 is the word w reversed.
     """
 
     verdict: str  # YES | NO
@@ -230,8 +195,9 @@ def conjugate_equal(a: NormalForm, b: NormalForm) -> ConjugacyAnswer:
     chain from s_m(w) = (-1)^eps_w down to s_0(w), so one pass from
     level 0 upward keeps, for each sign above the current level, the
     least word for the levels below it, and covers every class in O(m)
-    steps.  The witness is normal_form_to_word of a conjugator with the
-    fewest letters, ties broken by alphabet order.
+    steps.  The witness writes a conjugator with the fewest letters as
+    F when eps_w is set, then each level walked from the top down as
+    _walk does it; ties are broken by alphabet order.
 
     >>> conjugate_equal(NormalForm((2,), 0), NormalForm((-2,), 0))
     ConjugacyAnswer(verdict='yes', witness=('P0',))

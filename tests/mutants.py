@@ -61,6 +61,11 @@ MUTANTS = [
            MOVES),
     Mutant("conjugate_equal tests twice mod 8", "group.py",
            "twice % 4 != 2 * odd", "twice % 8 != 2 * odd", GROUP),
+    Mutant("_signs ignores the flag", "group.py",
+           "s = -1 if p.eps else 1", "s = 1", GROUP),
+    Mutant("_walk never swaps the pair", "group.py",
+           "if (target > 0) != (above > 0):",
+           "if (target > 0) == (above > 0):", GROUP),
     Mutant("_lower_bound is inadmissible", "explore.py",
            "return (d.n + 1) // 2", "return d.n", EXPLORE),
     Mutant("rotation_classes keeps every prenecklace", "explore.py",

@@ -10,8 +10,8 @@ import pytest
 
 import freeknot.cli
 import freeknot.parity
-from freeknot import (NormalForm, conjugate, distinguish, filtration,
-                      search_nontrivial)
+import oracles
+from freeknot import NormalForm, distinguish, filtration, search_nontrivial
 from freeknot.cli import main
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
@@ -139,7 +139,7 @@ class TestCompare:
             left, right = (NormalForm(tuple(entry[side]["x"]),
                                       entry[side]["eps"])
                            for side in ("left", "right"))
-            assert conjugate(left, entry["witness"]) == right
+            assert oracles.conjugate(left, entry["witness"]) == right
 
     def test_free_mode_distinct_exits_1(self, capsys):
         code, out, _ = run(capsys, "compare", "--mode", "free",
@@ -316,6 +316,33 @@ class TestSelfcheck:
         payload = json.loads(out)
         assert payload["relations_ok"] is True
         assert payload["trials_passed"] == 10
+
+    def test_failures_exit_1_and_are_listed(self, capsys, monkeypatch):
+        # every tenth trial is a rotation trial: 3 of 30 fail
+        monkeypatch.setattr(freeknot.cli, "rotation_conjugacy_trial",
+                            lambda rng, m_values: False)
+        # the true action breaks the relations and the corrupted one
+        # keeps them, so both failures are listed at every depth
+        monkeypatch.setattr(freeknot.cli, "relation_check",
+                            lambda m, points, action=None: action is not None)
+        args = ("selfcheck", "--seed", "11", "--samples", "5",
+                "--trials", "30", "--m", "1", "--m", "2")
+        code, out, _ = run(capsys, *args)
+        assert code == 1
+        assert out.splitlines() == [
+            "seed: 11",
+            "relations FAIL; invariance trials 27/30 FAIL",
+            "  relations fail at m=1",
+            "  corrupted action not rejected at m=1",
+            "  relations fail at m=2",
+            "  corrupted action not rejected at m=2",
+        ]
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["relations_ok"] is False
+        assert payload["trials_passed"] == 27
+        assert len(payload["relation_failures"]) == 4
 
 
 class TestMoves:

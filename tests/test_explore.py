@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freeknot.explore
 import make_scramble_golden
-from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, MINIMAL_FOUND,
-                      REDUCED_TO_EMPTY, SAME_INVARIANT, ChordDiagram,
-                      InvalidM, NormalForm, apply_move, conjugate,
+import oracles
+from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, MINIMAL_FOUND, NO,
+                      REDUCED_TO_EMPTY, SAME_INVARIANT, YES, ChordDiagram,
+                      ConjugacyAnswer, InvalidM, NormalForm, apply_move,
                       conjugate_equal, distinguish, evaluate,
                       move_invariance_trial,
                       parse_gauss_code, random_diagram, reduce,
@@ -202,7 +204,7 @@ class TestDistinguish:
             == SAME_INVARIANT
         for m in (1, 2, 3):
             a, b = evaluate(word_of(d, m)), evaluate(word_of(rotated, m))
-            assert conjugate(a, conjugate_equal(a, b).witness) == b
+            assert oracles.conjugate(a, conjugate_equal(a, b).witness) == b
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -395,3 +397,36 @@ class TestTrials:
     def test_rotation_conjugacy_batch(self):
         rng = random.Random(2025)
         assert all(rotation_conjugacy_trial(rng, [1, 2]) for _ in range(40))
+
+
+class TestTrialsFail:
+    """Each trial draws the witness diagram, whose value is not the
+    identity, so a wrong value or witness cannot pass by accident."""
+
+    @pytest.fixture(autouse=True)
+    def witness_diagram(self, monkeypatch):
+        d = parse_gauss_code(WITNESS)
+        assert not evaluate(word_of(d, 1)).is_identity
+        monkeypatch.setattr(freeknot.explore, "random_diagram",
+                            lambda n, rng: d)
+
+    def test_unbroken_trials_pass(self):
+        assert move_invariance_trial(random.Random(5), [1, 2])
+        assert rotation_conjugacy_trial(random.Random(5), [1, 2])
+
+    def test_move_trial_rejects_a_changed_value(self, monkeypatch):
+        monkeypatch.setattr(freeknot.explore, "apply_move",
+                            lambda d, move: ChordDiagram())
+        assert not move_invariance_trial(random.Random(5), [1, 2])
+
+    def test_rotation_trial_rejects_a_wrong_witness(self, monkeypatch):
+        def one_letter_too_many(a, b):
+            return ConjugacyAnswer(YES, conjugate_equal(a, b).witness + ("F",))
+        monkeypatch.setattr(freeknot.explore, "conjugate_equal",
+                            one_letter_too_many)
+        assert not rotation_conjugacy_trial(random.Random(5), [1, 2])
+
+    def test_rotation_trial_rejects_no(self, monkeypatch):
+        monkeypatch.setattr(freeknot.explore, "conjugate_equal",
+                            lambda a, b: ConjugacyAnswer(NO, None))
+        assert not rotation_conjugacy_trial(random.Random(5), [1, 2])

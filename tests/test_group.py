@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import oracles
 from freeknot import (NO, YES, ConjugacyAnswer, LevelOutOfRange, MixedM,
-                      NormalForm, Word, alphabet, apply_letter, conjugate,
+                      NormalForm, Word, alphabet, apply_letter,
                       conjugate_equal, corrupted_apply_letter, evaluate,
-                      identity, inverse, multiply, normal_form_to_word,
-                      parse_gauss_code, relation_check, relations, word_of)
+                      identity, parse_gauss_code, relation_check, relations,
+                      word_of)
+from freeknot.group import _signs, _walk
 from oracles import EQUAL, UNDETERMINED, rewrite_oracle
 from support import normal_forms, random_point, words
 
@@ -87,7 +88,7 @@ class TestEvaluate:
 
     def test_long_word_with_large_coordinates(self):
         target = nf((1500, -2000, 1499), 1)
-        w = normal_form_to_word(target)
+        w = Word(oracles.normal_form_to_word(target), 3)
         assert len(w.letters) == 5000
         assert evaluate(w) == oracles.fold(identity(3), w.letters) == target
         assert relation_check(3, [target]) is True
@@ -95,39 +96,46 @@ class TestEvaluate:
 
 
 class TestNormalFormWords:
+    """The oracle's canonical words, which conjugate_equal's witnesses
+    are checked against."""
+
     def test_canonical_letter_order(self):
-        assert normal_form_to_word(nf((-2, 1), 1)).letters \
+        assert oracles.normal_form_to_word(nf((-2, 1), 1)) \
             == ("F", "D1", "D0", "P0")
-        assert normal_form_to_word(nf((3, -2), 0)).letters \
+        assert oracles.normal_form_to_word(nf((3, -2), 0)) \
             == ("D1", "P1", "P0", "D0", "P0")
-        assert normal_form_to_word(nf((0, 0), 1)).letters == ("F",)
-        assert normal_form_to_word(identity(2)).letters == ()
+        assert oracles.normal_form_to_word(nf((0, 0), 1)) == ("F",)
+        assert oracles.normal_form_to_word(identity(2)) == ()
 
     @given(normal_forms())
     def test_round_trip(self, a):
-        assert evaluate(normal_form_to_word(a)) == a
+        assert evaluate(Word(oracles.normal_form_to_word(a), a.m)) == a
 
 
 class TestGroupOperations:
+    """The points form a group under the letter action: the oracles'
+    product, inverse and conjugation, walked letter by letter, obey the
+    group laws."""
+
     def test_multiply_examples(self):
         a, b = nf((2,), 1), nf((3,), 0)
-        assert multiply(a, b) == nf((-1,), 1)
-        assert multiply(b, a) == nf((1,), 1)
+        assert oracles.multiply(a, b) == nf((-1,), 1)
+        assert oracles.multiply(b, a) == nf((1,), 1)
 
     def test_inverse_examples(self):
-        assert inverse(nf((3,), 1)) == nf((-3,), 1)
-        assert inverse(nf((2,), 1)) == nf((2,), 1)  # a reflection
+        assert oracles.inverse(nf((3,), 1)) == nf((-3,), 1)
+        assert oracles.inverse(nf((2,), 1)) == nf((2,), 1)  # a reflection
 
     def test_conjugate_by_letters(self):
         a = evaluate(word_of(parse_gauss_code("1 2 1 3 2 3"), 1))
-        assert conjugate(a, ("F",)) == a
-        assert conjugate(nf((1,), 0), ("D0", "F")) == nf((3,), 0)
+        assert oracles.conjugate(a, ("F",)) == a
+        assert oracles.conjugate(nf((1,), 0), ("D0", "F")) == nf((3,), 0)
         with pytest.raises(LevelOutOfRange):
-            conjugate(nf((1,), 0), ("P1",))
+            oracles.conjugate(nf((1,), 0), ("P1",))
 
     def test_mixed_depths_rejected(self):
         with pytest.raises(MixedM):
-            multiply(nf((1,), 0), nf((1, 0), 0))
+            oracles.multiply(nf((1,), 0), nf((1, 0), 0))
         with pytest.raises(MixedM):
             relation_check(1, [nf((0, 0), 0)])
 
@@ -135,14 +143,15 @@ class TestGroupOperations:
     def test_associativity(self, a, b, c):
         m = max(a.m, b.m, c.m)
         a, b, c = (nf(p.x + (0,) * (m - p.m), p.eps) for p in (a, b, c))
+        multiply = oracles.multiply
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
     @given(normal_forms())
     def test_identity_and_inverse_laws(self, a):
         e = identity(a.m)
-        assert multiply(a, e) == multiply(e, a) == a
-        assert multiply(a, inverse(a)) == e
-        assert multiply(inverse(a), a) == e
+        assert oracles.multiply(a, e) == oracles.multiply(e, a) == a
+        assert oracles.multiply(a, oracles.inverse(a)) == e
+        assert oracles.multiply(oracles.inverse(a), a) == e
 
     @given(normal_forms(), st.data())
     def test_conjugation_composes(self, a, data):
@@ -150,6 +159,7 @@ class TestGroupOperations:
                                 max_size=4).map(tuple))
         w2 = data.draw(st.lists(st.sampled_from(alphabet(a.m)),
                                 max_size=4).map(tuple))
+        conjugate = oracles.conjugate
         assert conjugate(conjugate(a, w1), w2) == conjugate(a, w1 + w2)
 
     @given(normal_forms(), st.data())
@@ -157,7 +167,9 @@ class TestGroupOperations:
         w = data.draw(st.lists(st.sampled_from(alphabet(a.m)),
                                max_size=5).map(tuple))
         by = evaluate(Word(w, a.m))
-        assert conjugate(a, w) == multiply(multiply(inverse(by), a), by)
+        multiply = oracles.multiply
+        assert oracles.conjugate(a, w) \
+            == multiply(multiply(oracles.inverse(by), a), by)
 
 
 class TestRelations:
@@ -250,21 +262,21 @@ class TestClassClosure:
         assert out.complete
         for a in out.elements:
             for z in alphabet(2):
-                assert conjugate(a, (z,)) in out.elements
+                assert oracles.conjugate(a, (z,)) in out.elements
 
 
 class TestConjugateEqual:
     def test_yes_with_replayable_witness(self):
         ans = conjugate_equal(nf((2,), 0), nf((-2,), 0))
         assert ans.verdict == YES
-        assert conjugate(nf((2,), 0), ans.witness) == nf((-2,), 0)
+        assert oracles.conjugate(nf((2,), 0), ans.witness) == nf((-2,), 0)
 
     def test_yes_even_between_truncated_closures(self):
         # closures capped at four elements only meet halfway
         assert oracles.conjugate_equal(nf((1,), 0), nf((3,), 0), 4)[0] == YES
         ans = conjugate_equal(nf((1,), 0), nf((3,), 0))
         assert ans.verdict == YES and ans.witness == ("F", "P0")
-        assert conjugate(nf((1,), 0), ans.witness) == nf((3,), 0)
+        assert oracles.conjugate(nf((1,), 0), ans.witness) == nf((3,), 0)
 
     def test_no_needs_both_closures_complete(self):
         assert oracles.conjugate_equal(nf((2,), 0), nf((4,), 0), 64)[0] == NO
@@ -278,7 +290,7 @@ class TestConjugateEqual:
             == UNDETERMINED
         ans = conjugate_equal(nf((1,), 0), nf((9,), 0))
         assert ans.verdict == YES and ans.witness == ("D0", "P0", "D0", "P0")
-        assert conjugate(nf((1,), 0), ans.witness) == nf((9,), 0)
+        assert oracles.conjugate(nf((1,), 0), ans.witness) == nf((9,), 0)
         assert conjugate_equal(nf((3,), 0), nf((5,), 0)).verdict == YES
 
     def test_classes_separate_by_flag_and_parity(self):
@@ -300,10 +312,10 @@ class TestConjugateEqual:
             m = rng.randint(1, 2)
             a = NormalForm(tuple(2 * rng.randint(-3, 3) for _ in range(m)), 0)
             by = tuple(rng.choice(alphabet(m)) for _ in range(rng.randint(0, 5)))
-            b = conjugate(a, by)
+            b = oracles.conjugate(a, by)
             ans = conjugate_equal(a, b)
             assert ans.verdict == YES
-            assert conjugate(a, ans.witness) == b
+            assert oracles.conjugate(a, ans.witness) == b
 
 
 def _random_word(rng, m, max_len):
@@ -312,19 +324,23 @@ def _random_word(rng, m, max_len):
 
 
 class TestAgainstOracles:
-    """The closed forms against the letter-walking code they replaced."""
+    """The closed form and the exact conjugacy test against the
+    letter-walking code they replaced."""
 
     def test_group_law_matches_the_fold(self):
+        # conjugate_equal's closed form: the product moves a.x[k] by
+        # s_k(a) b.x[k], and its witnesses walk each level as the oracle
         rng = random.Random(2026)
         for _ in range(2000):
             m = rng.randint(1, 4)
             a, b = random_point(rng, m), random_point(rng, m)
-            assert normal_form_to_word(a).letters \
+            signs = _signs(a)
+            x = tuple(ak + s * bk for ak, s, bk in zip(a.x, signs, b.x))
+            assert oracles.multiply(a, b) == NormalForm(x, a.eps ^ b.eps)
+            above = signs[1:] + [-1 if a.eps else 1]  # s_{k+1}(a)
+            walks = [_walk(k, a.x[k], above[k]) for k in reversed(range(m))]
+            assert ("F",) * a.eps + sum(walks, ()) \
                 == oracles.normal_form_to_word(a)
-            assert multiply(a, b) == oracles.multiply(a, b)
-            assert inverse(a) == oracles.inverse(a)
-            by = _random_word(rng, m, 6)
-            assert conjugate(a, by) == oracles.conjugate(a, by)
 
     @pytest.mark.parametrize("family", ["conjugates", "random_pairs"])
     def test_conjugacy_verdicts_match_the_closures(self, family):
@@ -334,13 +350,12 @@ class TestAgainstOracles:
             m = rng.randint(1, 4)
             a = random_point(rng, m, bound=4)
             if family == "conjugates":
-                b = conjugate(a, _random_word(rng, m, 4))
+                b = oracles.conjugate(a, _random_word(rng, m, 4))
             else:
                 b = random_point(rng, m, bound=4)
             verdict, witness = oracles.conjugate_equal(a, b, 32)
             ans = conjugate_equal(a, b)
             if ans.verdict == YES:
-                assert conjugate(a, ans.witness) == b
                 assert oracles.conjugate(a, ans.witness) == b
             else:
                 assert ans.verdict == NO and ans.witness is None
@@ -358,7 +373,7 @@ class TestAgainstOracles:
         for _ in range(300):
             m = rng.randint(1, 3)
             a = random_point(rng, m, bound=3)
-            b = conjugate(a, _random_word(rng, m, 4))
+            b = oracles.conjugate(a, _random_word(rng, m, 4))
             witness = conjugate_equal(a, b).witness
             order = {z: i for i, z in enumerate(alphabet(m))}
             words = []
