@@ -53,9 +53,11 @@ def test_matches_the_reference(value):
     assert _json_text(value) == indented_json(value)
 
 
-@pytest.mark.parametrize("value", [set(), {1}, [frozenset()],
-                                   {"a": object()}, b"bytes", [1, 2j]],
-                         ids=repr)
+@pytest.mark.parametrize("value", [
+    set(), {1}, [frozenset()],
+    # repr(object()) holds a memory address; a fixed id keeps the name stable
+    pytest.param({"a": object()}, id="{'a': object()}"),
+    b"bytes", [1, 2j]], ids=repr)
 def test_unsupported_objects_raise_type_error(value):
     with pytest.raises(TypeError):
         indented_json(value)
