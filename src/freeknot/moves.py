@@ -128,17 +128,16 @@ def _r2_pair(gap1: int, gap2: int, pattern: str) -> tuple[Chord, Chord]:
 
 
 def _adjoint_anchors(chords3) -> tuple[int, int, int] | None:
-    ends = sorted(e for c in chords3 for e in c)
-    if len(set(ends)) != 6:
+    """The anchors of a completely adjoint triple; None if not one."""
+    if len(chords3) != 3:
         return None
-    owner = {e: c for c in chords3 for e in c}
-    anchors = []
-    for i in (0, 2, 4):
-        lo, hi = ends[i], ends[i + 1]
-        if hi != lo + 1 or owner[lo] == owner[hi]:
-            return None
-        anchors.append(lo)
-    return tuple(anchors)
+    (a, b), (c, d), (e, f) = chords3
+    e0, e1, e2, e3, e4, e5 = sorted((a, b, c, d, e, f))
+    if (e1 == e0 + 1 and e3 == e2 + 1 and e5 == e4 + 1
+            and (e0, e1) not in chords3 and (e2, e3) not in chords3
+            and (e4, e5) not in chords3):
+        return e0, e2, e4
+    return None
 
 
 def r3_sites(d: ChordDiagram) -> list[tuple[int, int, int]]:

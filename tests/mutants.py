@@ -52,6 +52,20 @@ MUTANTS = [
            "abs(c2[1] - c1[1]) == 1", "c2[1] - c1[1] == 1", MOVES),
     Mutant("r3_sites keeps a triple from every end", "moves.py",
            "if anchors and anchors[0] == r:", "if anchors:", MOVES),
+    Mutant("_adjoint_anchors unpacks any number of chords", "moves.py",
+           "if len(chords3) != 3:", "if not chords3:", MOVES),
+    Mutant("_adjoint_anchors skips the first adjacency", "moves.py",
+           "e1 == e0 + 1", "True", MOVES),
+    Mutant("_adjoint_anchors skips the second adjacency", "moves.py",
+           "e3 == e2 + 1", "True", MOVES),
+    Mutant("_adjoint_anchors skips the third adjacency", "moves.py",
+           "e5 == e4 + 1", "True", MOVES),
+    Mutant("_adjoint_anchors lets the first pair be one chord", "moves.py",
+           "(e0, e1) not in chords3", "True", MOVES),
+    Mutant("_adjoint_anchors lets the second pair be one chord", "moves.py",
+           "(e2, e3) not in chords3", "True", MOVES),
+    Mutant("_adjoint_anchors lets the third pair be one chord", "moves.py",
+           "(e4, e5) not in chords3", "True", MOVES),
     Mutant("rotate_basepoint turns the other way", "moves.py",
            "(((p - 1 - steps) % size) + 1, ((q - 1 - steps) % size) + 1)",
            "(((p - 1 + steps) % size) + 1, ((q - 1 + steps) % size) + 1)",

@@ -36,7 +36,8 @@ def random_point(rng: random.Random, m: int, bound: int = 10) -> NormalForm:
 
 
 def triple_chords(d: ChordDiagram, anchors) -> set:
-    """The three chords of the adjoint triple anchored at (r, s, t)."""
+    """The chords owning the positions r3_apply swaps for the anchors
+    (r, s, t): the three chords of the adjoint triple anchored there."""
     owner = d.end_map()
     return {owner[p] for a in anchors for p in (a, a + 1)}
 

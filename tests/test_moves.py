@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -12,7 +12,7 @@ from freeknot import (CROSSED, NESTED, ChordDiagram, GapOutOfRange, Move,
                       parse_gauss_code, r1_add, r1_remove, r1_sites, r2_add,
                       r2_remove, r2_sites, r3_apply, r3_sites, random_diagram,
                       rotate_basepoint, serialize)
-from freeknot.moves import MOVE_KINDS
+from freeknot.moves import MOVE_KINDS, _adjoint_anchors
 from support import FIELD_SHAPES, diagrams, move_from_json, triple_chords
 
 TRIPLE = parse_gauss_code("1 2 1 3 2 3")
@@ -120,6 +120,43 @@ class TestR3:
                     assert r3_apply(after, anchors) == d
                     applied.add(anchors)
                 assert applied == set(r3_sites(d))
+
+    def test_anchors_match_the_oracle(self):
+        """The test on six sorted ends agrees with the oracle's search
+        over matchings on every three chords of every diagram of at
+        most five chords, and on the repeated triple (first, second,
+        second) that r3_sites passes when the chord at r + 1 borders
+        the far end of the first."""
+        found = 0
+        for n in range(6):
+            for chords in oracles.all_matchings(range(1, 2 * n + 1)):
+                triples = [*combinations(chords, 3),
+                           *((a, b, b) for a, b in permutations(chords, 2))]
+                for chords3 in triples:
+                    anchors = _adjoint_anchors(chords3)
+                    assert anchors == oracles._adjoint_anchors(chords3)
+                    found += anchors is not None
+        assert found > 100
+
+    STACK = "1 2 3 4 5 6 1 2 3 4 5 6"
+
+    @pytest.mark.parametrize("code, anchors, owners", [
+        ("1 1", (1, 1, 1), 1),
+        (STACK, (1, 7, 7), 2),
+        (STACK, (1, 3, 7), 4),
+        (STACK, (1, 3, 6), 5),
+        (STACK, (1, 3, 5), 6),
+    ])
+    def test_other_owner_counts_are_no_site(self, code, anchors, owners):
+        """r3_apply tests the owners of the six positions it would swap,
+        one to six chords; any count but three is no site, reported as
+        NotAnR3Site and not as a failed unpacking."""
+        d = parse_gauss_code(code)
+        chords = triple_chords(d, anchors)
+        assert len(chords) == owners
+        assert _adjoint_anchors(chords) is None
+        with pytest.raises(NotAnR3Site):
+            r3_apply(d, anchors)
 
 
 def _grown(n: int, rng: random.Random) -> ChordDiagram:
