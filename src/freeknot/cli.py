@@ -156,7 +156,7 @@ def cmd_search(args):
     depths = args.m or [1]
     found, examined, complete = search_nontrivial(args.max_chords, depths,
                                                   args.max_states)
-    per_m = [{"m": m, "witnesses": [serialize(w) for w in hits],
+    per_m = [{"m": m, "witnesses": hits,
               "examined": examined, "complete": complete}
              for m, hits in zip(depths, found)]
 

@@ -14,12 +14,11 @@ from itertools import chain, count, islice
 from math import inf
 from typing import Iterator, Sequence
 
-from .diagram import (ChordDiagram, first_appearance, parse_gauss_code,
-                      serialize)
+from .diagram import ChordDiagram, first_appearance, serialize
 from .group import YES, conjugate_equal, evaluate
 from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
                     move_to_json, rotate_basepoint)
-from .parity import FINAL, InvalidM, Word, alphabet, word_of
+from .parity import InvalidM, Word, word_of
 
 SAME_INVARIANT = "same_invariant"
 CERTIFIED_DISTINCT = "certified_distinct"
@@ -307,42 +306,39 @@ def rotation_classes(n: int) -> Iterator[ChordDiagram]:
 
 
 def search_nontrivial(max_chords: int, depths: Sequence[int],
-                      state_cap: int) -> tuple[list[list], int, bool]:
+                      state_cap: int) -> tuple[list[list[str]], int, bool]:
     """Scan diagrams on up to max_chords chords, one per rotation class
     from `rotation_classes`, for words that evaluate away from the
     identity; such a hit is a certified nontrivial free knot, since the
     identity's conjugacy class is itself alone.
 
-    One pass serves every depth: each class gets one word at the
-    deepest depth, read at depth m through a letter table that turns
-    every letter of a level >= m into F.  Returns (witnesses, examined,
-    complete): witnesses[i] holds the hits at depths[i] as
-    `rotation_canonical_code` diagrams, by chord count and then token by
-    token as integers; the scan stops after state_cap classes, and
-    complete says whether that was all of them.
+    One value per class, at the deepest depth, serves every depth.  A
+    chord writes its letter at both ends, so the value has even
+    coordinates and eps = 0; a round never looks ahead, so the value at
+    depth m is its first m coordinates, the rest folding into that flag.
+    So a class is a hit at depth m exactly when any(value.x[:m]).
+    Returns (witnesses, examined, complete): witnesses[i] lists the
+    `rotation_canonical_code` of each hit at depths[i], by chord count
+    and then token by token as integers; the scan stops after state_cap
+    classes, and complete says whether that was all of them.
     """
     if not depths or min(depths) < 1:
         raise InvalidM(f"depths must be positive integers, got {depths}")
     deep = max(depths)
-    tables = {m: {z: z if z in alphabet(m) else FINAL
-                  for z in alphabet(deep)} for m in depths}
-    hits: dict[int, list[str]] = {m: [] for m in tables}
+    hits: dict[int, list[str]] = {m: [] for m in depths}
     classes = chain.from_iterable(map(rotation_classes,
                                       range(1, max_chords + 1)))
     examined = 0
     for d in islice(classes, state_cap):
         examined += 1
-        letters, code = word_of(d, deep).letters, None
-        for m, table in tables.items():
-            if not evaluate(Word(tuple([table[z] for z in letters]),
-                                 m)).is_identity:
+        value, code = evaluate(word_of(d, deep)), None
+        for m, found in hits.items():
+            if any(value.x[:m]):
                 code = code or rotation_canonical_code(d)
-                hits[m].append(code)
+                found.append(code)
     complete = next(classes, None) is None
-    diagrams = {c: parse_gauss_code(c) for c in set().union(*hits.values())}
     order = lambda code: (code.count(" "), [int(t) for t in code.split()])
-    return ([[diagrams[c] for c in sorted(hits[m], key=order)]
-             for m in depths], examined, complete)
+    return [sorted(hits[m], key=order) for m in depths], examined, complete
 
 
 def move_invariance_trial(rng: random.Random,

@@ -85,8 +85,7 @@ MUTANTS = [
     Mutant("rotation_classes keeps every prenecklace", "explore.py",
            "if size % p == 0:", "if True:", EXPLORE),
     Mutant("search_nontrivial reads one level too many", "explore.py",
-           "z if z in alphabet(m) else FINAL",
-           "z if z in alphabet(m + 1) else FINAL", EXPLORE),
+           "if any(value.x[:m]):", "if any(value.x[:m + 1]):", EXPLORE),
     Mutant("_put_json puts bools on the int path", "cli.py",
            "elif type(value) is int:", "elif isinstance(value, int):",
            JSON_TEXT),

@@ -92,7 +92,8 @@ def test_nontrivial_witnesses_survive_scrambling():
     its value in the same conjugacy class, with a replayable witness."""
     (found,), _, _ = search_nontrivial(6, [1], 10**6)
     ok = len(found) > 0
-    for i, d in enumerate(found):
+    for i, code in enumerate(found):
+        d = parse_gauss_code(code)
         value = evaluate(word_of(d, 1))
         ok &= value != identity(1)
         moved = scramble(d, 100, seed=1000 + i, size_cap=2 * d.n)

@@ -303,10 +303,9 @@ class TestSearchNontrivial:
 
     def test_five_chord_witnesses(self):
         (found,), _, _ = search_nontrivial(5, [1], 10**6)
-        assert [serialize(d) for d in found] \
-            == ["1 2 1 3 4 2 4 5 3 5", "1 2 1 3 4 2 5 3 5 4"]
-        assert [evaluate(word_of(d, 1)) for d in found] \
-            == [NormalForm((8,), 0)] * 2
+        assert found == ["1 2 1 3 4 2 4 5 3 5", "1 2 1 3 4 2 5 3 5 4"]
+        assert [evaluate(word_of(parse_gauss_code(code), 1))
+                for code in found] == [NormalForm((8,), 0)] * 2
 
     def test_state_cap_stops_early(self):
         assert search_nontrivial(5, [1], 10)[0] == [[]]
@@ -318,8 +317,7 @@ class TestSearchNontrivial:
         (found,), examined, complete = search_nontrivial(5, [1], cap)
         assert examined == min(cap, 131)
         assert complete == (cap >= 131)
-        assert {serialize(d) for d in found} <= {
-            "1 2 1 3 4 2 4 5 3 5", "1 2 1 3 4 2 5 3 5 4"}
+        assert set(found) <= {"1 2 1 3 4 2 4 5 3 5", "1 2 1 3 4 2 5 3 5 4"}
 
     @pytest.mark.parametrize("max_chords, depths, cap", [
         (0, [0], 10), (3, [0], 0), (3, [0], 10), (3, [], 10), (0, [], 0),
@@ -332,7 +330,6 @@ class TestSearchNontrivial:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_same_witnesses_as_the_matching_scan(self, m):
         (found,), _, _ = search_nontrivial(6, [m], 10**6)
-        found = [serialize(d) for d in found]
         expected = [serialize(d) for d in search_by_matchings(6, m, 10**6)]
         assert len(found) == len(expected) == 46
         assert set(found) == set(expected)
@@ -352,15 +349,13 @@ class TestSearchNontrivial:
         assert complete == (cap >= total)
         classes = [rotation_canonical_code(d) for n in range(1, 7)
                    for d in rotation_classes(n)][:cap]
-        for m, hits in zip(depths, found):
-            codes = [serialize(d) for d in hits]
+        for m, codes in zip(depths, found):
             assert len(set(codes)) == len(codes)
             every = {serialize(d) for d in search_by_matchings(6, m, 10**6)}
             assert set(codes) == every.intersection(classes)
             assert set(codes) == {
                 serialize(d) for d in search_by_matchings(6, m, cap)}
-            assert codes == [serialize(d) for d in
-                             search_nontrivial(6, [m], cap)[0][0]]
+            assert codes == search_nontrivial(6, [m], cap)[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -381,12 +376,12 @@ class TestCensus:
     def test_witnesses_per_chord_count(self, census_7, m, per_n):
         found, examined, complete = census_7
         assert complete and examined == sum(CLASS_COUNTS[:7])
-        assert [sum(d.n == n for d in found[m - 1])
+        codes = found[m - 1]
+        assert [sum(len(code.split()) == 2 * n for code in codes)
                 for n in range(1, 8)] == per_n
-        codes = [serialize(d) for d in found[m - 1]]
         assert len(set(codes)) == len(codes)
-        assert all(rotation_canonical_code(d) == code
-                   for d, code in zip(found[m - 1], codes))
+        assert all(rotation_canonical_code(parse_gauss_code(code)) == code
+                   for code in codes)
 
 
 class TestTrials:

@@ -9,8 +9,8 @@ import oracles
 from freeknot import (NO, YES, ConjugacyAnswer, LevelOutOfRange, MixedM,
                       NormalForm, Word, alphabet, apply_letter,
                       conjugate_equal, corrupted_apply_letter, evaluate,
-                      identity, parse_gauss_code, relation_check, relations,
-                      word_of)
+                      identity, parse_gauss_code, random_diagram,
+                      relation_check, relations, rotation_classes, word_of)
 from freeknot.group import _signs, _walk
 from oracles import EQUAL, UNDETERMINED, rewrite_oracle
 from support import normal_forms, random_point, words
@@ -305,6 +305,26 @@ class TestConjugateEqual:
     def test_mixed_depths_rejected(self):
         with pytest.raises(MixedM):
             conjugate_equal(nf((1,), 0), nf((1, 0), 0))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_diagram_values_are_conjugate_when_magnitudes_agree(self, m):
+        """Diagram values have even coordinates and eps = 0, so every
+        s_k(a) is +1 and a conjugator only flips signs: two values at
+        one depth are conjugate exactly when |x_k| agree at every k."""
+        rng = random.Random(m)
+        values = {evaluate(word_of(d, m)) for n in range(1, 7)
+                  for d in rotation_classes(n)}
+        values |= {evaluate(word_of(random_diagram(rng.randint(5, 12), rng),
+                                    m)) for _ in range(300)}
+        flipped = 0
+        for a, b in product(values, repeat=2):
+            same = [abs(t) for t in a.x] == [abs(t) for t in b.x]
+            ans = conjugate_equal(a, b)
+            assert (ans.verdict == YES) == same, (a, b)
+            if same:
+                assert oracles.conjugate(a, ans.witness) == b
+            flipped += same and a != b
+        assert flipped > 0
 
     def test_random_conjugates_are_recognised(self):
         rng = random.Random(41)

@@ -11,7 +11,7 @@ from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
                       prime, r3_sites, random_diagram, rotate_basepoint,
                       word_of)
 from oracles import link_count
-from support import diagrams, triple_chords
+from support import diagrams, triple_chords, words
 
 
 def test_letter_helpers():
@@ -125,6 +125,35 @@ def test_shallower_words_read_deeper_levels_as_final(d, m, deep):
     relabelled = tuple(z if z == FINAL or letter_level(z, deep) < m
                        else FINAL for z in word_of(d, deep).letters)
     assert word_of(d, m) == (relabelled, m)
+
+
+@given(diagrams())
+def test_diagram_values_have_even_coordinates_and_no_flag(d):
+    """A chord writes its letter at both of its ends."""
+    for m in range(1, 5):
+        value = evaluate(word_of(d, m))
+        assert value.eps == 0 and all(x % 2 == 0 for x in value.x)
+
+
+@given(diagrams(), st.integers(1, 4))
+def test_shallower_values_are_prefixes_of_the_deepest(d, deep):
+    """search_nontrivial's hit test: the value at depth m is the first
+    m coordinates of the deepest value, with the flag 0."""
+    x = evaluate(word_of(d, deep)).x
+    for m in range(1, deep + 1):
+        assert evaluate(word_of(d, m)) == NormalForm(x[:m], 0)
+
+
+@given(words(max_m=4, max_len=30), st.data())
+def test_reading_deep_letters_as_final_truncates_the_value(w, data):
+    """Read as F, the letters of levels >= m fold coordinates m and up
+    into the flag by their parity."""
+    m = data.draw(st.integers(1, w.m))
+    x, eps = evaluate(w)
+    relabelled = tuple(z if z == FINAL or letter_level(z, w.m) < m
+                       else FINAL for z in w.letters)
+    assert evaluate(Word(relabelled, m)) \
+        == NormalForm(x[:m], (sum(x[m:]) + eps) % 2)
 
 
 def test_word_examples():
