@@ -29,7 +29,7 @@ from .explore import (CERTIFIED_DISTINCT, FREE, LONG, distinguish,
 from .group import (NormalForm, corrupted_apply_letter, evaluate, identity,
                     relation_check)
 from .moves import enumerate_moves, move_to_json, move_to_text
-from .parity import filtration
+from .parity import FINAL, alphabet, filtration
 
 
 def _read_stdin_lines() -> list[str]:
@@ -61,26 +61,31 @@ def _chord_list(chords) -> list[list[int]]:
     return [list(c) for c in sorted(chords)]
 
 
-def _describe(d: ChordDiagram, m: int) -> dict:
-    filt = filtration(d, m)
-    nf = evaluate(filt.word)
-    return {
-        "m": m,
-        "filtration": {
-            "levels": [_chord_list(level) for level in filt.levels],
-            "splits": [{"odd": _chord_list(odd), "even": _chord_list(even)}
-                       for odd, even in filt.prime_split],
-        },
-        "word": list(filt.word.letters),
-        "normal_form": nf.to_json(),
-        "is_identity": nf.is_identity,
-    }
+def _describe(d: ChordDiagram, m_values: list[int]):
+    """d's entries at each depth, all read off one deep filtration."""
+    deep = filtration(d, max(m_values))
+    x = evaluate(deep.word).x
+    for m in m_values:
+        kept = set(alphabet(m))
+        yield {
+            "m": m,
+            "filtration": {
+                "levels": [*map(_chord_list, deep.levels[:m]),
+                           _chord_list(frozenset().union(*deep.levels[m:]))],
+                "splits": [{"odd": _chord_list(odd),
+                            "even": _chord_list(even)}
+                           for odd, even in deep.prime_split[:m]],
+            },
+            "word": [z if z in kept else FINAL for z in deep.word.letters],
+            "normal_form": NormalForm(x[:m], 0).to_json(),
+            "is_identity": not any(x[:m]),
+        }
 
 
 def cmd_invariant(args):
     m_values = args.m or [1]
     diagrams = [{"gauss": serialize(d), "diagram": d.to_json(),
-                 "results": [_describe(d, m) for m in m_values]}
+                 "results": list(_describe(d, m_values))}
                 for d in _diagrams(args, None)]
 
     def text():

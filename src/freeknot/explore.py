@@ -15,7 +15,7 @@ from math import inf
 from typing import Iterator, Sequence
 
 from .diagram import ChordDiagram, first_appearance, serialize
-from .group import YES, conjugate_equal, evaluate
+from .group import YES, NormalForm, conjugate_equal, evaluate
 from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
                     move_to_json, rotate_basepoint)
 from .parity import InvalidM, Word, word_of
@@ -228,21 +228,25 @@ def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
 
 def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
                 mode: str = LONG) -> tuple[str, list[dict]]:
-    """Compare two diagrams through their invariants, depth by depth.
+    """Compare two diagrams through their invariants at the depths of m_list.
 
-    Long mode compares the values exactly ("equal" or "distinct"); free
-    mode compares conjugacy classes ("conjugate", with a shortest
-    conjugating word as witness, or "distinct").  Returns the verdict,
-    CERTIFIED_DISTINCT when some depth separates the diagrams and
-    SAME_INVARIANT when every depth agrees, with the per-depth entries
-    of `compare --json`.  Agreement never claims the knots themselves
-    are equivalent.
+    Each diagram is evaluated once, at the deepest depth, and read at
+    depth m as NormalForm(x[:m], 0) (see `search_nontrivial`).  Long
+    mode compares values exactly ("equal" or "distinct"), free mode
+    conjugacy classes ("conjugate", with a shortest conjugating word as
+    witness, or "distinct").  Returns the verdict, CERTIFIED_DISTINCT
+    when some depth separates the diagrams, else SAME_INVARIANT (never
+    a claim of equivalence), and the per-depth entries of `compare --json`.
     """
     if mode not in (LONG, FREE):
         raise ValueError(f"unknown mode {mode!r}")
+    if any(m < 1 for m in m_list):
+        raise InvalidM(f"depths must be positive integers, got {m_list}")
+    deep = max(m_list, default=1)
+    x1, x2 = (evaluate(word_of(d, deep)).x for d in (d1, d2))
     per_m = []
     for m in m_list:
-        a, b = evaluate(word_of(d1, m)), evaluate(word_of(d2, m))
+        a, b = NormalForm(x1[:m], 0), NormalForm(x2[:m], 0)
         if mode == LONG:
             relation, witness = ("equal" if a == b else "distinct"), None
         else:

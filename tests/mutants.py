@@ -39,6 +39,7 @@ PARITY = ("test_parity.py",)
 GROUP = ("test_group.py",)
 EXPLORE = ("test_explore.py",)
 JSON_TEXT = ("test_json_text.py",)
+CLI = ("test_cli.py",)
 
 MUTANTS = [
     Mutant("r1_add lists no last gap", "moves.py",
@@ -86,6 +87,12 @@ MUTANTS = [
            "if size % p == 0:", "if True:", EXPLORE),
     Mutant("search_nontrivial reads one level too many", "explore.py",
            "if any(value.x[:m]):", "if any(value.x[:m + 1]):", EXPLORE),
+    Mutant("distinguish reads one level too many", "explore.py",
+           "NormalForm(x1[:m], 0)", "NormalForm(x1[:m + 1], 0)", EXPLORE),
+    Mutant("distinguish lets depths below one through", "explore.py",
+           "if any(m < 1 for m in m_list):", "if False:", EXPLORE),
+    Mutant("_describe keeps the letters of one level too many", "cli.py",
+           "kept = set(alphabet(m))", "kept = set(alphabet(m + 1))", CLI),
     Mutant("_put_json puts bools on the int path", "cli.py",
            "elif type(value) is int:", "elif isinstance(value, int):",
            JSON_TEXT),

@@ -7,8 +7,9 @@ is tested by rewriting alone, never through the action.  Linking is
 tested chord pair by chord pair, and move sites are found by testing
 every pair and triple of chords.  The exhaustive search lists every
 perfect matching and keeps the first of each rotation class, and
-reduction is a breadth-first search over every move.  The CLI's
---json text is json's own indented encoder.  Tests compare the library
+reduction is a breadth-first search over every move.  `compare` and
+`invariant` build and evaluate a word per depth, and the CLI's --json
+text is json's own indented encoder.  Tests compare the library
 code against them.
 """
 
@@ -19,11 +20,13 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable
 
-from freeknot import (EXHAUSTED, FINAL, MINIMAL_FOUND, NO, REDUCED_TO_EMPTY,
+import freeknot
+from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FINAL, LONG,
+                      MINIMAL_FOUND, NO, REDUCED_TO_EMPTY, SAME_INVARIANT,
                       YES, Chord, ChordDiagram, MixedM, NormalForm,
                       SearchReport, Word, alphabet, apply_letter, apply_move,
-                      double_prime, enumerate_moves, evaluate, identity,
-                      parse_gauss_code, prime, relations,
+                      double_prime, enumerate_moves, evaluate, filtration,
+                      identity, parse_gauss_code, prime, relations,
                       rotation_canonical_code, word_of)
 
 EQUAL = "equal"
@@ -319,6 +322,45 @@ def breadth_first_reduce(d: ChordDiagram, max_states: int,
             queue.append((nxt, nxt_path))
     return SearchReport(MINIMAL_FOUND, best_path, best_d,
                         len(visited), max_states, max_chords, True)
+
+
+def distinguish_per_depth(d1: ChordDiagram, d2: ChordDiagram, m_list,
+                          mode: str = LONG):
+    """distinguish with a word and a value per diagram at every depth."""
+    per_m = []
+    for m in m_list:
+        a, b = evaluate(word_of(d1, m)), evaluate(word_of(d2, m))
+        if mode == LONG:
+            relation, witness = ("equal" if a == b else "distinct"), None
+        else:
+            answer = freeknot.conjugate_equal(a, b)
+            relation = "conjugate" if answer.verdict == YES else "distinct"
+            witness = None if answer.witness is None else list(answer.witness)
+        per_m.append({"m": m, "left": a.to_json(), "right": b.to_json(),
+                      "relation": relation, "witness": witness})
+    distinct = any(entry["relation"] == "distinct" for entry in per_m)
+    return (CERTIFIED_DISTINCT if distinct else SAME_INVARIANT), per_m
+
+
+def describe_per_depth(d: ChordDiagram, m: int) -> dict:
+    """One entry of `invariant --json` results: the filtration at depth m
+    and the value of its word."""
+    def chord_list(chords):
+        return [list(c) for c in sorted(chords)]
+
+    filt = filtration(d, m)
+    nf = evaluate(filt.word)
+    return {
+        "m": m,
+        "filtration": {
+            "levels": [chord_list(level) for level in filt.levels],
+            "splits": [{"odd": chord_list(odd), "even": chord_list(even)}
+                       for odd, even in filt.prime_split],
+        },
+        "word": list(filt.word.letters),
+        "normal_form": nf.to_json(),
+        "is_identity": nf.is_identity,
+    }
 
 
 def indented_json(value) -> str:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import shutil
@@ -7,21 +8,35 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import freeknot.cli
 import freeknot.parity
 import oracles
-from freeknot import NormalForm, distinguish, filtration, search_nontrivial
+from freeknot import (ChordDiagram, NormalForm, distinguish, filtration,
+                      parse_gauss_code, search_nontrivial, serialize)
 from freeknot.cli import main
+from support import diagrams
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
 WITNESS_ROTATED = "1 2 3 4 1 5 3 5 4 2"
+THREE_LEVELS = "1 2 3 4 3 5 6 5 4 1 2 6"  # two chords in each of a0, a1, a2
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_plain(*argv):
+    """main's exit status and stdout, without pytest's capsys fixture,
+    which a hypothesis test cannot take."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
 
 
 class TestInvariant:
@@ -56,7 +71,8 @@ class TestInvariant:
         assert result["m"] == 2
         assert result["normal_form"] == {"x": [8, 0], "eps": 0, "m": 2}
 
-    def test_one_filtration_per_depth(self, capsys, monkeypatch):
+    def test_one_filtration_per_diagram(self, capsys, monkeypatch):
+        """Every depth is read off one filtration at the deepest."""
         calls = []
 
         def counted(d, m):
@@ -68,7 +84,7 @@ class TestInvariant:
         code, _, _ = run(capsys, "invariant", "--json", "--gauss", WITNESS,
                          "--m", "1", "--m", "2")
         assert code == 0
-        assert calls == [1, 2]
+        assert calls == [2]
 
     def test_failure_leaves_stdout_empty(self, capsys, monkeypatch):
         calls = []
@@ -84,6 +100,25 @@ class TestInvariant:
                              "--gauss", "1 2 1 2")
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(diagrams(max_n=40), max_size=3),
+           st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    @example([parse_gauss_code(WITNESS), parse_gauss_code(THREE_LEVELS)],
+             [3, 1, 2, 1])
+    def test_json_agrees_with_the_per_depth_oracle(self, ds, m_values):
+        """The empty diagram comes first; the m-lists may repeat depths
+        and run downwards."""
+        ds = [ChordDiagram(), *ds]
+        code, out = run_plain(
+            "invariant", "--json",
+            *(a for d in ds for a in ("--gauss", serialize(d))),
+            *(a for m in m_values for a in ("--m", str(m))))
+        assert code == 0
+        results = [entry["results"]
+                   for entry in json.loads(out)["diagrams"]]
+        assert results == [[oracles.describe_per_depth(d, m)
+                            for m in m_values] for d in ds]
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "invariant", "--gauss", "1 2 3")

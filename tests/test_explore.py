@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 import freeknot.explore
 import make_scramble_golden
 import oracles
-from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, MINIMAL_FOUND, NO,
-                      REDUCED_TO_EMPTY, SAME_INVARIANT, YES, ChordDiagram,
-                      ConjugacyAnswer, InvalidM, NormalForm, apply_move,
+from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
+                      MINIMAL_FOUND, NO, REDUCED_TO_EMPTY, SAME_INVARIANT,
+                      YES, ChordDiagram, ConjugacyAnswer, InvalidM,
+                      NormalForm, apply_move,
                       conjugate_equal, distinguish, evaluate,
                       move_invariance_trial,
                       parse_gauss_code, random_diagram, reduce,
@@ -214,6 +215,32 @@ class TestDistinguish:
         d = parse_gauss_code(WITNESS)
         with pytest.raises(ValueError, match="unknown mode"):
             distinguish(d, d, [], mode="loop")
+
+    @pytest.mark.parametrize("m_list", [[0], [-1, 3]])
+    def test_unknown_mode_is_rejected_before_bad_depths(self, m_list):
+        d = parse_gauss_code(WITNESS)
+        with pytest.raises(ValueError, match="unknown mode"):
+            distinguish(d, d, m_list, mode="loop")
+
+    @pytest.mark.parametrize("mode", [LONG, FREE])
+    @pytest.mark.parametrize("m_list", [[0], [0, 2], [-1, 3]])
+    def test_depths_below_one_are_rejected(self, m_list, mode):
+        d = parse_gauss_code(WITNESS)
+        with pytest.raises(InvalidM):
+            distinguish(d, d, m_list, mode)
+
+    @settings(max_examples=80, deadline=None)
+    @given(diagrams(max_n=40), diagrams(max_n=40), st.integers(-80, 80),
+           st.booleans(), st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           st.sampled_from([LONG, FREE]))
+    def test_agrees_with_the_per_depth_oracle(self, d1, other, steps,
+                                              rotated, m_list, mode):
+        """Rotated pairs give conjugate values, so free mode's witnesses
+        are compared too; the m-lists may repeat depths and run
+        downwards."""
+        d2 = rotate_basepoint(d1, steps) if rotated else other
+        assert distinguish(d1, d2, m_list, mode) == \
+            oracles.distinguish_per_depth(d1, d2, m_list, mode)
 
     def test_one_entry_per_depth(self):
         d = parse_gauss_code(WITNESS)
