@@ -20,6 +20,7 @@ import os
 import random
 import signal
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .diagram import ChordDiagram, parse_gauss_code, serialize
@@ -62,19 +63,20 @@ def _chord_list(chords) -> list[list[int]]:
 
 
 def _describe(d: ChordDiagram, m_values: list[int]):
-    """d's entries at each depth, all read off one deep filtration."""
+    """d's entries at each depth, all read off one deep filtration whose
+    levels and splits are sorted once (a residue sorts sorted runs)."""
     deep = filtration(d, max(m_values))
     x = evaluate(deep.word).x
+    levels = [*map(_chord_list, deep.levels)]
+    splits = [{"odd": _chord_list(odd), "even": _chord_list(even)}
+              for odd, even in deep.prime_split]
     for m in m_values:
         kept = set(alphabet(m))
         yield {
             "m": m,
             "filtration": {
-                "levels": [*map(_chord_list, deep.levels[:m]),
-                           _chord_list(frozenset().union(*deep.levels[m:]))],
-                "splits": [{"odd": _chord_list(odd),
-                            "even": _chord_list(even)}
-                           for odd, even in deep.prime_split[:m]],
+                "levels": [*levels[:m], sorted(chain(*levels[m:]))],
+                "splits": splits[:m],
             },
             "word": [z if z in kept else FINAL for z in deep.word.letters],
             "normal_form": NormalForm(x[:m], 0).to_json(),

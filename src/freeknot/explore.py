@@ -14,7 +14,7 @@ from itertools import chain, count, islice
 from math import inf
 from typing import Iterator, Sequence
 
-from .diagram import ChordDiagram, first_appearance, serialize
+from .diagram import Chord, ChordDiagram, first_appearance, serialize
 from .group import YES, NormalForm, conjugate_equal, evaluate
 from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
                     move_to_json, rotate_basepoint)
@@ -272,8 +272,8 @@ def rotation_canonical_code(d: ChordDiagram) -> str:
     return " ".join(map(str, best))
 
 
-def rotation_classes(n: int) -> Iterator[ChordDiagram]:
-    """One diagram on n chords per rotation class (OEIS A007769), lazily.
+def _class_chords(n: int) -> Iterator[tuple[Chord, ...]]:
+    """The sorted chords of one diagram on n chords per rotation class.
 
     Moving the base point shifts the gap sequence, (partner(i) - i) mod
     2n over the positions i, cyclically, so the classes are necklaces of
@@ -281,6 +281,7 @@ def rotation_classes(n: int) -> Iterator[ChordDiagram]:
     FKM prenecklace recursion yields each class once, as its least gap
     sequence, in increasing order: a position that an earlier chord ends
     at takes that chord's gap back, any other starts a chord forward.
+    Each frame walks the forced positions in place, then starts a chord.
     """
     size = 2 * n
     gaps = [0] * (size + 1)  # gaps[t] at position t; gaps[0] is a floor
@@ -288,16 +289,18 @@ def rotation_classes(n: int) -> Iterator[ChordDiagram]:
     chords = []
 
     def extend(t, p):
+        while t <= size and back[t]:
+            g = gaps[t] = back[t]
+            if g < gaps[t - p]:
+                return
+            if g > gaps[t - p]:
+                p = t
+            t += 1
         if t > size:
             if size % p == 0:
-                yield ChordDiagram(chords)
+                yield tuple(chords)
             return
         least = gaps[t - p]
-        if back[t]:
-            g = gaps[t] = back[t]
-            if g >= least:
-                yield from extend(t + 1, p if g == least else t)
-            return
         for g in range(max(least, 1), size - t + 1):
             if not back[t + g]:
                 gaps[t], back[t + g] = g, size - g
@@ -307,6 +310,45 @@ def rotation_classes(n: int) -> Iterator[ChordDiagram]:
                 back[t + g] = 0
 
     return extend(1, 1)
+
+
+def rotation_classes(n: int) -> Iterator[ChordDiagram]:
+    """One diagram on n chords per rotation class (OEIS A007769), lazily."""
+    return map(ChordDiagram, _class_chords(n))
+
+
+def _class_value(chords: Sequence[Chord], m: int) -> NormalForm:
+    """evaluate(word_of(ChordDiagram(chords), m)) for sorted chords,
+    read off bits with no diagram or word built.
+
+    A chord (p, q) is odd within a set exactly when an odd number of the
+    set's ends lie strictly between p and q (`parity._split` on bits).
+    Level k codes its odd part's ends (k, +1), its even part's (k, -1),
+    and F ends are (m, 0).  The walk keeps the parity of x[k:] + eps as
+    bit k of one mask, eps as bit m; an end coded (k, step) flips 0..k.
+    """
+    code = [(m, 0)] * (2 * len(chords) + 1)  # position 0 is unused
+    remaining = [(p, q, (1 << q) - (2 << p)) for p, q in chords]
+    ends = (1 << len(code)) - 2  # the ends of the remaining chords
+    for k in range(m):
+        level, rest, level_ends = [], [], 0
+        for c in remaining:
+            if (c[2] & ends).bit_count() & 1:
+                level.append(c)
+                level_ends |= 1 << c[0] | 1 << c[1]
+            else:
+                rest.append(c)
+        if not level:
+            break
+        ends, remaining, odd, even = ends ^ level_ends, rest, (k, 1), (k, -1)
+        for p, q, inside in level:
+            code[p] = code[q] = (
+                odd if (inside & level_ends).bit_count() & 1 else even)
+    x, parity = [0] * (m + 1), 0
+    for k, step in code[1:]:
+        x[k] += -step if parity >> k & 1 else step
+        parity ^= (2 << k) - 1
+    return NormalForm(tuple(x[:m]), parity >> m)
 
 
 def search_nontrivial(max_chords: int, depths: Sequence[int],
@@ -321,6 +363,7 @@ def search_nontrivial(max_chords: int, depths: Sequence[int],
     coordinates and eps = 0; a round never looks ahead, so the value at
     depth m is its first m coordinates, the rest folding into that flag.
     So a class is a hit at depth m exactly when any(value.x[:m]).
+    `_class_value` reads it off the chords; only a hit becomes a diagram.
     Returns (witnesses, examined, complete): witnesses[i] lists the
     `rotation_canonical_code` of each hit at depths[i], by chord count
     and then token by token as integers; the scan stops after state_cap
@@ -330,15 +373,15 @@ def search_nontrivial(max_chords: int, depths: Sequence[int],
         raise InvalidM(f"depths must be positive integers, got {depths}")
     deep = max(depths)
     hits: dict[int, list[str]] = {m: [] for m in depths}
-    classes = chain.from_iterable(map(rotation_classes,
+    classes = chain.from_iterable(map(_class_chords,
                                       range(1, max_chords + 1)))
     examined = 0
-    for d in islice(classes, state_cap):
+    for chords in islice(classes, state_cap):
         examined += 1
-        value, code = evaluate(word_of(d, deep)), None
+        value, code = _class_value(chords, deep), None
         for m, found in hits.items():
             if any(value.x[:m]):
-                code = code or rotation_canonical_code(d)
+                code = code or rotation_canonical_code(ChordDiagram(chords))
                 found.append(code)
     complete = next(classes, None) is None
     order = lambda code: (code.count(" "), [int(t) for t in code.split()])

@@ -85,6 +85,16 @@ MUTANTS = [
            "return (d.n + 1) // 2", "return d.n", EXPLORE),
     Mutant("rotation_classes keeps every prenecklace", "explore.py",
            "if size % p == 0:", "if True:", EXPLORE),
+    Mutant("_class_chords keeps the period over forced gaps", "explore.py",
+           "if g > gaps[t - p]:", "if False:", EXPLORE),
+    Mutant("_class_value inverts the odd test", "explore.py",
+           "if (c[2] & ends).bit_count() & 1:",
+           "if not (c[2] & ends).bit_count() & 1:", EXPLORE),
+    Mutant("_class_value steps flip one bit too few", "explore.py",
+           "parity ^= (2 << k) - 1", "parity ^= (1 << k) - 1", EXPLORE),
+    Mutant("_class_value lets F keep the parity mask", "explore.py",
+           "parity ^= (2 << k) - 1",
+           "parity ^= (2 << k) - 1 if k < m else 1 << m", EXPLORE),
     Mutant("search_nontrivial reads one level too many", "explore.py",
            "if any(value.x[:m]):", "if any(value.x[:m + 1]):", EXPLORE),
     Mutant("distinguish reads one level too many", "explore.py",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections.abc import Sized
@@ -19,6 +20,7 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       rotate_basepoint, rotation_canonical_code,
                       rotation_classes, rotation_conjugacy_trial, scramble,
                       search_nontrivial, serialize, word_of)
+from freeknot.explore import _class_value
 from oracles import (all_matchings, breadth_first_reduce,
                      rotation_class_codes, search_by_matchings)
 from support import diagrams
@@ -322,6 +324,31 @@ class TestRotationClasses:
         classes = rotation_classes(8)
         assert not isinstance(classes, Sized)
         assert serialize(next(classes)) == "1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8"
+
+    def test_same_diagrams_in_the_same_order(self):
+        """The Gauss codes of every class on at most seven chords, one a
+        line, hash to the digest of the nested-generator recursion that
+        walked each forced position in a frame of its own."""
+        text = "\n".join(serialize(d) for n in range(8)
+                         for d in rotation_classes(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b52dc800414b8865649908fd9c84964a25f76de39797f29d29cacfdc8b601e96")
+
+
+class TestClassValue:
+    """The census kernel against its reference, evaluate(word_of(d, m))."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_class_through_seven_chords(self, n):
+        for d in rotation_classes(n):
+            for m in range(1, 5):
+                assert _class_value(d.chords, m) == evaluate(word_of(d, m))
+
+    @given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_random_diagrams(self, n, m, seed):
+        d = random_diagram(n, random.Random(seed))
+        assert _class_value(d.chords, m) == evaluate(word_of(d, m))
 
 
 class TestSearchNontrivial:
