@@ -15,10 +15,10 @@ from math import inf
 from typing import Iterator, Sequence
 
 from .diagram import Chord, ChordDiagram, first_appearance, serialize
-from .group import YES, NormalForm, conjugate_equal, evaluate
+from .group import YES, NormalForm, _act, conjugate_equal, evaluate
 from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
                     move_to_json, rotate_basepoint)
-from .parity import InvalidM, Word, word_of
+from .parity import InvalidM, Word, _codes, word_of
 
 SAME_INVARIANT = "same_invariant"
 CERTIFIED_DISTINCT = "certified_distinct"
@@ -317,40 +317,6 @@ def rotation_classes(n: int) -> Iterator[ChordDiagram]:
     return map(ChordDiagram, _class_chords(n))
 
 
-def _class_value(chords: Sequence[Chord], m: int) -> NormalForm:
-    """evaluate(word_of(ChordDiagram(chords), m)) for sorted chords,
-    read off bits with no diagram or word built.
-
-    A chord (p, q) is odd within a set exactly when an odd number of the
-    set's ends lie strictly between p and q (`parity._split` on bits).
-    Level k codes its odd part's ends (k, +1), its even part's (k, -1),
-    and F ends are (m, 0).  The walk keeps the parity of x[k:] + eps as
-    bit k of one mask, eps as bit m; an end coded (k, step) flips 0..k.
-    """
-    code = [(m, 0)] * (2 * len(chords) + 1)  # position 0 is unused
-    remaining = [(p, q, (1 << q) - (2 << p)) for p, q in chords]
-    ends = (1 << len(code)) - 2  # the ends of the remaining chords
-    for k in range(m):
-        level, rest, level_ends = [], [], 0
-        for c in remaining:
-            if (c[2] & ends).bit_count() & 1:
-                level.append(c)
-                level_ends |= 1 << c[0] | 1 << c[1]
-            else:
-                rest.append(c)
-        if not level:
-            break
-        ends, remaining, odd, even = ends ^ level_ends, rest, (k, 1), (k, -1)
-        for p, q, inside in level:
-            code[p] = code[q] = (
-                odd if (inside & level_ends).bit_count() & 1 else even)
-    x, parity = [0] * (m + 1), 0
-    for k, step in code[1:]:
-        x[k] += -step if parity >> k & 1 else step
-        parity ^= (2 << k) - 1
-    return NormalForm(tuple(x[:m]), parity >> m)
-
-
 def search_nontrivial(max_chords: int, depths: Sequence[int],
                       state_cap: int) -> tuple[list[list[str]], int, bool]:
     """Scan diagrams on up to max_chords chords, one per rotation class
@@ -363,7 +329,7 @@ def search_nontrivial(max_chords: int, depths: Sequence[int],
     coordinates and eps = 0; a round never looks ahead, so the value at
     depth m is its first m coordinates, the rest folding into that flag.
     So a class is a hit at depth m exactly when any(value.x[:m]).
-    `_class_value` reads it off the chords; only a hit becomes a diagram.
+    `_codes` and `_act` read it off the chords; only a hit becomes a diagram.
     Returns (witnesses, examined, complete): witnesses[i] lists the
     `rotation_canonical_code` of each hit at depths[i], by chord count
     and then token by token as integers; the scan stops after state_cap
@@ -378,7 +344,8 @@ def search_nontrivial(max_chords: int, depths: Sequence[int],
     examined = 0
     for chords in islice(classes, state_cap):
         examined += 1
-        value, code = _class_value(chords, deep), None
+        codes = _codes(chords, 2 * len(chords), deep)[1:]
+        value, code = _act(codes, [0] * (deep + 1), 0), None
         for m, found in hits.items():
             if any(value.x[:m]):
                 code = code or rotation_canonical_code(ChordDiagram(chords))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, NamedTuple
 
-from .parity import FINAL, Word, alphabet, double_prime, letter_level, prime
+from .parity import FINAL, Word, _code, alphabet, double_prime, prime
 
 
 class MixedM(ValueError):
@@ -57,11 +57,28 @@ def identity(m: int) -> NormalForm:
     return NormalForm((0,) * m, 0)
 
 
-def _step(x: list[int], eps: int, k: int, letter: str) -> None:
-    """Move x[k] for the level-k letter: Pk up and Dk down when
-    x[k] + ... + x[m-1] + eps is even, the other way when it is odd."""
-    step = 1 if letter[0] == "P" else -1
-    x[k] += step if (sum(x[k:]) + eps) % 2 == 0 else -step
+def _parity(point: NormalForm) -> int:
+    """The parity bits of a point: bit k holds x[k] + ... + x[m-1] + eps
+    mod 2 for every level k, and bit m holds eps."""
+    bits = s = point.eps
+    for xk in reversed(point.x):
+        s ^= xk & 1
+        bits = bits << 1 | s
+    return bits
+
+
+def _act(codes: Iterable[tuple[int, int]], x: list[int],
+         parity: int) -> NormalForm:
+    """Walk the point (x[:m]; eps) with parity bits `parity` through
+    letter codes (see parity._code), in place on x; x[m] is scratch.
+    (k, step) moves x[k] by step when bit k is clear, else by -step, and
+    F's (m, 0) moves only x[m]; either way the sums x[j:] + eps, j <= k,
+    change parity, so bits 0..k flip."""
+    m = len(x) - 1
+    for k, step in codes:
+        x[k] += -step if parity >> k & 1 else step
+        parity ^= (2 << k) - 1
+    return NormalForm(tuple(x[:m]), parity >> m)
 
 
 def apply_letter(point: NormalForm, letter: str) -> NormalForm:
@@ -75,12 +92,7 @@ def apply_letter(point: NormalForm, letter: str) -> NormalForm:
     >>> apply_letter(identity(1), "P0")
     NormalForm(x=(1,), eps=0)
     """
-    if letter == FINAL:
-        return NormalForm(point.x, 1 - point.eps)
-    k = letter_level(letter, point.m)
-    x = list(point.x)
-    _step(x, point.eps, k, letter)
-    return NormalForm(tuple(x), point.eps)
+    return _act((_code(letter, point.m),), [*point.x, 0], _parity(point))
 
 
 def corrupted_apply_letter(point: NormalForm, letter: str) -> NormalForm:
@@ -96,35 +108,14 @@ def corrupted_apply_letter(point: NormalForm, letter: str) -> NormalForm:
 
 
 def evaluate(word: Word) -> NormalForm:
-    """Evaluate a word left to right starting from the identity.
-
-    Each distinct letter is read once, by letter_level, into a table of
-    levels; apply_letter states the action, and both move a coordinate
-    through _step.
+    """Evaluate a word left to right from the identity: _act walks the
+    codes of its letters, each distinct letter coded once.
 
     >>> evaluate(Word(("P0", "F"), 1))
     NormalForm(x=(1,), eps=1)
     """
-    level = {z: letter_level(z, word.m) for z in dict.fromkeys(word.letters)}
-    x, eps = [0] * word.m, 0
-    for z in word.letters:
-        k = level[z]
-        if k is None:
-            eps ^= 1
-        else:
-            _step(x, eps, k, z)
-    return NormalForm(tuple(x), eps)
-
-
-def _signs(p: NormalForm) -> list[int]:
-    """s_k(p) = (-1)^(p.x[k] + ... + p.x[m-1] + p.eps) for every level k."""
-    signs = [0] * p.m
-    s = -1 if p.eps else 1
-    for k in range(p.m - 1, -1, -1):
-        if p.x[k] % 2:
-            s = -s
-        signs[k] = s
-    return signs
+    code = {z: _code(z, word.m) for z in dict.fromkeys(word.letters)}
+    return _act(map(code.__getitem__, word.letters), [0] * (word.m + 1), 0)
 
 
 def _walk(k: int, target: int, above: int) -> tuple[str, ...]:
@@ -212,7 +203,7 @@ def conjugate_equal(a: NormalForm, b: NormalForm) -> ConjugacyAnswer:
         return min(words, default=None,
                    key=lambda word: (len(word), [order[z] for z in word]))
 
-    signs_a = _signs(a)
+    parity_a = _parity(a)  # bit k set exactly when s_k(a) = -1
     below = {1: (), -1: ()}  # s_k(w) -> least word for the levels under k
     for k in range(a.m):
         options = {1: [], -1: []}  # s_{k+1}(w) -> words for levels k..0
@@ -221,7 +212,7 @@ def conjugate_equal(a: NormalForm, b: NormalForm) -> ConjugacyAnswer:
                 if rest is None:
                     continue
                 odd = here != above
-                if signs_a[k] < 0:
+                if parity_a >> k & 1:
                     twice = a.x[k] - here * b.x[k]
                     if twice % 4 != 2 * odd:
                         continue

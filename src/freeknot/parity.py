@@ -15,7 +15,7 @@ every letter of a level >= m read as F.
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .diagram import Chord, ChordDiagram
 
@@ -108,28 +108,69 @@ def _split(chords: list[Chord], size: int) -> tuple[list[Chord], list[Chord]]:
     return odd, even
 
 
+# Up to this many ends _codes tests oddness on inside masks, above it by
+# _split's rank scan: the masks took 0.6-1.0 of its time up to 80 ends,
+# 1.2-1.5 from 320 on, and O(n^2) bits.  The census runs below it,
+# free_compare (60-150 chords) and invariant_large (150-600) above it.
+_MASK_SIZE = 64
+
+
+def _code(letter: str, m: int) -> tuple[int, int]:
+    """(k, 1) for the letter Pk, (k, -1) for Dk and (m, 0) for F."""
+    k = letter_level(letter, m)
+    return (m, 0) if k is None else (k, 1 if letter[0] == "P" else -1)
+
+
+def _codes(chords: Sequence[Chord], size: int,
+           m: int) -> list[tuple[int, int]]:
+    """The _code of the letter at each position 1..size of the word at
+    depth m, position 0 unused; the ends of one part share one tuple.
+    Round k cuts level k into Pk and Dk, and a round that finds no odd
+    chord ends the walk: no later round can find one.  Up to _MASK_SIZE
+    ends a chord is odd within a set when an odd number of the set's
+    ends lie under its inside mask, above it when its rank gap is even
+    (see _split)."""
+    code = [(m, 0)] * (size + 1)
+    if size > _MASK_SIZE:
+        remaining = list(chords)
+        for k in range(m):
+            level, remaining = _split(remaining, size)
+            if not level:
+                break
+            for part, c in zip(_split(level, size), ((k, 1), (k, -1))):
+                for p, q in part:
+                    code[p] = code[q] = c
+        return code
+    remaining = [(p, q, (1 << q) - (2 << p)) for p, q in chords]
+    ends = (1 << size + 1) - 2  # the ends of the remaining chords
+    for k in range(m):
+        level, rest, level_ends = [], [], 0
+        for c in remaining:
+            if (c[2] & ends).bit_count() & 1:
+                level.append(c)
+                level_ends |= 1 << c[0] | 1 << c[1]
+            else:
+                rest.append(c)
+        if not level:
+            break
+        ends, remaining, odd, even = ends ^ level_ends, rest, (k, 1), (k, -1)
+        for p, q, inside in level:
+            code[p] = code[q] = (
+                odd if (inside & level_ends).bit_count() & 1 else even)
+    return code
+
+
 def word_of(d: ChordDiagram, m: int) -> Word:
     """The word of a diagram at depth m: position j carries the letter
-    of its chord.  Round k splits level k off the chords still present
-    and splits it again into its Pk and Dk parts; once a round finds no
-    odd chord, no later round can.
+    of its chord, spelled from _codes.
 
     >>> word_of(ChordDiagram([(1, 3), (2, 5), (4, 6)]), 1).letters
     ('D0', 'F', 'D0', 'D0', 'F', 'D0')
     """
     if m < 1:
         raise InvalidM(f"depth must be a positive integer, got {m}")
-    letters = [FINAL] * d.size
-    remaining = list(d.chords)
-    for k in range(m):
-        level, remaining = _split(remaining, d.size)
-        if not level:
-            break
-        for part, letter in zip(_split(level, d.size),
-                                (prime(k), double_prime(k))):
-            for p, q in part:
-                letters[p - 1] = letters[q - 1] = letter
-    return Word(tuple(letters), m)
+    letter = {_code(z, m): z for z in alphabet(m)}
+    return Word(tuple(map(letter.get, _codes(d.chords, d.size, m)[1:])), m)
 
 
 def filtration(d: ChordDiagram, m: int) -> Filtration:

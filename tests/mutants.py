@@ -47,8 +47,10 @@ MUTANTS = [
     Mutant("_split swaps odd and even", "parity.py",
            "(even if (rank[c[1]] - rank[c[0]]) % 2 else odd)",
            "(odd if (rank[c[1]] - rank[c[0]]) % 2 else even)", PARITY),
-    Mutant("_step drops eps from the parity sum", "group.py",
-           "(sum(x[k:]) + eps) % 2 == 0", "sum(x[k:]) % 2 == 0", GROUP),
+    Mutant("_parity drops eps from the parity sum", "group.py",
+           "bits = s = point.eps", "bits, s = point.eps, 0", GROUP),
+    Mutant("_parity ignores the flag", "group.py",
+           "bits = s = point.eps", "bits = s = 0", GROUP),
     Mutant("r2_sites misses nested pairs", "moves.py",
            "abs(c2[1] - c1[1]) == 1", "c2[1] - c1[1] == 1", MOVES),
     Mutant("r3_sites keeps a triple from every end", "moves.py",
@@ -76,8 +78,9 @@ MUTANTS = [
            MOVES),
     Mutant("conjugate_equal tests twice mod 8", "group.py",
            "twice % 4 != 2 * odd", "twice % 8 != 2 * odd", GROUP),
-    Mutant("_signs ignores the flag", "group.py",
-           "s = -1 if p.eps else 1", "s = 1", GROUP),
+    Mutant("conjugate_equal reads a's parity without the flag", "group.py",
+           "parity_a = _parity(a)", "parity_a = _parity(a._replace(eps=0))",
+           GROUP),
     Mutant("_walk never swaps the pair", "group.py",
            "if (target > 0) != (above > 0):",
            "if (target > 0) == (above > 0):", GROUP),
@@ -87,14 +90,16 @@ MUTANTS = [
            "if size % p == 0:", "if True:", EXPLORE),
     Mutant("_class_chords keeps the period over forced gaps", "explore.py",
            "if g > gaps[t - p]:", "if False:", EXPLORE),
-    Mutant("_class_value inverts the odd test", "explore.py",
+    Mutant("_codes inverts the odd bit test", "parity.py",
            "if (c[2] & ends).bit_count() & 1:",
-           "if not (c[2] & ends).bit_count() & 1:", EXPLORE),
-    Mutant("_class_value steps flip one bit too few", "explore.py",
-           "parity ^= (2 << k) - 1", "parity ^= (1 << k) - 1", EXPLORE),
-    Mutant("_class_value lets F keep the parity mask", "explore.py",
+           "if not (c[2] & ends).bit_count() & 1:", PARITY),
+    Mutant("_codes keeps a removed level's ends", "parity.py",
+           "ends ^ level_ends", "ends", PARITY),
+    Mutant("_act steps flip one bit too few", "group.py",
+           "parity ^= (2 << k) - 1", "parity ^= (1 << k) - 1", GROUP),
+    Mutant("_act lets F keep the parity mask", "group.py",
            "parity ^= (2 << k) - 1",
-           "parity ^= (2 << k) - 1 if k < m else 1 << m", EXPLORE),
+           "parity ^= (2 << k) - 1 if k < m else 1 << m", GROUP),
     Mutant("search_nontrivial reads one level too many", "explore.py",
            "if any(value.x[:m]):", "if any(value.x[:m + 1]):", EXPLORE),
     Mutant("distinguish reads one level too many", "explore.py",

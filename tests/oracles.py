@@ -1,7 +1,9 @@
 """Slow reference implementations that the library's fast paths replaced.
 
-Normal-form words are built and the group operations applied one
-letter at a time through the action, and conjugacy is explored by
+Words are cut by rank scans alone and evaluated one coordinate step
+at a time, as before the bitmask kernel.  Normal-form words are built
+and the group operations applied one letter at a time through the
+action, and conjugacy is explored by
 breadth-first closure under single-letter conjugation.  Word equality
 is tested by rewriting alone, never through the action.  Linking is
 tested chord pair by chord pair, and move sites are found by testing
@@ -17,7 +19,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable
 
 import freeknot
@@ -26,7 +28,8 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FINAL, LONG,
                       YES, Chord, ChordDiagram, MixedM, NormalForm,
                       SearchReport, Word, alphabet, apply_letter, apply_move,
                       double_prime, enumerate_moves, evaluate, filtration,
-                      identity, parse_gauss_code, prime, relations,
+                      identity, letter_level, parse_gauss_code, prime,
+                      relations,
                       rotation_canonical_code, word_of)
 
 EQUAL = "equal"
@@ -54,6 +57,61 @@ def linked(c1: Chord, c2: Chord) -> bool:
 def link_count(p: Chord, b: Iterable[Chord]) -> int:
     """Number of chords in b linked with p; p never counts against itself."""
     return sum(1 for c in b if c != p and linked(p, c))
+
+
+def _rank_split(chords, size):
+    """The chords linked with an odd number of the others in the list,
+    and the rest: a chord is odd exactly when the rank gap between its
+    ends, ranking the list's ends along 1..size, is even."""
+    rank = [0] * (size + 1)
+    for p, q in chords:
+        rank[p] = rank[q] = 1
+    rank = list(accumulate(rank))
+    odd = [c for c in chords if (rank[c[1]] - rank[c[0]]) % 2 == 0]
+    return odd, [c for c in chords if (rank[c[1]] - rank[c[0]]) % 2]
+
+
+def rank_word(d: ChordDiagram, m: int) -> Word:
+    """The word at depth m, every level and part cut by a rank scan."""
+    letters = [FINAL] * d.size
+    remaining = list(d.chords)
+    for k in range(m):
+        level, remaining = _rank_split(remaining, d.size)
+        if not level:
+            break
+        for part, letter in zip(_rank_split(level, d.size),
+                                (prime(k), double_prime(k))):
+            for p, q in part:
+                letters[p - 1] = letters[q - 1] = letter
+    return Word(tuple(letters), m)
+
+
+def _step(x: list[int], eps: int, k: int, letter: str) -> None:
+    """Move x[k] for the level-k letter: Pk up and Dk down when
+    x[k] + ... + x[m-1] + eps is even, the other way when it is odd."""
+    step = 1 if letter[0] == "P" else -1
+    x[k] += step if (sum(x[k:]) + eps) % 2 == 0 else -step
+
+
+def step_apply_letter(point: NormalForm, letter: str) -> NormalForm:
+    """apply_letter with the parity sum added up afresh."""
+    if letter == FINAL:
+        return NormalForm(point.x, 1 - point.eps)
+    x = list(point.x)
+    _step(x, point.eps, letter_level(letter, point.m), letter)
+    return NormalForm(tuple(x), point.eps)
+
+
+def step_evaluate(word: Word) -> NormalForm:
+    """evaluate with the parity sum added up afresh at every letter."""
+    x, eps = [0] * word.m, 0
+    for z in word.letters:
+        k = letter_level(z, word.m)
+        if k is None:
+            eps ^= 1
+        else:
+            _step(x, eps, k, z)
+    return NormalForm(tuple(x), eps)
 
 
 def fold(point: NormalForm, letters) -> NormalForm:

@@ -20,7 +20,7 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       rotate_basepoint, rotation_canonical_code,
                       rotation_classes, rotation_conjugacy_trial, scramble,
                       search_nontrivial, serialize, word_of)
-from freeknot.explore import _class_value
+from freeknot.parity import _MASK_SIZE
 from oracles import (all_matchings, breadth_first_reduce,
                      rotation_class_codes, search_by_matchings)
 from support import diagrams
@@ -336,19 +336,42 @@ class TestRotationClasses:
 
 
 class TestClassValue:
-    """The census kernel against its reference, evaluate(word_of(d, m))."""
+    """The value of a class, read through the kernels that the census
+    shares with word_of and evaluate, against the rank-scan word and the
+    step-by-step evaluation that they replaced."""
+
+    @staticmethod
+    def check(d, m):
+        word = word_of(d, m)
+        assert word == oracles.rank_word(d, m)
+        assert evaluate(word) == oracles.step_evaluate(word)
 
     @pytest.mark.parametrize("n", range(8))
     def test_every_class_through_seven_chords(self, n):
         for d in rotation_classes(n):
             for m in range(1, 5):
-                assert _class_value(d.chords, m) == evaluate(word_of(d, m))
+                self.check(d, m)
 
     @given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_random_diagrams(self, n, m, seed):
-        d = random_diagram(n, random.Random(seed))
-        assert _class_value(d.chords, m) == evaluate(word_of(d, m))
+        self.check(random_diagram(n, random.Random(seed)), m)
+
+    @pytest.mark.parametrize("size", [_MASK_SIZE - 2, _MASK_SIZE,
+                                      _MASK_SIZE + 2])
+    def test_both_sides_of_the_mask_threshold(self, size):
+        rng = random.Random(size)
+        for _ in range(40):
+            d = random_diagram(size // 2, rng)
+            for m in range(1, 5):
+                self.check(d, m)
+
+    def test_large_diagrams(self):
+        rng = random.Random(150300)
+        for _ in range(4):
+            d = random_diagram(rng.randint(150, 300), rng)
+            for m in range(1, 5):
+                self.check(d, m)
 
 
 class TestSearchNontrivial:

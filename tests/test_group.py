@@ -11,7 +11,7 @@ from freeknot import (NO, YES, ConjugacyAnswer, LevelOutOfRange, MixedM,
                       conjugate_equal, corrupted_apply_letter, evaluate,
                       identity, parse_gauss_code, random_diagram,
                       relation_check, relations, rotation_classes, word_of)
-from freeknot.group import _signs, _walk
+from freeknot.group import _parity, _walk
 from oracles import EQUAL, UNDETERMINED, rewrite_oracle
 from support import normal_forms, random_point, words
 
@@ -344,8 +344,37 @@ def _random_word(rng, m, max_len):
 
 
 class TestAgainstOracles:
-    """The closed form and the exact conjugacy test against the
-    letter-walking code they replaced."""
+    """The action, the closed form and the exact conjugacy test against
+    the letter-walking code they replaced."""
+
+    @pytest.mark.parametrize("eps", [0, 1])
+    def test_parity_bits_are_the_step_sums(self, eps):
+        rng = random.Random(f"parity-{eps}")
+        for _ in range(500):
+            m = rng.randint(1, 5)
+            a = random_point(rng, m)._replace(eps=eps)
+            bits = _parity(a)
+            assert [bits >> k & 1 for k in range(m + 1)] \
+                == [(sum(a.x[k:]) + eps) % 2 for k in range(m + 1)]
+
+    @pytest.mark.parametrize("eps", [0, 1])
+    def test_apply_letter_matches_the_step_reference(self, eps):
+        rng = random.Random(f"apply-{eps}")
+        for _ in range(500):
+            m = rng.randint(1, 4)
+            a = random_point(rng, m)._replace(eps=eps)
+            for z in alphabet(m):
+                assert apply_letter(a, z) == oracles.step_apply_letter(a, z)
+
+    def test_evaluate_matches_the_step_reference(self):
+        rng = random.Random(2610)
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            letters = [rng.choice(alphabet(m))
+                       for _ in range(rng.randint(0, 60))]
+            letters.insert(rng.randint(0, len(letters)), "F")
+            w = Word(tuple(letters), m)
+            assert evaluate(w) == oracles.step_evaluate(w)
 
     def test_group_law_matches_the_fold(self):
         # conjugate_equal's closed form: the product moves a.x[k] by
@@ -354,10 +383,11 @@ class TestAgainstOracles:
         for _ in range(2000):
             m = rng.randint(1, 4)
             a, b = random_point(rng, m), random_point(rng, m)
-            signs = _signs(a)
+            bits = _parity(a)
+            signs = [-1 if bits >> k & 1 else 1 for k in range(m + 1)]
             x = tuple(ak + s * bk for ak, s, bk in zip(a.x, signs, b.x))
             assert oracles.multiply(a, b) == NormalForm(x, a.eps ^ b.eps)
-            above = signs[1:] + [-1 if a.eps else 1]  # s_{k+1}(a)
+            above = signs[1:]  # s_{k+1}(a), and s_m(a) = (-1)^eps
             walks = [_walk(k, a.x[k], above[k]) for k in reversed(range(m))]
             assert ("F",) * a.eps + sum(walks, ()) \
                 == oracles.normal_form_to_word(a)
