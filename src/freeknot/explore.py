@@ -15,10 +15,10 @@ from math import inf
 from typing import Iterator, Sequence
 
 from .diagram import Chord, ChordDiagram, first_appearance, serialize
-from .group import YES, NormalForm, _act, conjugate_equal, evaluate
+from .group import YES, NormalForm, _value, conjugate_equal, evaluate
 from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
                     move_to_json, rotate_basepoint)
-from .parity import InvalidM, Word, _codes, word_of
+from .parity import InvalidM, Word, word_of
 
 SAME_INVARIANT = "same_invariant"
 CERTIFIED_DISTINCT = "certified_distinct"
@@ -230,8 +230,8 @@ def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
                 mode: str = LONG) -> tuple[str, list[dict]]:
     """Compare two diagrams through their invariants at the depths of m_list.
 
-    Each diagram is evaluated once, at the deepest depth, and read at
-    depth m as NormalForm(x[:m], 0) (see `search_nontrivial`).  Long
+    Each diagram gets one value, at the deepest depth, read at depth m
+    as NormalForm(x[:m], 0) (see `group._value`).  Long
     mode compares values exactly ("equal" or "distinct"), free mode
     conjugacy classes ("conjugate", with a shortest conjugating word as
     witness, or "distinct").  Returns the verdict, CERTIFIED_DISTINCT
@@ -243,7 +243,7 @@ def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
     if any(m < 1 for m in m_list):
         raise InvalidM(f"depths must be positive integers, got {m_list}")
     deep = max(m_list, default=1)
-    x1, x2 = (evaluate(word_of(d, deep)).x for d in (d1, d2))
+    x1, x2 = (_value(d.chords, deep).x for d in (d1, d2))
     per_m = []
     for m in m_list:
         a, b = NormalForm(x1[:m], 0), NormalForm(x2[:m], 0)
@@ -319,17 +319,14 @@ def rotation_classes(n: int) -> Iterator[ChordDiagram]:
 
 def search_nontrivial(max_chords: int, depths: Sequence[int],
                       state_cap: int) -> tuple[list[list[str]], int, bool]:
-    """Scan diagrams on up to max_chords chords, one per rotation class
-    from `rotation_classes`, for words that evaluate away from the
-    identity; such a hit is a certified nontrivial free knot, since the
-    identity's conjugacy class is itself alone.
+    """Scan diagrams on up to max_chords chords, the sorted chords of
+    one per rotation class from `_class_chords`, for words that evaluate
+    away from the identity; such a hit is a certified nontrivial free
+    knot, since the identity's conjugacy class is itself alone.
 
-    One value per class, at the deepest depth, serves every depth.  A
-    chord writes its letter at both ends, so the value has even
-    coordinates and eps = 0; a round never looks ahead, so the value at
-    depth m is its first m coordinates, the rest folding into that flag.
-    So a class is a hit at depth m exactly when any(value.x[:m]).
-    `_codes` and `_act` read it off the chords; only a hit becomes a diagram.
+    One `_value` per class, at the deepest depth, serves every depth:
+    by the prefix rule of its docstring, a class is a hit at depth m
+    exactly when any(value.x[:m]).  Only a hit becomes a diagram.
     Returns (witnesses, examined, complete): witnesses[i] lists the
     `rotation_canonical_code` of each hit at depths[i], by chord count
     and then token by token as integers; the scan stops after state_cap
@@ -344,8 +341,7 @@ def search_nontrivial(max_chords: int, depths: Sequence[int],
     examined = 0
     for chords in islice(classes, state_cap):
         examined += 1
-        codes = _codes(chords, 2 * len(chords), deep)[1:]
-        value, code = _act(codes, [0] * (deep + 1), 0), None
+        value, code = _value(chords, deep), None
         for m, found in hits.items():
             if any(value.x[:m]):
                 code = code or rotation_canonical_code(ChordDiagram(chords))

@@ -22,9 +22,10 @@ the exact conjugacy test conjugate_equal rests on it.
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .parity import FINAL, Word, _code, alphabet, double_prime, prime
+from .diagram import Chord
+from .parity import FINAL, Word, _code, _codes, alphabet, double_prime, prime
 
 
 class MixedM(ValueError):
@@ -116,6 +117,17 @@ def evaluate(word: Word) -> NormalForm:
     """
     code = {z: _code(z, word.m) for z in dict.fromkeys(word.letters)}
     return _act(map(code.__getitem__, word.letters), [0] * (word.m + 1), 0)
+
+
+def _value(chords: Sequence[Chord], m: int) -> NormalForm:
+    """The value at depth m of the diagram with these chords: _act walks
+    the codes of its word (see parity._codes) from the identity.
+
+    A chord writes its letter at both ends, so the value has even
+    coordinates and eps = 0.  A round never looks ahead, so its first k
+    coordinates are the value at depth k: a letter of a level >= k acts
+    on the first k coordinates as F does."""
+    return _act(_codes(chords, 2 * len(chords), m)[1:], [0] * (m + 1), 0)
 
 
 def _walk(k: int, target: int, above: int) -> tuple[str, ...]:

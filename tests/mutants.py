@@ -100,6 +100,9 @@ MUTANTS = [
     Mutant("_act lets F keep the parity mask", "group.py",
            "parity ^= (2 << k) - 1",
            "parity ^= (2 << k) - 1 if k < m else 1 << m", GROUP),
+    Mutant("_value skips the first end", "group.py",
+           "_codes(chords, 2 * len(chords), m)[1:]",
+           "_codes(chords, 2 * len(chords), m)[2:]", EXPLORE),
     Mutant("search_nontrivial reads one level too many", "explore.py",
            "if any(value.x[:m]):", "if any(value.x[:m + 1]):", EXPLORE),
     Mutant("distinguish reads one level too many", "explore.py",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exhaustive_invariance
 import freeknot.explore
 import make_scramble_golden
 import oracles
@@ -20,6 +21,7 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       rotate_basepoint, rotation_canonical_code,
                       rotation_classes, rotation_conjugacy_trial, scramble,
                       search_nontrivial, serialize, word_of)
+from freeknot.group import _value
 from freeknot.parity import _MASK_SIZE
 from oracles import (all_matchings, breadth_first_reduce,
                      rotation_class_codes, search_by_matchings)
@@ -337,14 +339,17 @@ class TestRotationClasses:
 
 class TestClassValue:
     """The value of a class, read through the kernels that the census
-    shares with word_of and evaluate, against the rank-scan word and the
-    step-by-step evaluation that they replaced."""
+    shares with word_of and evaluate, and through `_value`, which
+    `search_nontrivial` and `distinguish` read, against the rank-scan
+    word and the step-by-step evaluation that they replaced."""
 
     @staticmethod
     def check(d, m):
         word = word_of(d, m)
         assert word == oracles.rank_word(d, m)
-        assert evaluate(word) == oracles.step_evaluate(word)
+        value = oracles.step_evaluate(word)
+        assert evaluate(word) == value
+        assert _value(d.chords, m) == value
 
     @pytest.mark.parametrize("n", range(8))
     def test_every_class_through_seven_chords(self, n):
@@ -372,6 +377,13 @@ class TestClassValue:
             d = random_diagram(rng.randint(150, 300), rng)
             for m in range(1, 5):
                 self.check(d, m)
+
+
+def test_every_move_keeps_the_value_through_six_chords():
+    """Every move but a rotation, listed at base points 0 and 1 of every
+    rotation class of at most six chords with insertions up to seven,
+    keeps the value at depth 3 (CI runs the same check through seven)."""
+    assert exhaustive_invariance.count(6) == exhaustive_invariance.PINNED[6]
 
 
 class TestSearchNontrivial:
