@@ -20,7 +20,7 @@ import os
 import random
 import signal
 import sys
-from itertools import chain
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 
 from .diagram import ChordDiagram, parse_gauss_code, serialize
@@ -58,17 +58,14 @@ def _seed(args) -> int:
     return args.seed if args.seed is not None else random.randrange(2 ** 32)
 
 
-def _chord_list(chords) -> list[list[int]]:
-    return [list(c) for c in sorted(chords)]
-
-
 def _describe(d: ChordDiagram, m_values: list[int]):
     """d's entries at each depth, all read off one deep filtration whose
-    levels and splits are sorted once (a residue sorts sorted runs)."""
+    levels and splits are sorted once (a residue sorts sorted runs);
+    chords stay sorted tuples, which the writer renders as arrays."""
     deep = filtration(d, max(m_values))
     x = evaluate(deep.word).x
-    levels = [*map(_chord_list, deep.levels)]
-    splits = [{"odd": _chord_list(odd), "even": _chord_list(even)}
+    levels = [*map(sorted, deep.levels)]
+    splits = [{"odd": sorted(odd), "even": sorted(even)}
               for odd, even in deep.prime_split]
     for m in m_values:
         kept = set(alphabet(m))
@@ -321,10 +318,12 @@ def _put_json(value, indent: str, append) -> None:
     """Append the chunks of `value`; `indent` is a newline and the
     spaces that start its line.
 
-    Dicts (str keys only), lists and tuples recurse; exact strs and ints
-    are encoded directly, a list of only ints or only strs in one join,
-    and every other scalar by json.dumps itself.  Exact type tests keep
-    bools, an int subclass, off the int path.  Not a closure: a nested
+    Three paths write without recursing: exact strs and ints directly,
+    a flat list of only ints or only strs in one join, and rows (lists
+    or tuples of one length holding only ints, such as chords) in one
+    join over one row template.  Exact type tests keep bools, an int
+    subclass, off them.  Other lists, tuples and dicts (str keys only)
+    recurse; other scalars go to json.dumps.  Not a closure: a nested
     function that calls itself is a reference cycle, which would keep
     every chunk alive until the collector's next full pass.
     """
@@ -338,6 +337,13 @@ def _put_json(value, indent: str, append) -> None:
             return
         inner = indent + "  "
         kinds = set(map(type, value))
+        lens = set(map(len, value)) if kinds <= {list, tuple} else ()
+        if len(lens) == 1 and set(map(type, chain(*value))) == {int}:
+            deeper = inner + "  "
+            row = "[" + deeper + ("," + deeper).join(["{}"] * lens.pop())
+            append("[" + inner + ("," + inner).join(starmap(
+                (row + inner + "]").format, value)) + indent + "]")
+            return
         encode = _FLAT.get(kinds.pop()) if len(kinds) == 1 else None
         if encode:
             append("[" + inner + ("," + inner).join(map(encode, value))

@@ -116,6 +116,11 @@ MUTANTS = [
            JSON_TEXT),
     Mutant("_put_json leaves keys unsorted", "cli.py",
            "for key in sorted(value):", "for key in value:", JSON_TEXT),
+    Mutant("rows path lets bools in", "cli.py",
+           "set(map(type, chain(*value))) == {int}",
+           "set(map(type, chain(*value))) <= {int, bool}", JSON_TEXT),
+    Mutant("rows path accepts ragged rows", "cli.py",
+           "if len(lens) == 1 and", "if len(lens) >= 1 and", JSON_TEXT),
 ]
 
 

@@ -31,8 +31,22 @@ floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
 scalars = st.none() | st.booleans() | ints | floats | texts
 flat_lists = (st.lists(st.booleans() | ints) | st.lists(st.booleans())
               | st.lists(ints) | st.lists(texts))
+
+
+def _rows(k: int):
+    """Lists of int lists and tuples, all of length k."""
+    row = st.lists(ints, min_size=k, max_size=k)
+    return st.lists(row | row.map(tuple), min_size=1, max_size=6)
+
+
+# equal-length int rows take the one-template path; ragged rows, rows
+# holding a bool and empty rows must not
+rows = (st.integers(0, 3).flatmap(_rows)
+        | st.lists(st.lists(st.booleans() | ints, max_size=3), max_size=6)
+        | st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(
+            st.booleans() | ints, min_size=k, max_size=k), min_size=1)))
 json_like = st.recursive(
-    scalars | flat_lists,
+    scalars | flat_lists | rows,
     lambda children: (st.lists(children, max_size=4)
                       | st.lists(children, max_size=4).map(tuple)
                       | st.dictionaries(texts, children, max_size=4)),
@@ -49,6 +63,11 @@ json_like = st.recursive(
 @example([math.nan, math.inf, -math.inf, -0.0, 1e-300])
 @example(['"\\\x00\x1f\x7f\xe9\ud800', "\udfff"])
 @example((1, (2, "x"), [None, 1.5], {"k": (True,)}))
+@example([[1], [2, 3]])
+@example([[1, True]])
+@example([[], []])
+@example([(1, 2), [3, 4]])
+@example({"a": [[10 ** 100, -1]]})
 def test_matches_the_reference(value):
     assert _json_text(value) == indented_json(value)
 
@@ -71,7 +90,9 @@ def test_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
     try:
-        _json_text({"b": [[1, 2], [3, 4]], "a": [True, None, "x"]})
+        # rows of one length, ragged rows, and a recursive list
+        _json_text({"b": [[1, 2], (3, 4)], "c": [[1], [2, 3]],
+                    "a": [True, None, "x"]})
         assert gc.collect() == 0
     finally:
         gc.enable()
