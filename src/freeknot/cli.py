@@ -29,7 +29,8 @@ from .explore import (CERTIFIED_DISTINCT, FREE, LONG, distinguish,
                       scramble, search_nontrivial)
 from .group import (NormalForm, corrupted_apply_letter, evaluate, identity,
                     relation_check)
-from .moves import enumerate_moves, move_to_json, move_to_text
+from .moves import (ApplicableMoves, Move, enumerate_moves, move_to_json,
+                    move_to_text)
 from .parity import FINAL, alphabet, filtration
 
 
@@ -214,8 +215,7 @@ def cmd_moves(args):
     max_chords = args.max_chords if args.max_chords is not None else d.n + 2
     moves = enumerate_moves(d, max_chords)
     return 0, {"gauss": serialize(d), "max_chords": max_chords,
-               "moves": [move_to_json(mv) for mv in moves]}, \
-        (move_to_text(mv) for mv in moves)
+               "moves": moves}, (move_to_text(mv) for mv in moves)
 
 
 def _at_least(low: int, name: str):
@@ -302,6 +302,27 @@ def _parser() -> argparse.ArgumentParser:
 _FLAT = {int: int.__repr__, str: encode_basestring_ascii}
 
 
+def _marked(value, name: str):
+    """`value` with each leaf a marker of its field {name}: <name> for an
+    int, (name) for a str (kept quoted); outer item i is field {i}."""
+    if isinstance(value, tuple):
+        return tuple(_marked(v, f"{name}[{i}]" if name else str(i))
+                     for i, v in enumerate(value))
+    return f"({name})" if type(value) is str else f"<{name}>"
+
+
+@functools.cache
+def _template(kind: str, marked: tuple, indent: str) -> str:
+    """move_to_json of a `kind` move as _put_json writes it at `indent`,
+    made a str.format template: braces doubled, each marker its field.
+    A str goes in unescaped; the only one, a pattern, needs no escape."""
+    chunks = []
+    _put_json(move_to_json(Move(kind, marked)), indent, chunks.append)
+    return ("".join(chunks).replace("{", "{{").replace("}", "}}")
+            .replace('"<', "{").replace('>"', "}")
+            .replace("(", "{").replace(")", "}"))
+
+
 def _json_text(value) -> str:
     """`value` as json.dumps(value, indent=2, sort_keys=True) writes it.
 
@@ -318,14 +339,15 @@ def _put_json(value, indent: str, append) -> None:
     """Append the chunks of `value`; `indent` is a newline and the
     spaces that start its line.
 
-    Three paths write without recursing: exact strs and ints directly,
-    a flat list of only ints or only strs in one join, and rows (lists
-    or tuples of one length holding only ints, such as chords) in one
-    join over one row template.  Exact type tests keep bools, an int
-    subclass, off them.  Other lists, tuples and dicts (str keys only)
-    recurse; other scalars go to json.dumps.  Not a closure: a nested
-    function that calls itself is a reference cycle, which would keep
-    every chunk alive until the collector's next full pass.
+    Four paths write without recursing: exact strs and ints directly, a
+    flat list of only ints or only strs in one join, rows (lists or
+    tuples of one length holding only ints, such as chords) in one join
+    over one row template, and a move listing in one join per kind over
+    its _template.  Exact type tests keep bools, an int subclass, off
+    them.  Other lists, tuples and dicts (str keys only) recurse; other
+    scalars go to json.dumps.  Not a closure: a nested function that
+    calls itself is a reference cycle, which would keep every chunk
+    alive until the collector's next full pass.
     """
     if type(value) is str:
         append(encode_basestring_ascii(value))
@@ -366,6 +388,13 @@ def _put_json(value, indent: str, append) -> None:
             _put_json(value[key], inner, append)
             head = "," + inner
         append(indent + "}")
+    elif isinstance(value, ApplicableMoves):
+        inner = indent + "  "
+        texts = [("," + inner).join(starmap(_template(
+            kind, _marked(sites[0], ""), inner).format, sites))
+            for kind, sites in value.blocks if sites]
+        append("[" + inner + ("," + inner).join(texts) + indent + "]"
+               if texts else "[]")
     else:
         append(json.dumps(value))
 

@@ -245,24 +245,25 @@ def _kind(name) -> MoveKind:
 class ApplicableMoves(Sequence):
     """The moves enumerate_moves lists, in its order, each built when
     indexed or reached by iteration: drawing one costs the site scans,
-    not the O(n^2) list of R2 insertions."""
+    not the O(n^2) list of R2 insertions.  `blocks` holds each kind's
+    name and sites (its moves' params), in the order of MOVE_KINDS."""
 
     def __init__(self, d: ChordDiagram, max_chords: int):
-        self._sites = [(name, kind.sites(d, max_chords))
+        self.blocks = [(name, kind.sites(d, max_chords))
                        for name, kind in MOVE_KINDS.items()]
 
     def __len__(self) -> int:
-        return sum(len(sites) for _, sites in self._sites)
+        return sum(len(sites) for _, sites in self.blocks)
 
     def __getitem__(self, i: int) -> Move:
-        for name, sites in self._sites:
+        for name, sites in self.blocks:
             if 0 <= i < len(sites):
                 return Move(name, sites[i])
             i -= len(sites)
         raise IndexError(i)
 
     def __iter__(self):
-        return (Move(name, params) for name, sites in self._sites
+        return (Move(name, params) for name, sites in self.blocks
                 for params in sites)
 
 

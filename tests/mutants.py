@@ -121,6 +121,13 @@ MUTANTS = [
            "set(map(type, chain(*value))) <= {int, bool}", JSON_TEXT),
     Mutant("rows path accepts ragged rows", "cli.py",
            "if len(lens) == 1 and", "if len(lens) >= 1 and", JSON_TEXT),
+    Mutant("move records write kind first", "cli.py",
+           "for key in sorted(value):",
+           'for key in sorted(value, key=lambda k: (k != "kind", k)):',
+           JSON_TEXT),
+    Mutant("_template swaps r2_add's gaps", "cli.py",
+           "Move(kind, marked)", "Move(kind, marked[1::-1] + marked[2:])",
+           JSON_TEXT),
 ]
 
 

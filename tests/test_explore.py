@@ -386,6 +386,13 @@ def test_every_move_keeps_the_value_through_six_chords():
     assert exhaustive_invariance.count(6) == exhaustive_invariance.PINNED[6]
 
 
+def test_every_rotation_keeps_abs_x_and_reversal_negates_x_to_six_chords():
+    """Every other rotation of every rotation class of at most six
+    chords keeps |x| at depth 3, and its reversal has the value -x (CI
+    runs the same check through seven)."""
+    assert exhaustive_invariance.turns(6) == exhaustive_invariance.TURNS[6]
+
+
 class TestSearchNontrivial:
     def test_nothing_below_five_chords(self):
         assert search_nontrivial(4, [1], 10**6) == ([[]], 26, True)

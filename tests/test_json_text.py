@@ -1,20 +1,26 @@
 """The --json text: `cli._json_text` writes exactly what the reference,
 json.dumps(value, indent=2, sort_keys=True), writes, on JSON-like
-values of every shape and on the CLI's payloads at benchmark sizes."""
+values of every shape and on the CLI's payloads at benchmark sizes;
+`moves --json`, written over one template per kind, is the text of the
+list of move_to_json records."""
 
 import ast
 import gc
 import json
 import math
 import random
+from collections import Counter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from freeknot import random_diagram, serialize
+from freeknot import (enumerate_moves, move_to_json, parse_gauss_code,
+                      random_diagram, scramble, serialize)
 from freeknot.cli import _json_text, main
+from freeknot.moves import MOVE_KINDS, PATTERNS
 from oracles import indented_json
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "freeknot"
@@ -102,6 +108,70 @@ def test_keys_must_be_strings():
     # json.dumps would write the key as "1"; no payload has such a key
     with pytest.raises(TypeError):
         _json_text({1: "a"})
+
+
+def _moves_cases():
+    """(gauss code, --max-chords or None) on seeded diagrams of 0-40
+    chords, every other one scrambled so that R1, R2 and R3 sites
+    appear, at the default cap, at n (no R2 insertions) and below n (no
+    insertions); then the empty diagram under cap 0, whose listing is
+    empty, and two diagrams with one R1 or one R3 site."""
+    rng = random.Random(40)
+    cases = []
+    for i in range(16):
+        d = random_diagram(rng.randint(0, 40), rng)
+        if i % 2:
+            d = scramble(d, 40, rng.randrange(2 ** 32), d.n + 4)
+        cases += [(serialize(d), cap) for cap in (None, d.n, d.n - 1)]
+    return cases + [("", 0), ("1 1", 1), ("1 2 1 3 2 3", 3)]
+
+
+MOVES_CASES = [(code, cap) for code, cap in _moves_cases()
+               if cap is None or cap >= 0]
+
+
+def _old_payload(code: str, cap) -> dict:
+    """The payload `moves --json` wrote as a list of move_to_json dicts."""
+    d = parse_gauss_code(code)
+    cap = d.n + 2 if cap is None else cap
+    return {"command": "moves", "gauss": code, "max_chords": cap,
+            "moves": [move_to_json(mv) for mv in enumerate_moves(d, cap)]}
+
+
+def test_moves_cases_reach_every_kind():
+    counts = [Counter(mv["kind"] for mv in _old_payload(*case)["moves"])
+              for case in MOVES_CASES]
+    assert set().union(*counts) == set(MOVE_KINDS)
+    assert {} in counts
+    for kind in ("r1_remove", "r3"):
+        assert any(count[kind] == 1 for count in counts), kind
+
+
+@pytest.mark.parametrize("code, cap", MOVES_CASES, ids=[
+    f"case{i}-{len(code.split()) // 2}-chords-cap-{cap}"
+    for i, (code, cap) in enumerate(MOVES_CASES)])
+def test_moves_json_is_the_list_of_move_to_json(capsys, code, cap):
+    """`moves --json` writes each kind over one template; the text is
+    the one _json_text, and json.dumps, write for the list of records
+    move_to_json builds."""
+    payload = _old_payload(code, cap)
+    argv = ["moves", "--json", "--gauss", code]
+    if cap is not None:
+        argv += ["--max-chords", str(cap)]
+    assert main(argv) == 0
+    # compared by lines: a diff of two long strings takes minutes
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == _json_text(payload).splitlines()
+    assert lines == indented_json(payload).splitlines()
+
+
+def test_template_strings_need_no_escape():
+    # a template writes a str leaf between quotes, unescaped, and marks
+    # leaves by <>() around their field while it is built
+    for pattern in PATTERNS:
+        assert encode_basestring_ascii(pattern) == f'"{pattern}"'
+    for name, kind in MOVE_KINDS.items():
+        assert all(word.isidentifier() for word in (name, *kind.fields))
 
 
 def _random_code(n: int, seed: int) -> str:
