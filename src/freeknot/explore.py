@@ -263,12 +263,20 @@ def rotation_canonical_code(d: ChordDiagram) -> str:
     """Lexicographically least Gauss code over all base-point rotations.
 
     A key for rotation classes (token-wise on the label numbers), and
-    the representative `search_nontrivial` reports for each hit.
+    the representative `search_nontrivial` reports for each hit.  Only
+    the starts whose forward arc (partner(s) - s) mod 2n is the least,
+    g, can win: read from s, labels are new up to offset min over u of
+    u + arc(s + u), which is g exactly when arc(s) = g, and the label
+    there is then 1 where every other start writes g + 1.
     """
-    owner, size = d.end_map(), d.size
-    twice = [owner[p] for p in range(1, size + 1)] * 2
-    best = min((first_appearance(twice[s:s + size]) for s in range(size)),
-               default=[])
+    size = d.size
+    owner, arc = [0] * size, [0] * size
+    for label, (p, q) in enumerate(d.chords):
+        owner[p - 1] = owner[q - 1] = label
+        arc[p - 1], arc[q - 1] = q - p, size - q + p
+    least, twice = min(arc, default=0), owner * 2
+    best = min((first_appearance(twice[s:s + size]) for s in range(size)
+                if arc[s] == least), default=[])
     return " ".join(map(str, best))
 
 

@@ -25,7 +25,7 @@ from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .diagram import Chord
-from .parity import FINAL, Word, _code, _codes, alphabet, double_prime, prime
+from .parity import FINAL, Word, _code, _levels, alphabet, double_prime, prime
 
 
 class MixedM(ValueError):
@@ -120,14 +120,17 @@ def evaluate(word: Word) -> NormalForm:
 
 
 def _value(chords: Sequence[Chord], m: int) -> NormalForm:
-    """The value at depth m of the diagram with these chords: _act walks
-    the codes of its word (see parity._codes) from the identity.
-
-    A chord writes its letter at both ends, so the value has even
-    coordinates and eps = 0.  A round never looks ahead, so its first k
+    """The value at depth m of the diagram with these chords, in closed
+    form off parity._levels: x[k] = 2 * sum over the chords (p, q) of
+    level k of s * (-1)^r, with s = +1 in Pk and -1 in Dk and r the
+    number of ends of levels >= k before p; eps = 0, as every letter
+    comes twice.  This is _act over the word: every letter of a level
+    >= k (F as level m) flips bit k, so the bit read at an end is r mod
+    2, and a chord of level k is odd within those ends, so both of its
+    ends read the same bit.  A round never looks ahead, so the first k
     coordinates are the value at depth k: a letter of a level >= k acts
     on the first k coordinates as F does."""
-    return _act(_codes(chords, 2 * len(chords), m)[1:], [0] * (m + 1), 0)
+    return NormalForm(tuple(_levels(chords, 2 * len(chords), m)[1]), 0)
 
 
 def _walk(k: int, target: int, above: int) -> tuple[str, ...]:

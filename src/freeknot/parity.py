@@ -86,9 +86,11 @@ class Filtration:
     word: Word
 
 
-def _split(chords: list[Chord], size: int) -> tuple[list[Chord], list[Chord]]:
+def _split(chords: list[Chord],
+           size: int) -> tuple[list[Chord], list[Chord], list[int]]:
     """Cut a chord list into the chords linked with an odd number of
-    the others in the list and the rest, both in list order.
+    the others in the list and the rest, both in list order, and give
+    the rank of the list's ends: rank[j] counts those at positions <= j.
 
     Any other chord of the list has two ends strictly inside a chord
     (p, q) when it is nested in it, one end when it is linked with it,
@@ -105,13 +107,13 @@ def _split(chords: list[Chord], size: int) -> tuple[list[Chord], list[Chord]]:
     odd, even = [], []
     for c in chords:
         (even if (rank[c[1]] - rank[c[0]]) % 2 else odd).append(c)
-    return odd, even
+    return odd, even, rank
 
 
-# Up to this many ends _codes tests oddness on inside masks, above it by
-# _split's rank scan: the masks took 0.6-1.0 of its time up to 80 ends,
-# 1.2-1.5 from 320 on, and O(n^2) bits.  The census runs below it,
-# free_compare (60-150 chords) and invariant_large (150-600) above it.
+# Up to this many ends _levels works on bitmasks, above it by _split's
+# rank scan: at depth 3 the masks took 0.66-0.91 of its time up to 80
+# ends and 1.1-1.2 from 160 on (Python 3.11), and O(n^2) bits.  The
+# census runs below it, free_compare and invariant_large above it.
 _MASK_SIZE = 64
 
 
@@ -121,26 +123,29 @@ def _code(letter: str, m: int) -> tuple[int, int]:
     return (m, 0) if k is None else (k, 1 if letter[0] == "P" else -1)
 
 
-def _codes(chords: Sequence[Chord], size: int,
-           m: int) -> list[tuple[int, int]]:
-    """The _code of the letter at each position 1..size of the word at
-    depth m, position 0 unused; the ends of one part share one tuple.
+def _levels(chords: Sequence[Chord], size: int,
+            m: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """(code, x): the _code of the letter at each position 1..size of
+    the word at depth m, position 0 unused, and the x of its value: a
+    chord adds its term to x as its level is cut (see group._value).
     Round k cuts level k into Pk and Dk, and a round that finds no odd
     chord ends the walk: no later round can find one.  Up to _MASK_SIZE
     ends a chord is odd within a set when an odd number of the set's
     ends lie under its inside mask, above it when its rank gap is even
-    (see _split)."""
-    code = [(m, 0)] * (size + 1)
+    (see _split); the ends of one part share one code tuple."""
+    code, x = [(m, 0)] * (size + 1), [0] * m
     if size > _MASK_SIZE:
         remaining = list(chords)
         for k in range(m):
-            level, remaining = _split(remaining, size)
+            level, remaining, rank = _split(remaining, size)
             if not level:
                 break
-            for part, c in zip(_split(level, size), ((k, 1), (k, -1))):
+            for part, c, s in zip(_split(level, size)[:2],
+                                  ((k, 1), (k, -1)), (2, -2)):
                 for p, q in part:
                     code[p] = code[q] = c
-        return code
+                    x[k] += s if rank[p] & 1 else -s
+        return code, x
     remaining = [(p, q, (1 << q) - (2 << p)) for p, q in chords]
     ends = (1 << size + 1) - 2  # the ends of the remaining chords
     for k in range(m):
@@ -153,16 +158,18 @@ def _codes(chords: Sequence[Chord], size: int,
                 rest.append(c)
         if not level:
             break
-        ends, remaining, odd, even = ends ^ level_ends, rest, (k, 1), (k, -1)
+        parts = ((k, -1), (k, 1))
         for p, q, inside in level:
-            code[p] = code[q] = (
-                odd if (inside & level_ends).bit_count() & 1 else even)
-    return code
+            odd = (inside & level_ends).bit_count() & 1
+            code[p] = code[q] = parts[odd]
+            x[k] += 2 if odd ^ (ends & ((1 << p) - 1)).bit_count() & 1 else -2
+        ends, remaining = ends ^ level_ends, rest
+    return code, x
 
 
 def word_of(d: ChordDiagram, m: int) -> Word:
     """The word of a diagram at depth m: position j carries the letter
-    of its chord, spelled from _codes.
+    of its chord, spelled from the codes of _levels.
 
     >>> word_of(ChordDiagram([(1, 3), (2, 5), (4, 6)]), 1).letters
     ('D0', 'F', 'D0', 'D0', 'F', 'D0')
@@ -170,7 +177,7 @@ def word_of(d: ChordDiagram, m: int) -> Word:
     if m < 1:
         raise InvalidM(f"depth must be a positive integer, got {m}")
     letter = {_code(z, m): z for z in alphabet(m)}
-    return Word(tuple(map(letter.get, _codes(d.chords, d.size, m)[1:])), m)
+    return Word(tuple(map(letter.get, _levels(d.chords, d.size, m)[0][1:])), m)
 
 
 def filtration(d: ChordDiagram, m: int) -> Filtration:

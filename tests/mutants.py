@@ -86,23 +86,30 @@ MUTANTS = [
            "if (target > 0) == (above > 0):", GROUP),
     Mutant("_lower_bound is inadmissible", "explore.py",
            "return (d.n + 1) // 2", "return d.n", EXPLORE),
+    Mutant("rotation_canonical_code tries the longest arcs", "explore.py",
+           "min(arc, default=0)", "max(arc, default=0)", EXPLORE),
     Mutant("rotation_classes keeps every prenecklace", "explore.py",
            "if size % p == 0:", "if True:", EXPLORE),
     Mutant("_class_chords keeps the period over forced gaps", "explore.py",
            "if g > gaps[t - p]:", "if False:", EXPLORE),
-    Mutant("_codes inverts the odd bit test", "parity.py",
+    Mutant("_levels inverts the odd bit test", "parity.py",
            "if (c[2] & ends).bit_count() & 1:",
            "if not (c[2] & ends).bit_count() & 1:", PARITY),
-    Mutant("_codes keeps a removed level's ends", "parity.py",
+    Mutant("_levels keeps a removed level's ends", "parity.py",
            "ends ^ level_ends", "ends", PARITY),
+    Mutant("_levels reads the rank after the level is removed",
+           "parity.py", "(ends & ((1 << p) - 1))",
+           "(ends & ~level_ends & ((1 << p) - 1))", EXPLORE),
+    Mutant("_levels drops the odd/even sign", "parity.py",
+           "2 if odd ^ (ends", "2 if 1 ^ (ends", EXPLORE),
+    Mutant("_levels drops the odd/even sign on the rank path",
+           "parity.py", "x[k] += s if rank[p] & 1 else -s",
+           "x[k] += 2 if rank[p] & 1 else -2", EXPLORE),
     Mutant("_act steps flip one bit too few", "group.py",
            "parity ^= (2 << k) - 1", "parity ^= (1 << k) - 1", GROUP),
     Mutant("_act lets F keep the parity mask", "group.py",
            "parity ^= (2 << k) - 1",
            "parity ^= (2 << k) - 1 if k < m else 1 << m", GROUP),
-    Mutant("_value skips the first end", "group.py",
-           "_codes(chords, 2 * len(chords), m)[1:]",
-           "_codes(chords, 2 * len(chords), m)[2:]", EXPLORE),
     Mutant("search_nontrivial reads one level too many", "explore.py",
            "if any(value.x[:m]):", "if any(value.x[:m + 1]):", EXPLORE),
     Mutant("distinguish reads one level too many", "explore.py",

@@ -1,18 +1,19 @@
 """Slow reference implementations that the library's fast paths replaced.
 
 Words are cut by rank scans alone and evaluated one coordinate step
-at a time, as before the bitmask kernel.  Normal-form words are built
-and the group operations applied one letter at a time through the
-action, and conjugacy is explored by
+at a time, as before the bitmask kernel, and a diagram's value is the
+letter action walked over its word rather than its closed form.
+Normal-form words are built and the group operations applied one
+letter at a time through the action, and conjugacy is explored by
 breadth-first closure under single-letter conjugation.  Word equality
 is tested by rewriting alone, never through the action.  Linking is
 tested chord pair by chord pair, and move sites are found by testing
 every pair and triple of chords.  The exhaustive search lists every
-perfect matching and keeps the first of each rotation class, and
-reduction is a breadth-first search over every move.  `compare` and
-`invariant` build and evaluate a word per depth, and the CLI's --json
-text is json's own indented encoder.  Tests compare the library
-code against them.
+perfect matching and keeps the first of each rotation class, keyed by
+its least code over every base point, and reduction is a breadth-first
+search over every move.  `compare` and `invariant` build and evaluate
+a word per depth, and the CLI's --json text is json's own indented
+encoder.  Tests compare the library code against them.
 """
 
 import json
@@ -29,8 +30,10 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FINAL, LONG,
                       SearchReport, Word, alphabet, apply_letter, apply_move,
                       double_prime, enumerate_moves, evaluate, filtration,
                       identity, letter_level, parse_gauss_code, prime,
-                      relations,
-                      rotation_canonical_code, word_of)
+                      relations, word_of)
+from freeknot.diagram import first_appearance
+from freeknot.group import _act
+from freeknot.parity import _levels
 
 EQUAL = "equal"
 UNDETERMINED = "undetermined"
@@ -84,6 +87,13 @@ def rank_word(d: ChordDiagram, m: int) -> Word:
             for p, q in part:
                 letters[p - 1] = letters[q - 1] = letter
     return Word(tuple(letters), m)
+
+
+def walked_value(chords, m: int) -> NormalForm:
+    """group._value as _act walking the letter codes of the level walk
+    from the identity, one end at a time."""
+    codes = _levels(chords, 2 * len(chords), m)[0]
+    return _act(codes[1:], [0] * (m + 1), 0)
 
 
 def _step(x: list[int], eps: int, k: int, letter: str) -> None:
@@ -315,13 +325,22 @@ def all_matchings(positions):
             yield ((first, q),) + tail
 
 
+def rotations_code(d: ChordDiagram) -> str:
+    """rotation_canonical_code with every base point tried."""
+    owner, size = d.end_map(), d.size
+    twice = [owner[p] for p in range(1, size + 1)] * 2
+    best = min((first_appearance(twice[s:s + size]) for s in range(size)),
+               default=[])
+    return " ".join(map(str, best))
+
+
 @cache
 def rotation_class_codes(n: int) -> tuple[str, ...]:
     """The rotation-canonical code of every class on n chords, in the
     order in which all_matchings first reaches the class."""
     codes = {}
     for chords in all_matchings(range(1, 2 * n + 1)):
-        codes.setdefault(rotation_canonical_code(ChordDiagram(chords)))
+        codes.setdefault(rotations_code(ChordDiagram(chords)))
     return tuple(codes)
 
 

@@ -15,7 +15,7 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       MINIMAL_FOUND, NO, REDUCED_TO_EMPTY, SAME_INVARIANT,
                       YES, ChordDiagram, ConjugacyAnswer, InvalidM,
                       NormalForm, apply_move,
-                      conjugate_equal, distinguish, evaluate,
+                      conjugate_equal, distinguish, evaluate, filtration,
                       move_invariance_trial,
                       parse_gauss_code, random_diagram, reduce,
                       rotate_basepoint, rotation_canonical_code,
@@ -268,6 +268,19 @@ class TestRotationCanonicalCode:
             == "1 2 1 3 2 3"
         assert rotation_canonical_code(ChordDiagram()) == ""
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_shortest_arcs_agree_with_every_rotation_on_each_class(self, n):
+        for d in rotation_classes(n):
+            for turned in (d, rotate_basepoint(d, 1), rotate_basepoint(d, n)):
+                assert rotation_canonical_code(turned) \
+                    == oracles.rotations_code(turned)
+
+    def test_shortest_arcs_agree_with_every_rotation_at_random(self):
+        rng = random.Random(40)
+        for _ in range(2000):
+            d = random_diagram(rng.randint(0, 40), rng)
+            assert rotation_canonical_code(d) == oracles.rotations_code(d)
+
     @given(diagrams(min_n=1, max_n=6))
     @settings(max_examples=60, deadline=None)
     def test_constant_on_rotation_classes(self, d):
@@ -338,10 +351,11 @@ class TestRotationClasses:
 
 
 class TestClassValue:
-    """The value of a class, read through the kernels that the census
-    shares with word_of and evaluate, and through `_value`, which
-    `search_nontrivial` and `distinguish` read, against the rank-scan
-    word and the step-by-step evaluation that they replaced."""
+    """The value of a class, read through the level walk that the census
+    shares with word_of, through evaluate, and through `_value`'s closed
+    form, which `search_nontrivial` and `distinguish` read, against the
+    rank-scan word, the step-by-step evaluation and the letter action
+    walked over the codes, which they replaced."""
 
     @staticmethod
     def check(d, m):
@@ -349,6 +363,7 @@ class TestClassValue:
         assert word == oracles.rank_word(d, m)
         value = oracles.step_evaluate(word)
         assert evaluate(word) == value
+        assert oracles.walked_value(d.chords, m) == value
         assert _value(d.chords, m) == value
 
     @pytest.mark.parametrize("n", range(8))
@@ -375,8 +390,18 @@ class TestClassValue:
         rng = random.Random(150300)
         for _ in range(4):
             d = random_diagram(rng.randint(150, 300), rng)
-            for m in range(1, 5):
+            for m in range(1, 6):
                 self.check(d, m)
+
+    def test_coordinates_are_multiples_of_four_to_six_chords(self):
+        """Each level holds an even number of chords, the odd-degree
+        vertices of a graph, and adds +-2 per chord to its coordinate:
+        so x[k] is a multiple of 4 and |x[k]| at most twice |a_k|."""
+        for n in range(7):
+            for d in rotation_classes(n):
+                levels = filtration(d, 3).levels
+                for xk, level in zip(_value(d.chords, 3).x, levels):
+                    assert xk % 4 == 0 and abs(xk) <= 2 * len(level)
 
 
 def test_every_move_keeps_the_value_through_six_chords():
