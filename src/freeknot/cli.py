@@ -18,9 +18,10 @@ import functools
 import json
 import os
 import random
+import re
 import signal
 import sys
-from itertools import chain, starmap
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .diagram import ChordDiagram, parse_gauss_code, serialize
@@ -300,27 +301,43 @@ def _parser() -> argparse.ArgumentParser:
 
 # The item types whose lists are encoded in one join, and their encoders.
 _FLAT = {int: int.__repr__, str: encode_basestring_ascii}
+# A leaf marker of _marked as _put_json writes it: "<name>" or (name).
+_MARKER = re.compile(r'"<[^>]*>"|\([^)]*\)')
 
 
 def _marked(value, name: str):
-    """`value` with each leaf a marker of its field {name}: <name> for an
-    int, (name) for a str (kept quoted); outer item i is field {i}."""
+    """`value` with each leaf a marker of its path name: <name> for an
+    int, (name) for a str (kept quoted); outer item i is named i."""
     if isinstance(value, tuple):
         return tuple(_marked(v, f"{name}[{i}]" if name else str(i))
                      for i, v in enumerate(value))
     return f"({name})" if type(value) is str else f"<{name}>"
 
 
+def _leaves(items) -> tuple:
+    """The leaves of `items`, in order: tuples all nested as the first
+    is, such as one kind's sites."""
+    item = items[0]
+    while type(item) is tuple:
+        items, item = chain.from_iterable(items), item[0]
+    return tuple(items)
+
+
 @functools.cache
 def _template(kind: str, marked: tuple, indent: str) -> str:
     """move_to_json of a `kind` move as _put_json writes it at `indent`,
-    made a str.format template: braces doubled, each marker its field.
-    A str goes in unescaped; the only one, a pattern, needs no escape."""
+    made a %-template: literal % doubled, each marker %d, or %s (kept
+    quoted) for a str.  A site's _leaves fill it, so the markers must
+    occur in their leaf order in `marked`, as they do while each kind's
+    fields are sorted like JSON keys.  A str goes in unescaped; the
+    only one, a pattern, needs no escape."""
     chunks = []
     _put_json(move_to_json(Move(kind, marked)), indent, chunks.append)
-    return ("".join(chunks).replace("{", "{{").replace("}", "}}")
-            .replace('"<', "{").replace('>"', "}")
-            .replace("(", "{").replace(")", "}"))
+    text = "".join(chunks).replace("%", "%%")
+    found = [marker.strip('"') for marker in _MARKER.findall(text)]
+    if found != list(_leaves((marked,))):
+        raise RuntimeError(f"{kind}: fields {found} out of leaf order")
+    return _MARKER.sub(lambda m: "%s" if m[0][0] == "(" else "%d", text)
 
 
 def _json_text(value) -> str:
@@ -341,13 +358,14 @@ def _put_json(value, indent: str, append) -> None:
 
     Four paths write without recursing: exact strs and ints directly, a
     flat list of only ints or only strs in one join, rows (lists or
-    tuples of one length holding only ints, such as chords) in one join
-    over one row template, and a move listing in one join per kind over
-    its _template.  Exact type tests keep bools, an int subclass, off
-    them.  Other lists, tuples and dicts (str keys only) recurse; other
-    scalars go to json.dumps.  Not a closure: a nested function that
-    calls itself is a reference cycle, which would keep every chunk
-    alive until the collector's next full pass.
+    tuples of one length holding only ints, such as chords) in one
+    %-format over the list's flattened ints, and a move listing in one
+    %-format per kind over its _template and its sites' _leaves.  Exact
+    type tests keep bools, an int subclass, off them.  Other lists,
+    tuples and dicts (str keys only) recurse; other scalars go to
+    json.dumps.  Not a closure: a nested function that calls itself is
+    a reference cycle, which would keep every chunk alive until the
+    collector's next full pass.
     """
     if type(value) is str:
         append(encode_basestring_ascii(value))
@@ -360,11 +378,12 @@ def _put_json(value, indent: str, append) -> None:
         inner = indent + "  "
         kinds = set(map(type, value))
         lens = set(map(len, value)) if kinds <= {list, tuple} else ()
-        if len(lens) == 1 and set(map(type, chain(*value))) == {int}:
+        flat = tuple(chain(*value)) if len(lens) == 1 else ()
+        if set(map(type, flat)) == {int}:
             deeper = inner + "  "
-            row = "[" + deeper + ("," + deeper).join(["{}"] * lens.pop())
-            append("[" + inner + ("," + inner).join(starmap(
-                (row + inner + "]").format, value)) + indent + "]")
+            row = "[" + deeper + ("," + deeper).join(["%d"] * lens.pop())
+            append("[" + inner + ("," + inner).join(
+                [row + inner + "]"] * len(value)) % flat + indent + "]")
             return
         encode = _FLAT.get(kinds.pop()) if len(kinds) == 1 else None
         if encode:
@@ -390,8 +409,8 @@ def _put_json(value, indent: str, append) -> None:
         append(indent + "}")
     elif isinstance(value, ApplicableMoves):
         inner = indent + "  "
-        texts = [("," + inner).join(starmap(_template(
-            kind, _marked(sites[0], ""), inner).format, sites))
+        texts = [("," + inner).join([_template(
+            kind, _marked(sites[0], ""), inner)] * len(sites)) % _leaves(sites)
             for kind, sites in value.blocks if sites]
         append("[" + inner + ("," + inner).join(texts) + indent + "]"
                if texts else "[]")

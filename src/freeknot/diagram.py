@@ -76,8 +76,10 @@ def parse_gauss_code(text: str) -> ChordDiagram:
     chords = []
     for label, positions in ends.items():
         if len(positions) != 2:
+            count = len(positions)
+            times = "once" if count == 1 else f"{count} times"
             raise LabelCountError(
-                f"label {label!r} occurs {len(positions)} times, expected 2")
+                f"label {label!r} occurs {times}, expected 2")
         chords.append((positions[0], positions[1]))
     return ChordDiagram(chords)
 

@@ -124,10 +124,11 @@ MUTANTS = [
     Mutant("_put_json leaves keys unsorted", "cli.py",
            "for key in sorted(value):", "for key in value:", JSON_TEXT),
     Mutant("rows path lets bools in", "cli.py",
-           "set(map(type, chain(*value))) == {int}",
-           "set(map(type, chain(*value))) <= {int, bool}", JSON_TEXT),
+           "set(map(type, flat)) == {int}",
+           "set(map(type, flat)) <= {int, bool}", JSON_TEXT),
     Mutant("rows path accepts ragged rows", "cli.py",
-           "if len(lens) == 1 and", "if len(lens) >= 1 and", JSON_TEXT),
+           "if len(lens) == 1 else ()", "if len(lens) >= 1 else ()",
+           JSON_TEXT),
     Mutant("move records write kind first", "cli.py",
            "for key in sorted(value):",
            'for key in sorted(value, key=lambda k: (k != "kind", k)):',
@@ -135,6 +136,8 @@ MUTANTS = [
     Mutant("_template swaps r2_add's gaps", "cli.py",
            "Move(kind, marked)", "Move(kind, marked[1::-1] + marked[2:])",
            JSON_TEXT),
+    Mutant("move fill flattens nested params one level too few", "cli.py",
+           "item = items[0]", "item = items[0][0]", JSON_TEXT),
 ]
 
 

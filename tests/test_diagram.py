@@ -32,6 +32,16 @@ def test_parse_rejects_bad_counts():
         parse_gauss_code("1 1 1 1")
 
 
+@pytest.mark.parametrize("code, message", [
+    ("1 2 1", "label '2' occurs once, expected 2"),
+    ("1 1 1", "label '1' occurs 3 times, expected 2"),
+])
+def test_bad_count_message(code, message):
+    with pytest.raises(LabelCountError) as info:
+        parse_gauss_code(code)
+    assert str(info.value) == message
+
+
 def test_parse_whitespace_runs_make_no_label():
     assert parse_gauss_code(" 1  2\t1\n 2 ") == parse_gauss_code("1 2 1 2")
 

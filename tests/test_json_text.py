@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from freeknot import (enumerate_moves, move_to_json, parse_gauss_code,
                       random_diagram, scramble, serialize)
-from freeknot.cli import _json_text, main
-from freeknot.moves import MOVE_KINDS, PATTERNS
+from freeknot.cli import _json_text, _leaves, _marked, _template, main
+from freeknot.moves import MOVE_KINDS, PATTERNS, Move
 from oracles import indented_json
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "freeknot"
@@ -78,6 +78,25 @@ def test_matches_the_reference(value):
     assert _json_text(value) == indented_json(value)
 
 
+# Long row lists whose one misfit is the last row: the exact-type and
+# length checks must read every row, not only the first.
+LAST_ROW = {"bool": [1, True], "float": [1, 2.0], "short": [1],
+            "long": [1, 2, 3], "str": [1, "2"], "empty": []}
+
+
+@pytest.mark.parametrize("last", LAST_ROW.values(), ids=LAST_ROW)
+def test_rows_path_checks_every_row(last):
+    value = [[i, -i] for i in range(700)] + [last]
+    assert _json_text(value) == indented_json(value)
+    assert _json_text({"a": value}) == indented_json({"a": value})
+
+
+def test_rows_mix_lists_and_tuples():
+    value = [(i, i + 1) if i % 3 else [i, i + 1] for i in range(700)]
+    assert _json_text(value) == indented_json(value)
+    assert _json_text([value, value[:5]]) == indented_json([value, value[:5]])
+
+
 @pytest.mark.parametrize("value", [
     set(), {1}, [frozenset()],
     # repr(object()) holds a memory address; a fixed id keeps the name stable
@@ -99,6 +118,11 @@ def test_leaves_no_garbage_cycle():
         # rows of one length, ragged rows, and a recursive list
         _json_text({"b": [[1, 2], (3, 4)], "c": [[1], [2, 3]],
                     "a": [True, None, "x"]})
+        assert gc.collect() == 0
+        # a moves listing, its templates built afresh
+        _template.cache_clear()
+        d = parse_gauss_code("1 2 1 3 2 3")
+        _json_text({"moves": enumerate_moves(d, d.n + 2)})
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -163,6 +187,30 @@ def test_moves_json_is_the_list_of_move_to_json(capsys, code, cap):
     lines = capsys.readouterr().out.splitlines()
     assert lines == _json_text(payload).splitlines()
     assert lines == indented_json(payload).splitlines()
+
+
+def _first_sites():
+    """Each kind's first site in MOVES_CASES."""
+    sites = {}
+    for code, cap in MOVES_CASES:
+        d = parse_gauss_code(code)
+        for kind, kind_sites in enumerate_moves(d, d.n + 2 if cap is None
+                                                else cap).blocks:
+            if kind_sites:
+                sites.setdefault(kind, kind_sites[0])
+    return sites
+
+
+@pytest.mark.parametrize("kind", MOVE_KINDS)
+def test_template_of_each_kind(kind):
+    # _template fills its fields in leaf order, which is the text's order
+    # because the fields are sorted, as JSON keys are
+    fields = MOVE_KINDS[kind].fields
+    assert list(fields) == sorted(fields)
+    site = _first_sites()[kind]
+    template = _template(kind, _marked(site, ""), "\n")
+    assert (template % _leaves([site])
+            == _json_text(move_to_json(Move(kind, site))))
 
 
 def test_template_strings_need_no_escape():
