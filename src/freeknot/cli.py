@@ -28,11 +28,11 @@ from .diagram import ChordDiagram, parse_gauss_code, serialize
 from .explore import (CERTIFIED_DISTINCT, FREE, LONG, distinguish,
                       move_invariance_trial, reduce, rotation_conjugacy_trial,
                       scramble, search_nontrivial)
-from .group import (NormalForm, corrupted_apply_letter, evaluate, identity,
+from .group import (NormalForm, corrupted_apply_letter, identity,
                     relation_check)
 from .moves import (ApplicableMoves, Move, enumerate_moves, move_to_json,
                     move_to_text)
-from .parity import FINAL, alphabet, filtration
+from .parity import FINAL, _code, _levels, alphabet
 
 
 def _read_stdin_lines() -> list[str]:
@@ -61,24 +61,28 @@ def _seed(args) -> int:
 
 
 def _describe(d: ChordDiagram, m_values: list[int]):
-    """d's entries at each depth, all read off one deep filtration whose
-    levels and splits are sorted once (a residue sorts sorted runs);
-    chords stay sorted tuples, which the writer renders as arrays."""
-    deep = filtration(d, max(m_values))
-    x = evaluate(deep.word).x
-    levels = [*map(sorted, deep.levels)]
-    splits = [{"odd": sorted(odd), "even": sorted(even)}
-              for odd, even in deep.prime_split]
+    """d's entries at each depth off one parity._levels walk: its codes
+    file d's sorted chords into sorted splits, its x is the value (see
+    group._value), and all depths share the level and split lists."""
+    deep = max(m_values)
+    code, x = _levels(d.chords, d.size, deep)
+    letter = {_code(z, deep): z for z in alphabet(deep)}
+    parts = {c: [] for c in letter}
+    for c in d.chords:
+        parts[code[c[0]]].append(c)
+    del code[0]  # position 0 is unused
+    splits = [{"odd": parts[k, 1], "even": parts[k, -1]} for k in range(deep)]
+    levels = [*(sorted(s["odd"] + s["even"]) for s in splits), parts[deep, 0]]
     for m in m_values:
-        kept = set(alphabet(m))
+        spell = {c: z if c[0] < m else FINAL for c, z in letter.items()}
         yield {
             "m": m,
             "filtration": {
                 "levels": [*levels[:m], sorted(chain(*levels[m:]))],
                 "splits": splits[:m],
             },
-            "word": [z if z in kept else FINAL for z in deep.word.letters],
-            "normal_form": NormalForm(x[:m], 0).to_json(),
+            "word": [*map(spell.__getitem__, code)],
+            "normal_form": NormalForm(tuple(x[:m]), 0).to_json(),
             "is_identity": not any(x[:m]),
         }
 
@@ -132,10 +136,11 @@ def cmd_scramble(args):
         max(2 * d.n, 4)
     result = scramble(d, args.moves, seed, size_cap)
     gauss = serialize(result)
+    applied = args.moves if d.n or size_cap else 0  # see scramble
 
     def text():
         yield f"seed: {seed}"
-        yield f"applied: {args.moves} moves (size cap {size_cap})"
+        yield f"applied: {applied} moves (size cap {size_cap})"
         yield f"result: {gauss or '(empty)'}"
     return 0, {"seed": seed, "moves": args.moves, "size_cap": size_cap,
                "gauss": gauss, "diagram": result.to_json()}, text()
@@ -332,7 +337,7 @@ def _template(kind: str, marked: tuple, indent: str) -> str:
     fields are sorted like JSON keys.  A str goes in unescaped; the
     only one, a pattern, needs no escape."""
     chunks = []
-    _put_json(move_to_json(Move(kind, marked)), indent, chunks.append)
+    _put_json(move_to_json(Move(kind, marked)), indent, chunks.append, {})
     text = "".join(chunks).replace("%", "%%")
     found = [marker.strip('"') for marker in _MARKER.findall(text)]
     if found != list(_leaves((marked,))):
@@ -348,11 +353,11 @@ def _json_text(value) -> str:
     joined once.
     """
     chunks = []
-    _put_json(value, "\n", chunks.append)
+    _put_json(value, "\n", chunks.append, {})
     return "".join(chunks)
 
 
-def _put_json(value, indent: str, append) -> None:
+def _put_json(value, indent: str, append, rows: dict) -> None:
     """Append the chunks of `value`; `indent` is a newline and the
     spaces that start its line.
 
@@ -363,9 +368,12 @@ def _put_json(value, indent: str, append) -> None:
     %-format per kind over its _template and its sites' _leaves.  Exact
     type tests keep bools, an int subclass, off them.  Other lists,
     tuples and dicts (str keys only) recurse; other scalars go to
-    json.dumps.  Not a closure: a nested function that calls itself is
-    a reference cycle, which would keep every chunk alive until the
-    collector's next full pass.
+    json.dumps.  `rows`, new for each _json_text call, maps the id and
+    indent of each rows list written to the list, held so that no other
+    object takes its id, and its text, reused where the list recurs.
+    Not a closure: a nested function that calls itself is a reference
+    cycle, which would keep every chunk alive until the collector's
+    next full pass.
     """
     if type(value) is str:
         append(encode_basestring_ascii(value))
@@ -375,6 +383,10 @@ def _put_json(value, indent: str, append) -> None:
         if not value:
             append("[]")
             return
+        key = id(value), indent
+        if rows and key in rows:
+            append(rows[key][1])
+            return
         inner = indent + "  "
         kinds = set(map(type, value))
         lens = set(map(len, value)) if kinds <= {list, tuple} else ()
@@ -382,8 +394,9 @@ def _put_json(value, indent: str, append) -> None:
         if set(map(type, flat)) == {int}:
             deeper = inner + "  "
             row = "[" + deeper + ("," + deeper).join(["%d"] * lens.pop())
-            append("[" + inner + ("," + inner).join(
-                [row + inner + "]"] * len(value)) % flat + indent + "]")
+            rows[key] = value, "[" + inner + ("," + inner).join(
+                [row + inner + "]"] * len(value)) % flat + indent + "]"
+            append(rows[key][1])
             return
         encode = _FLAT.get(kinds.pop()) if len(kinds) == 1 else None
         if encode:
@@ -393,7 +406,7 @@ def _put_json(value, indent: str, append) -> None:
         head = "[" + inner
         for item in value:
             append(head)
-            _put_json(item, inner, append)
+            _put_json(item, inner, append, rows)
             head = "," + inner
         append(indent + "]")
     elif isinstance(value, dict):
@@ -404,7 +417,7 @@ def _put_json(value, indent: str, append) -> None:
         head = "{" + inner
         for key in sorted(value):
             append(head + encode_basestring_ascii(key) + ": ")
-            _put_json(value[key], inner, append)
+            _put_json(value[key], inner, append, rows)
             head = "," + inner
         append(indent + "}")
     elif isinstance(value, ApplicableMoves):

@@ -49,8 +49,10 @@ def random_diagram(n: int, rng: random.Random) -> ChordDiagram:
 def scramble(d: ChordDiagram, move_count: int, seed: int,
              size_cap: int) -> ChordDiagram:
     """Apply `move_count` uniformly chosen applicable moves, insertions
-    capped at size_cap chords.  Deterministic for a given seed, and the
-    result stays equivalent to d as a free knot."""
+    capped at size_cap chords, or none to the empty diagram under cap 0,
+    the one diagram without a move (any other has a rotation or an R1
+    insertion).  Deterministic for a given seed, and the result stays
+    equivalent to d as a free knot."""
     if size_cap < d.n:
         raise ValueError(
             f"size_cap {size_cap} below current chord count {d.n}")

@@ -117,7 +117,14 @@ MUTANTS = [
     Mutant("distinguish lets depths below one through", "explore.py",
            "if any(m < 1 for m in m_list):", "if False:", EXPLORE),
     Mutant("_describe keeps the letters of one level too many", "cli.py",
-           "kept = set(alphabet(m))", "kept = set(alphabet(m + 1))", CLI),
+           "z if c[0] < m else FINAL", "z if c[0] < m + 1 else FINAL", CLI),
+    Mutant("_describe swaps the odd and even parts", "cli.py",
+           '{"odd": parts[k, 1], "even": parts[k, -1]}',
+           '{"odd": parts[k, -1], "even": parts[k, 1]}', CLI),
+    Mutant("_describe reads x at the shallowest depth", "cli.py",
+           "code, x = _levels(d.chords, d.size, deep)",
+           "code, x = _levels(d.chords, d.size, deep)[0], "
+           "_levels(d.chords, d.size, min(m_values))[1]", CLI),
     Mutant("_put_json puts bools on the int path", "cli.py",
            "elif type(value) is int:", "elif isinstance(value, int):",
            JSON_TEXT),
@@ -138,6 +145,12 @@ MUTANTS = [
            JSON_TEXT),
     Mutant("move fill flattens nested params one level too few", "cli.py",
            "item = items[0]", "item = items[0][0]", JSON_TEXT),
+    Mutant("rows memo keyed by id alone", "cli.py",
+           "key = id(value), indent", "key = id(value)", JSON_TEXT),
+    Mutant("rows memo kept across calls", "cli.py",
+           '_put_json(value, "\\n", chunks.append, {})',
+           '_put_json(value, "\\n", chunks.append, '
+           '_put_json.__dict__.setdefault("rows", {}))', JSON_TEXT),
 ]
 
 

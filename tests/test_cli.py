@@ -12,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freeknot.cli
+import freeknot.group
 import freeknot.parity
 import oracles
-from freeknot import (ChordDiagram, NormalForm, distinguish, filtration,
+from freeknot import (ChordDiagram, NormalForm, distinguish, enumerate_moves,
                       parse_gauss_code, search_nontrivial, serialize)
 from freeknot.cli import main
+from freeknot.parity import _levels
 from support import diagrams
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
@@ -72,30 +74,34 @@ class TestInvariant:
         assert result["normal_form"] == {"x": [8, 0], "eps": 0, "m": 2}
 
     def test_one_filtration_per_diagram(self, capsys, monkeypatch):
-        """Every depth is read off one filtration at the deepest."""
+        """Every depth is read off one level walk at the deepest, with
+        no other walk for the word or the value."""
         calls = []
 
-        def counted(d, m):
+        def counted(chords, size, m):
             calls.append(m)
-            return filtration(d, m)
+            return _levels(chords, size, m)
 
-        monkeypatch.setattr(freeknot.cli, "filtration", counted)
-        monkeypatch.setattr(freeknot.parity, "filtration", counted)
+        for module in (freeknot.cli, freeknot.parity, freeknot.group):
+            monkeypatch.setattr(module, "_levels", counted)
         code, _, _ = run(capsys, "invariant", "--json", "--gauss", WITNESS,
-                         "--m", "1", "--m", "2")
+                         "--gauss", THREE_LEVELS, "--m", "1", "--m", "3",
+                         "--m", "2")
         assert code == 0
-        assert calls == [2]
+        assert calls == [3, 3]
 
     def test_failure_leaves_stdout_empty(self, capsys, monkeypatch):
+        """The second diagram's level walk fails after the first's
+        entries are built."""
         calls = []
 
-        def failing_second(d, m):
+        def failing_second(chords, size, m):
             calls.append(m)
             if len(calls) == 2:
-                raise ValueError("second filtration fails")
-            return filtration(d, m)
+                raise ValueError("second level walk fails")
+            return _levels(chords, size, m)
 
-        monkeypatch.setattr(freeknot.cli, "filtration", failing_second)
+        monkeypatch.setattr(freeknot.cli, "_levels", failing_second)
         code, out, err = run(capsys, "invariant", "--gauss", "1 1",
                              "--gauss", "1 2 1 2")
         assert (code, out) == (2, "")
@@ -259,6 +265,31 @@ class TestScramble:
         payload = json.loads(out)
         assert payload["gauss"] == "1 2 3 3 2 4 1 4"
         assert payload["seed"] == 5 and payload["size_cap"] == 4
+
+    def test_counts_the_moves_it_applied(self, capsys):
+        """The empty diagram under cap 0 takes no move; --json keeps the
+        requested count."""
+        args = ("scramble", "--gauss", "", "--moves", "3",
+                "--max-chords", "0", "--seed", "1")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out.splitlines()[1:] == ["applied: 0 moves (size cap 0)",
+                                        "result: (empty)"]
+        assert json.loads(run(capsys, *args[:1], "--json", *args[1:])[1])[
+            "moves"] == 3
+        code, out, _ = run(capsys, *args[:-3], "1", "--seed", "2")
+        assert out.splitlines()[1:] == ["applied: 3 moves (size cap 1)",
+                                        "result: 1 1"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagrams(max_n=6), st.integers(0, 2))
+    @example(ChordDiagram(), 0)
+    @example(ChordDiagram(), 1)
+    def test_only_the_empty_diagram_under_cap_0_has_no_move(self, d, extra):
+        """What the applied count rests on: scramble stops early only
+        where no move applies."""
+        cap = d.n + extra
+        assert bool(enumerate_moves(d, cap)) == bool(d.n or cap)
 
 
 class TestReduce:

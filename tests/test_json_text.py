@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from freeknot import (enumerate_moves, move_to_json, parse_gauss_code,
                       random_diagram, scramble, serialize)
-from freeknot.cli import _json_text, _leaves, _marked, _template, main
+from freeknot.cli import (_describe, _json_text, _leaves, _marked, _template,
+                          main)
 from freeknot.moves import MOVE_KINDS, PATTERNS, Move
 from oracles import indented_json
 
@@ -109,9 +110,40 @@ def test_unsupported_objects_raise_type_error(value):
         _json_text(value)
 
 
+def test_a_rows_list_met_again_is_written_at_its_indent():
+    rows = [[i, -i] for i in range(5)]
+    value = {"a": rows, "b": {"c": rows, "d": [rows, (rows,)]}, "e": rows}
+    assert _json_text(value) == indented_json(value)
+
+
+def test_rows_are_written_afresh_by_each_call():
+    rows = [[1, 2], [3, 4]]
+    value = {"a": rows, "b": rows}
+    assert _json_text(value) == indented_json(value)
+    rows[0][1] = 5
+    rows.append([6, 7])
+    assert _json_text(value) == indented_json(value)
+    assert _json_text([rows]) == indented_json([rows])
+
+
+def test_invariant_payload_shares_its_rows_lists():
+    """Every depth holds the same level and split lists, and the text
+    is still json's."""
+    d = parse_gauss_code("1 2 3 4 3 5 6 5 4 1 2 6")
+    results = list(_describe(d, [3, 1, 2, 3]))
+    levels = [r["filtration"]["levels"] for r in results]
+    assert levels[1][0] is levels[2][0] is levels[0][0] is levels[3][0]
+    assert levels[0][1] is levels[2][1] is levels[3][1]
+    assert results[0]["filtration"]["splits"][1]["odd"] is \
+        results[2]["filtration"]["splits"][1]["odd"]
+    assert _json_text(results) == indented_json(results)
+
+
 def test_leaves_no_garbage_cycle():
     # a cycle would keep every chunk of the text alive until the
     # collector's next full pass, and peak memory grew with the op count
+    d = parse_gauss_code("1 2 1 3 2 3")
+    invariant = {"results": list(_describe(d, [1, 2, 3]))}
     gc.collect()
     gc.disable()
     try:
@@ -121,8 +153,10 @@ def test_leaves_no_garbage_cycle():
         assert gc.collect() == 0
         # a moves listing, its templates built afresh
         _template.cache_clear()
-        d = parse_gauss_code("1 2 1 3 2 3")
         _json_text({"moves": enumerate_moves(d, d.n + 2)})
+        assert gc.collect() == 0
+        # an invariant payload, whose depths share rows lists
+        _json_text(invariant)
         assert gc.collect() == 0
     finally:
         gc.enable()
