@@ -32,7 +32,7 @@ from .group import (NormalForm, corrupted_apply_letter, identity,
                     relation_check)
 from .moves import (ApplicableMoves, Move, enumerate_moves, move_to_json,
                     move_to_text)
-from .parity import FINAL, _code, _levels, alphabet
+from .parity import FINAL, alphabet, filtration
 
 
 def _read_stdin_lines() -> list[str]:
@@ -61,29 +61,25 @@ def _seed(args) -> int:
 
 
 def _describe(d: ChordDiagram, m_values: list[int]):
-    """d's entries at each depth off one parity._levels walk: its codes
-    file d's sorted chords into sorted splits, its x is the value (see
-    group._value), and all depths share the level and split lists."""
+    """d's entries at each depth off one filtration at the deepest, whose
+    parts every depth shares: depth m reads the letters of levels >= m
+    as F and the first m coordinates of x (see group._value)."""
     deep = max(m_values)
-    code, x = _levels(d.chords, d.size, deep)
-    letter = {_code(z, deep): z for z in alphabet(deep)}
-    parts = {c: [] for c in letter}
-    for c in d.chords:
-        parts[code[c[0]]].append(c)
-    del code[0]  # position 0 is unused
-    splits = [{"odd": parts[k, 1], "even": parts[k, -1]} for k in range(deep)]
-    levels = [*(sorted(s["odd"] + s["even"]) for s in splits), parts[deep, 0]]
+    f = filtration(d, deep)
+    splits = [{"odd": odd, "even": even} for odd, even in f.prime_split]
     for m in m_values:
-        spell = {c: z if c[0] < m else FINAL for c, z in letter.items()}
+        kept = alphabet(m)
+        spell = {z: z if z in kept else FINAL for z in alphabet(deep)}
+        x = f.x[:m]
         yield {
             "m": m,
             "filtration": {
-                "levels": [*levels[:m], sorted(chain(*levels[m:]))],
+                "levels": [*f.levels[:m], sorted(chain(*f.levels[m:]))],
                 "splits": splits[:m],
             },
-            "word": [*map(spell.__getitem__, code)],
-            "normal_form": NormalForm(tuple(x[:m]), 0).to_json(),
-            "is_identity": not any(x[:m]),
+            "word": [*map(spell.__getitem__, f.word.letters)],
+            "normal_form": NormalForm(x, 0).to_json(),
+            "is_identity": not any(x),
         }
 
 

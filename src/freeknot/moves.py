@@ -256,6 +256,8 @@ class ApplicableMoves(Sequence):
         return sum(len(sites) for _, sites in self.blocks)
 
     def __getitem__(self, i: int) -> Move:
+        if i < 0:
+            i += len(self)
         for name, sites in self.blocks:
             if 0 <= i < len(sites):
                 return Move(name, sites[i])

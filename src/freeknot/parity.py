@@ -8,7 +8,7 @@ and an even part.  Reading the positions 1..2n and writing down each
 end's class yields the word of the diagram over the alphabet
 P0, D0, ..., P{m-1}, D{m-1}, F, where Pk marks the odd part of level
 k, Dk its even part, and F the residue.  So the word holds the whole
-filtration, and `filtration` reads the levels back from it.  A round
+filtration, and `filtration` builds both off one level walk.  A round
 never looks ahead: the word at depth m < M is the word at depth M with
 every letter of a level >= m read as F.
 """
@@ -76,14 +76,16 @@ class Filtration:
 
     levels[k] for k < m holds the chords extracted at round k and
     levels[m] the residue.  prime_split[k] is the (odd, even) cut of
-    levels[k] by linking inside that level.  word is the diagram's word
-    at depth m: position j carries the letter of the chord ending there.
+    levels[k] by linking inside that level; parts are sorted by first
+    end.  word is the diagram's word at depth m: position j carries the
+    letter of the chord ending there.  x is the x of the word's value.
     """
 
     m: int
-    levels: tuple[frozenset[Chord], ...]
-    prime_split: tuple[tuple[frozenset[Chord], frozenset[Chord]], ...]
+    levels: tuple[tuple[Chord, ...], ...]
+    prime_split: tuple[tuple[tuple[Chord, ...], tuple[Chord, ...]], ...]
     word: Word
+    x: tuple[int, ...]
 
 
 def _split(chords: list[Chord],
@@ -168,30 +170,29 @@ def _levels(chords: Sequence[Chord], size: int,
 
 
 def word_of(d: ChordDiagram, m: int) -> Word:
-    """The word of a diagram at depth m: position j carries the letter
-    of its chord, spelled from the codes of _levels.
+    """The word of d at depth m: position j carries its chord's letter.
 
     >>> word_of(ChordDiagram([(1, 3), (2, 5), (4, 6)]), 1).letters
     ('D0', 'F', 'D0', 'D0', 'F', 'D0')
     """
-    if m < 1:
-        raise InvalidM(f"depth must be a positive integer, got {m}")
-    letter = {_code(z, m): z for z in alphabet(m)}
-    return Word(tuple(map(letter.get, _levels(d.chords, d.size, m)[0][1:])), m)
+    return filtration(d, m).word
 
 
 def filtration(d: ChordDiagram, m: int) -> Filtration:
-    """The levels and splits of the word of d at depth m: level k holds
-    the chords lettered Pk or Dk, and the residue those lettered F.
+    """The filtration of d at depth m off one _levels walk: d.chords,
+    sorted by first end, filed under their codes give sorted parts.
 
     The number of chords in each odd part is always even (a handshake
     count), which is what makes the letter words evaluate consistently.
     """
-    word = word_of(d, m)
-    parts: dict[str, list[Chord]] = {z: [] for z in alphabet(m)}
+    if m < 1:
+        raise InvalidM(f"depth must be a positive integer, got {m}")
+    code, x = _levels(d.chords, d.size, m)
+    letter = {_code(z, m): z for z in alphabet(m)}
+    parts = {c: [] for c in letter}
     for c in d.chords:
-        parts[word.letters[c[0] - 1]].append(c)
-    splits = tuple((frozenset(parts[prime(k)]),
-                    frozenset(parts[double_prime(k)])) for k in range(m))
-    levels = (*(odd | even for odd, even in splits), frozenset(parts[FINAL]))
-    return Filtration(m, levels, splits, word)
+        parts[code[c[0]]].append(c)
+    splits = tuple((tuple(parts[k, 1]), tuple(parts[k, -1])) for k in range(m))
+    levels = (*(tuple(sorted(a + b)) for a, b in splits), tuple(parts[m, 0]))
+    word = Word(tuple(map(letter.__getitem__, code[1:])), m)
+    return Filtration(m, levels, splits, word, tuple(x))

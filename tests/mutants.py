@@ -73,6 +73,8 @@ MUTANTS = [
            "(((p - 1 - steps) % size) + 1, ((q - 1 - steps) % size) + 1)",
            "(((p - 1 + steps) % size) + 1, ((q - 1 + steps) % size) + 1)",
            MOVES),
+    Mutant("ApplicableMoves rejects negative indices", "moves.py",
+           "i += len(self)", "i += 0", MOVES),
     Mutant("_R2Insertions.__getitem__ off by one", "moves.py",
            "k = len(self) // 2 - 1 - i // 2", "k = len(self) // 2 - i // 2",
            MOVES),
@@ -117,14 +119,11 @@ MUTANTS = [
     Mutant("distinguish lets depths below one through", "explore.py",
            "if any(m < 1 for m in m_list):", "if False:", EXPLORE),
     Mutant("_describe keeps the letters of one level too many", "cli.py",
-           "z if c[0] < m else FINAL", "z if c[0] < m + 1 else FINAL", CLI),
+           "kept = alphabet(m)", "kept = alphabet(m + 1)", CLI),
     Mutant("_describe swaps the odd and even parts", "cli.py",
-           '{"odd": parts[k, 1], "even": parts[k, -1]}',
-           '{"odd": parts[k, -1], "even": parts[k, 1]}', CLI),
+           '{"odd": odd, "even": even}', '{"odd": even, "even": odd}', CLI),
     Mutant("_describe reads x at the shallowest depth", "cli.py",
-           "code, x = _levels(d.chords, d.size, deep)",
-           "code, x = _levels(d.chords, d.size, deep)[0], "
-           "_levels(d.chords, d.size, min(m_values))[1]", CLI),
+           "x = f.x[:m]", "x = filtration(d, min(m_values)).x[:m]", CLI),
     Mutant("_put_json puts bools on the int path", "cli.py",
            "elif type(value) is int:", "elif isinstance(value, int):",
            JSON_TEXT),

@@ -12,8 +12,9 @@ every pair and triple of chords.  The exhaustive search lists every
 perfect matching and keeps the first of each rotation class, keyed by
 its least code over every base point, and reduction is a breadth-first
 search over every move.  `compare` and `invariant` build and evaluate
-a word per depth, and the CLI's --json text is json's own indented
-encoder.  Tests compare the library code against them.
+a word per depth, `invariant` reading the levels back from the word's
+letters, and the CLI's --json text is json's own indented encoder.
+Tests compare the library code against them.
 """
 
 import json
@@ -26,9 +27,9 @@ from typing import Iterable
 import freeknot
 from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FINAL, LONG,
                       MINIMAL_FOUND, NO, REDUCED_TO_EMPTY, SAME_INVARIANT,
-                      YES, Chord, ChordDiagram, MixedM, NormalForm,
-                      SearchReport, Word, alphabet, apply_letter, apply_move,
-                      double_prime, enumerate_moves, evaluate, filtration,
+                      YES, Chord, ChordDiagram, Filtration, MixedM,
+                      NormalForm, SearchReport, Word, alphabet, apply_letter,
+                      apply_move, double_prime, enumerate_moves, evaluate,
                       identity, letter_level, parse_gauss_code, prime,
                       relations, word_of)
 from freeknot.diagram import first_appearance
@@ -122,6 +123,20 @@ def step_evaluate(word: Word) -> NormalForm:
         else:
             _step(x, eps, k, z)
     return NormalForm(tuple(x), eps)
+
+
+def word_filtration(d: ChordDiagram, m: int) -> Filtration:
+    """filtration read back from rank_word: level k holds the chords
+    lettered Pk or Dk and the residue those lettered F, each part a
+    frozenset, and x is step_evaluate's value of the word."""
+    word = rank_word(d, m)
+    parts: dict[str, list[Chord]] = {z: [] for z in alphabet(m)}
+    for c in d.chords:
+        parts[word.letters[c[0] - 1]].append(c)
+    splits = tuple((frozenset(parts[prime(k)]),
+                    frozenset(parts[double_prime(k)])) for k in range(m))
+    levels = (*(odd | even for odd, even in splits), frozenset(parts[FINAL]))
+    return Filtration(m, levels, splits, word, step_evaluate(word).x)
 
 
 def fold(point: NormalForm, letters) -> NormalForm:
@@ -425,8 +440,8 @@ def describe_per_depth(d: ChordDiagram, m: int) -> dict:
     def chord_list(chords):
         return [list(c) for c in sorted(chords)]
 
-    filt = filtration(d, m)
-    nf = evaluate(filt.word)
+    filt = word_filtration(d, m)
+    nf = step_evaluate(filt.word)
     return {
         "m": m,
         "filtration": {

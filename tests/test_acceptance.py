@@ -78,7 +78,7 @@ def test_adjoint_triples_balance_10k():
             if sum(link_count(c, d.chords) % 2 for c in triple) not in (0, 2):
                 failures += 1
             for level in filt.levels:
-                if triple <= level:
+                if triple <= frozenset(level):
                     inner = sum(link_count(c, level) % 2 for c in triple)
                     if inner % 2:
                         failures += 1

@@ -18,7 +18,7 @@ import oracles
 from freeknot import (ChordDiagram, NormalForm, distinguish, enumerate_moves,
                       parse_gauss_code, search_nontrivial, serialize)
 from freeknot.cli import main
-from freeknot.parity import _levels
+from freeknot.parity import _levels, filtration
 from support import diagrams
 
 WITNESS = "1 2 1 3 4 2 5 3 5 4"
@@ -82,7 +82,7 @@ class TestInvariant:
             calls.append(m)
             return _levels(chords, size, m)
 
-        for module in (freeknot.cli, freeknot.parity, freeknot.group):
+        for module in (freeknot.parity, freeknot.group):
             monkeypatch.setattr(module, "_levels", counted)
         code, _, _ = run(capsys, "invariant", "--json", "--gauss", WITNESS,
                          "--gauss", THREE_LEVELS, "--m", "1", "--m", "3",
@@ -91,17 +91,17 @@ class TestInvariant:
         assert calls == [3, 3]
 
     def test_failure_leaves_stdout_empty(self, capsys, monkeypatch):
-        """The second diagram's level walk fails after the first's
+        """The second diagram's filtration fails after the first's
         entries are built."""
         calls = []
 
-        def failing_second(chords, size, m):
+        def failing_second(d, m):
             calls.append(m)
             if len(calls) == 2:
-                raise ValueError("second level walk fails")
-            return _levels(chords, size, m)
+                raise ValueError("second filtration fails")
+            return filtration(d, m)
 
-        monkeypatch.setattr(freeknot.cli, "_levels", failing_second)
+        monkeypatch.setattr(freeknot.cli, "filtration", failing_second)
         code, out, err = run(capsys, "invariant", "--gauss", "1 1",
                              "--gauss", "1 2 1 2")
         assert (code, out) == (2, "")

@@ -221,9 +221,22 @@ class TestApplicableMoves:
             listed = list(options)
             assert len(options) == len(listed)
             assert [options[i] for i in range(len(options))] == listed
-            for outside in (len(options), -1):
+            for outside in (len(options), -len(options) - 1):
                 with pytest.raises(IndexError):
                     options[outside]
+
+    def test_negative_indices_count_from_the_end(self):
+        """As a list's do: `1 2 1 2` lists 38 moves at cap 4, and
+        index -1 is the last of them."""
+        options = enumerate_moves(parse_gauss_code("1 2 1 2"), 4)
+        assert len(options) == 38 and options[-1] == list(options)[-1]
+        rng = random.Random(44)
+        for n in range(21):
+            d = random_diagram(n, rng)
+            options = enumerate_moves(d, n + rng.randint(0, 2))
+            listed = list(options)
+            for k in range(1, len(listed) + 1):
+                assert options[-k] == listed[-k]
 
     def test_r2_insertions_index_like_their_iteration(self):
         for n in range(7):

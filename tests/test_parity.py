@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given
@@ -10,7 +11,7 @@ from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
                       evaluate, filtration, letter_level, parse_gauss_code,
                       prime, r3_sites, random_diagram, rotate_basepoint,
                       word_of)
-from oracles import link_count
+from oracles import link_count, word_filtration
 from support import diagrams, triple_chords, words
 
 
@@ -50,22 +51,22 @@ def test_letter_level_bounded_by_depth():
 
 def test_filtration_two_odd_one_residue():
     f = filtration(parse_gauss_code("1 2 1 3 2 3"), 1)
-    assert f.levels == (frozenset({(1, 3), (4, 6)}), frozenset({(2, 5)}))
-    assert f.prime_split == ((frozenset(), frozenset({(1, 3), (4, 6)})),)
+    assert f.levels == (((1, 3), (4, 6)), ((2, 5),))
+    assert f.prime_split == (((), ((1, 3), (4, 6))),)
 
 
 def test_filtration_all_even_drops_through():
     f = filtration(parse_gauss_code("1 2 3 1 2 3"), 2)
-    assert f.levels[0] == frozenset() and f.levels[1] == frozenset()
-    assert f.levels[2] == frozenset({(1, 4), (2, 5), (3, 6)})
+    assert f.levels[0] == () and f.levels[1] == ()
+    assert f.levels[2] == ((1, 4), (2, 5), (3, 6))
 
 
 def test_filtration_chain_second_round():
     f = filtration(parse_gauss_code("1 2 1 3 2 4 3 4"), 2)
-    assert f.levels[0] == frozenset({(1, 3), (6, 8)})
-    assert f.levels[1] == frozenset({(2, 5), (4, 7)})
-    assert f.levels[2] == frozenset()
-    assert f.prime_split[1] == (frozenset({(2, 5), (4, 7)}), frozenset())
+    assert f.levels[0] == ((1, 3), (6, 8))
+    assert f.levels[1] == ((2, 5), (4, 7))
+    assert f.levels[2] == ()
+    assert f.prime_split[1] == (((2, 5), (4, 7)), ())
 
 
 def test_filtration_rejects_bad_depth():
@@ -81,9 +82,17 @@ def test_filtration_partitions_chords(d):
         f = filtration(d, m)
         union = set()
         for level in f.levels:
-            assert not (union & level)
-            union |= level
+            assert not (union & set(level))
+            union |= set(level)
         assert union == set(d.chords)
+
+
+@given(diagrams())
+def test_filtration_parts_are_sorted_by_first_end(d):
+    for m in (1, 2, 3):
+        f = filtration(d, m)
+        for part in (*f.levels, *chain(*f.prime_split)):
+            assert list(part) == sorted(part)
 
 
 @given(diagrams())
@@ -103,8 +112,8 @@ def test_prime_split_matches_inner_parity_and_handshake(d):
     f = filtration(d, 2)
     for k, (odd, even) in enumerate(f.prime_split):
         level = f.levels[k]
-        assert odd == {c for c in level if link_count(c, level) % 2 == 1}
-        assert even == level - odd
+        assert set(odd) == {c for c in level if link_count(c, level) % 2}
+        assert set(even) == set(level) - set(odd)
         assert len(odd) % 2 == 0
 
 
@@ -113,7 +122,7 @@ def test_deeper_filtrations_refine_the_residue(d):
     shallow = filtration(d, 2)
     deep = filtration(d, 3)
     assert shallow.levels[:2] == deep.levels[:2]
-    assert shallow.levels[2] == deep.levels[2] | deep.levels[3]
+    assert set(shallow.levels[2]) == set(deep.levels[2] + deep.levels[3])
     assert shallow.prime_split == deep.prime_split[:2]
 
 
@@ -209,6 +218,22 @@ def _defining_filtration(d, m):
     return levels, splits, word
 
 
+def _sets(f):
+    """The levels and splits of a filtration, each part a set."""
+    return ([set(level) for level in f.levels],
+            [(set(odd), set(even)) for odd, even in f.prime_split])
+
+
+@given(diagrams(max_n=40), st.integers(1, 4))
+def test_filtration_matches_the_word_reference(d, m):
+    """Both cuts of the one level walk (40 chords is above _MASK_SIZE
+    ends) against the levels read back from the rank-scan word, and x
+    against that word's value walked letter by letter."""
+    f, reference = filtration(d, m), word_filtration(d, m)
+    assert _sets(f) == _sets(reference)
+    assert (f.m, f.word, f.x) == (reference.m, reference.word, reference.x)
+
+
 def test_large_diagrams_match_the_pairwise_definition():
     rng = random.Random(20261018)
     for _ in range(60):
@@ -216,8 +241,7 @@ def test_large_diagrams_match_the_pairwise_definition():
         for m in range(1, 6):
             levels, splits, word = _defining_filtration(d, m)
             f = filtration(d, m)
-            assert list(f.levels) == levels
-            assert list(f.prime_split) == splits
+            assert _sets(f) == (levels, splits)
             assert f.word == (word, m) == word_of(d, m)
 
 
@@ -248,8 +272,7 @@ def test_edge_shapes_match_the_pairwise_definition(code):
     for m in range(1, 5):
         levels, splits, word = _defining_filtration(d, m)
         f = filtration(d, m)
-        assert list(f.levels) == levels
-        assert list(f.prime_split) == splits
+        assert _sets(f) == (levels, splits)
         assert f.word == (word, m)
 
 
@@ -260,9 +283,8 @@ def test_rounds_after_every_chord_left_are_empty(code):
     d = parse_gauss_code(code)
     levels, splits, word = _defining_filtration(d, 5)
     f = filtration(d, 5)
-    assert f.levels[0] == frozenset(d.chords)
-    assert list(f.levels) == levels
-    assert list(f.prime_split) == splits
+    assert f.levels[0] == d.chords
+    assert _sets(f) == (levels, splits)
     assert f.word == (word, 5)
     assert not any(f.levels[1:])
 
@@ -286,6 +308,6 @@ def test_level_adjoint_triples_balance_inside_their_level():
             triple = triple_chords(d, anchors)
             for k in range(3):
                 level = f.levels[k]
-                if triple <= level:
+                if triple <= set(level):
                     inner = sum(link_count(c, level) % 2 for c in triple)
                     assert inner % 2 == 0
