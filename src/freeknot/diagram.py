@@ -3,9 +3,7 @@
 A diagram on n chords is a partition of the positions 1..2n into n
 unordered pairs.  The base point sits just before position 1 and
 nothing wraps across it.  Two chords are linked exactly when their
-endpoints alternate along the position line.  The parity filtration
-reads linking parity from inside-mask bit counts up to 64 ends, rank
-gaps above; tests check both against the pairwise test in tests/oracles.py.
+endpoints alternate along the position line.
 """
 
 from typing import Iterable

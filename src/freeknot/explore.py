@@ -1,10 +1,12 @@
 """Randomised and exhaustive exploration of the move graph.
 
-Scrambling drives the invariance checks; reduction looks for a
-shortest path to the empty diagram within explicit caps, by a descent
-through removals and then an A* search that proves the path shortest;
-the exhaustive search hunts for diagrams whose word evaluates away from
-the identity, which certifies them as nontrivial free knots.
+Scrambling applies random moves; the invariance trials of `selfcheck`
+draw one move or rotation and take their verdicts from `distinguish`,
+the comparison `compare` makes; reduction looks for a shortest path to
+the empty diagram within explicit caps, by a descent through removals
+and then an A* search that proves the path shortest; the exhaustive
+search hunts for diagrams whose word evaluates away from the identity,
+which certifies them as nontrivial free knots.
 """
 
 import random
@@ -364,33 +366,29 @@ def search_nontrivial(max_chords: int, depths: Sequence[int],
 def move_invariance_trial(rng: random.Random,
                           m_values: Sequence[int]) -> bool:
     """One random trial: does a uniformly chosen applicable move
-    (rotations excluded) preserve the value at every given depth?"""
+    (rotations excluded) keep `distinguish`'s verdict at SAME_INVARIANT?
+    The listing ends with the two rotations, so the draw skips them."""
     d = random_diagram(rng.randint(1, TRIAL_MAX_CHORDS), rng)
-    options = [mv for mv in enumerate_moves(d, TRIAL_SIZE_CAP)
-               if mv.kind != "rotate"]
-    moved = apply_move(d, options[rng.randrange(len(options))])
-    return all(
-        evaluate(word_of(d, m)) == evaluate(word_of(moved, m))
-        for m in m_values)
+    options = enumerate_moves(d, TRIAL_SIZE_CAP)
+    moved = apply_move(d, options[rng.randrange(len(options) - 2)])
+    return distinguish(d, moved, m_values)[0] == SAME_INVARIANT
 
 
 def rotation_conjugacy_trial(rng: random.Random,
                              m_values: Sequence[int]) -> bool:
-    """One random trial: after a one-step rotation the value must be
-    the conjugate by the word's first letter, and the conjugacy test
-    must certify the two values conjugate with a valid witness.  Every
-    letter is an involution, so w^-1 a w is the word w reversed, then
-    a's word, then w, evaluated through the letter action."""
+    """One random trial: after a one-step rotation `distinguish` in free
+    mode must find the values conjugate at every depth, and the rotated
+    value must be the conjugate by the word's first letter and by the
+    witness w.  Every letter is an involution, so w^-1 a w evaluates the
+    word w reversed, then a's word, then w."""
     d = random_diagram(rng.randint(1, TRIAL_MAX_CHORDS), rng)
-    rotated = rotate_basepoint(d, 1)
-    for m in m_values:
+    verdict, per_m = distinguish(d, rotate_basepoint(d, 1), m_values, FREE)
+    if verdict != SAME_INVARIANT:
+        return False
+    for entry in per_m:
+        m = entry["m"]
         letters = word_of(d, m).letters
-        b = evaluate(word_of(rotated, m))
-        if b != evaluate(Word((letters[0], *letters, letters[0]), m)):
-            return False
-        answer = conjugate_equal(evaluate(Word(letters, m)), b)
-        w = answer.witness
-        if answer.verdict != YES or \
-                evaluate(Word((*reversed(w), *letters, *w), m)) != b:
+        if any(evaluate(Word((*w[::-1], *letters, *w), m)).to_json()
+               != entry["right"] for w in (letters[:1], entry["witness"])):
             return False
     return True

@@ -255,7 +255,9 @@ class ApplicableMoves(Sequence):
     def __len__(self) -> int:
         return sum(len(sites) for _, sites in self.blocks)
 
-    def __getitem__(self, i: int) -> Move:
+    def __getitem__(self, i: int | slice) -> Move | list[Move]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         if i < 0:
             i += len(self)
         for name, sites in self.blocks:

@@ -75,6 +75,8 @@ MUTANTS = [
            MOVES),
     Mutant("ApplicableMoves rejects negative indices", "moves.py",
            "i += len(self)", "i += 0", MOVES),
+    Mutant("ApplicableMoves slices ignore the step", "moves.py",
+           "range(len(self))[i]", "range(len(self))[i.start:i.stop]", MOVES),
     Mutant("_R2Insertions.__getitem__ off by one", "moves.py",
            "k = len(self) // 2 - 1 - i // 2", "k = len(self) // 2 - i // 2",
            MOVES),
@@ -118,6 +120,14 @@ MUTANTS = [
            "NormalForm(x1[:m], 0)", "NormalForm(x1[:m + 1], 0)", EXPLORE),
     Mutant("distinguish lets depths below one through", "explore.py",
            "if any(m < 1 for m in m_list):", "if False:", EXPLORE),
+    Mutant("move trial draws rotations too", "explore.py",
+           "rng.randrange(len(options) - 2)", "rng.randrange(len(options))",
+           EXPLORE),
+    Mutant("move trial passes any verdict", "explore.py",
+           "[0] == SAME_INVARIANT",
+           "[0] in (SAME_INVARIANT, CERTIFIED_DISTINCT)", EXPLORE),
+    Mutant("rotation trial ignores the verdict", "explore.py",
+           "if verdict != SAME_INVARIANT:", "if False:", EXPLORE),
     Mutant("_describe keeps the letters of one level too many", "cli.py",
            "kept = alphabet(m)", "kept = alphabet(m + 1)", CLI),
     Mutant("_describe swaps the odd and even parts", "cli.py",

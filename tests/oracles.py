@@ -13,7 +13,9 @@ perfect matching and keeps the first of each rotation class, keyed by
 its least code over every base point, and reduction is a breadth-first
 search over every move.  `compare` and `invariant` build and evaluate
 a word per depth, `invariant` reading the levels back from the word's
-letters, and the CLI's --json text is json's own indented encoder.
+letters, and so does the move trial, which draws from the listing with
+its rotations filtered out.  The CLI's --json text is json's own
+indented encoder.
 Tests compare the library code against them.
 """
 
@@ -31,8 +33,9 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FINAL, LONG,
                       NormalForm, SearchReport, Word, alphabet, apply_letter,
                       apply_move, double_prime, enumerate_moves, evaluate,
                       identity, letter_level, parse_gauss_code, prime,
-                      relations, word_of)
+                      random_diagram, relations, word_of)
 from freeknot.diagram import first_appearance
+from freeknot.explore import TRIAL_MAX_CHORDS, TRIAL_SIZE_CAP
 from freeknot.group import _act
 from freeknot.parity import _levels
 
@@ -432,6 +435,17 @@ def distinguish_per_depth(d1: ChordDiagram, d2: ChordDiagram, m_list,
                       "relation": relation, "witness": witness})
     distinct = any(entry["relation"] == "distinct" for entry in per_m)
     return (CERTIFIED_DISTINCT if distinct else SAME_INVARIANT), per_m
+
+
+def filtered_move_trial(rng, m_values) -> bool:
+    """move_invariance_trial drawing from the listing with its rotations
+    filtered out, and comparing a word's value per diagram and depth."""
+    d = random_diagram(rng.randint(1, TRIAL_MAX_CHORDS), rng)
+    options = [mv for mv in enumerate_moves(d, TRIAL_SIZE_CAP)
+               if mv.kind != "rotate"]
+    moved = apply_move(d, options[rng.randrange(len(options))])
+    return all(evaluate(word_of(d, m)) == evaluate(word_of(moved, m))
+               for m in m_values)
 
 
 def describe_per_depth(d: ChordDiagram, m: int) -> dict:

@@ -514,6 +514,29 @@ class TestTrials:
         rng = random.Random(2025)
         assert all(rotation_conjugacy_trial(rng, [1, 2]) for _ in range(40))
 
+    def test_move_trial_applies_the_reference_draw(self, monkeypatch):
+        """The trial draws by index below the two rotations that end the
+        listing; the reference filters them out of the listing first.
+        Both apply the same move, with the same rng calls, and agree."""
+        def recording(log, apply):
+            def wrapped(d, move):
+                log.append(move)
+                return apply(d, move)
+            return wrapped
+
+        drawn, reference = [], []
+        monkeypatch.setattr(freeknot.explore, "apply_move",
+                            recording(drawn, apply_move))
+        monkeypatch.setattr(oracles, "apply_move",
+                            recording(reference, apply_move))
+        rng, rng_ref = random.Random(2026), random.Random(2026)
+        for _ in range(2000):
+            assert move_invariance_trial(rng, [1, 2, 3])
+            assert oracles.filtered_move_trial(rng_ref, [1, 2, 3])
+        assert drawn == reference and len(drawn) == 2000
+        assert not any(move.kind == "rotate" for move in drawn)
+        assert rng.getstate() == rng_ref.getstate()
+
 
 class TestTrialsFail:
     """Each trial draws the witness diagram, whose value is not the
@@ -545,4 +568,13 @@ class TestTrialsFail:
     def test_rotation_trial_rejects_no(self, monkeypatch):
         monkeypatch.setattr(freeknot.explore, "conjugate_equal",
                             lambda a, b: ConjugacyAnswer(NO, None))
+        assert not rotation_conjugacy_trial(random.Random(5), [1, 2])
+
+    def test_trials_take_the_verdict_of_distinguish(self, monkeypatch):
+        """The same per-depth entries, with valid witnesses, but the
+        verdict CERTIFIED_DISTINCT: both trials fail."""
+        def distinct(*args):
+            return CERTIFIED_DISTINCT, distinguish(*args)[1]
+        monkeypatch.setattr(freeknot.explore, "distinguish", distinct)
+        assert not move_invariance_trial(random.Random(5), [1, 2])
         assert not rotation_conjugacy_trial(random.Random(5), [1, 2])

@@ -238,6 +238,39 @@ class TestApplicableMoves:
             for k in range(1, len(listed) + 1):
                 assert options[-k] == listed[-k]
 
+    SLICES = [slice(None), slice(1, 3), slice(-3, None), slice(None, -2),
+              slice(None, None, -1), slice(1, None, 3), slice(-1, 2, -2),
+              slice(-100, 100), slice(50, 10**6), slice(5, 2), slice(0, 0),
+              slice(None, None, 7), slice(-5, -1, 2)]
+
+    def test_slices_return_the_list_slice(self):
+        """As a list's do: `1 2 1 2` at cap 4 gives its moves 1 and 2."""
+        options = enumerate_moves(parse_gauss_code("1 2 1 2"), 4)
+        assert options[1:3] == list(options)[1:3]
+        rng = random.Random(45)
+        for n in range(21):
+            d = random_diagram(n, rng)
+            options = enumerate_moves(d, n + rng.randint(0, 2))
+            listed = list(options)
+            for s in self.SLICES:
+                assert options[s] == listed[s], (n, s)
+
+    def test_listing_ends_with_the_two_rotations(self):
+        """The move trial draws below len - 2 to skip the rotations."""
+        rotations = [Move("rotate", (1,)), Move("rotate", (-1,))]
+        rng = random.Random(46)
+        for n in range(1, 12):
+            for _ in range(20):
+                d = random_diagram(n, rng)
+                for cap in range(14):
+                    options = enumerate_moves(d, cap)
+                    kinds = [name for name, sites in options.blocks
+                             for _ in sites]
+                    assert kinds.count("rotate") == 2, (d, cap)
+                    assert options[-2:] == rotations, (d, cap)
+        assert not any(mv.kind == "rotate" for cap in range(14)
+                       for mv in enumerate_moves(ChordDiagram(), cap))
+
     def test_r2_insertions_index_like_their_iteration(self):
         for n in range(7):
             d = random_diagram(n, random.Random(n))
