@@ -61,9 +61,10 @@ def scramble(d: ChordDiagram, move_count: int, seed: int,
     rng = random.Random(seed)
     for _ in range(move_count):
         options = enumerate_moves(d, size_cap)
-        if not options:
+        listed = len(options)
+        if not listed:
             break
-        d = apply_move(d, options[rng.randrange(len(options))])
+        d = apply_move(d, options[rng.randrange(listed)])
     return d
 
 

@@ -51,7 +51,7 @@ def r1_sites(d: ChordDiagram) -> list[Chord]:
 
 def r1_remove(d: ChordDiagram, chord) -> ChordDiagram:
     chord = tuple(sorted(chord))
-    if chord not in r1_sites(d):
+    if chord not in d.chords or chord[1] - chord[0] != 1:
         raise NotAnR1Site(f"{chord} is not a removable small chord")
     return renumber([c for c in d.chords if c != chord])
 
@@ -60,7 +60,8 @@ def r1_add(d: ChordDiagram, gap: int) -> ChordDiagram:
     """Insert a chord with consecutive ends after position `gap` (0..2n)."""
     if not 0 <= gap <= d.size:
         raise GapOutOfRange(f"gap {gap} outside 0..{d.size}")
-    shifted = [tuple(e + 2 if e > gap else e for e in c) for c in d.chords]
+    shifted = [(p + 2 if p > gap else p, q + 2 if q > gap else q)
+               for p, q in d.chords]
     shifted.append((gap + 1, gap + 2))
     return ChordDiagram(shifted)
 
@@ -68,15 +69,16 @@ def r1_add(d: ChordDiagram, gap: int) -> ChordDiagram:
 def r2_sites(d: ChordDiagram) -> list[tuple[Chord, Chord]]:
     """Unordered pairs of adjacent chords, crossed and nested alike,
     in order of the first chord.  The partner of (p, q) can only be the
-    chord whose first end is p + 1."""
-    starts = {c[0]: c for c in d.chords}
-    return [(c1, c2) for c1 in d.chords
-            if (c2 := starts.get(c1[0] + 1)) and abs(c2[1] - c1[1]) == 1]
+    chord whose first end is p + 1, which is the next chord in order of
+    first ends when there is one."""
+    return [(c1, c2) for c1, c2 in zip(d.chords, d.chords[1:])
+            if c2[0] == c1[0] + 1 and abs(c2[1] - c1[1]) == 1]
 
 
 def r2_remove(d: ChordDiagram, pair) -> ChordDiagram:
-    c1, c2 = ChordDiagram(pair).chords
-    if (c1, c2) not in r2_sites(d):
+    pair = ChordDiagram(pair)
+    c1, c2 = pair.chords
+    if c1 not in d.chords or c2 not in d.chords or not r2_sites(pair):
         raise NotAnR2Site(f"{(c1, c2)} is not an adjacent chord pair")
     return renumber([c for c in d.chords if c not in (c1, c2)])
 
@@ -87,8 +89,8 @@ def r2_add(d: ChordDiagram, gap1: int, gap2: int, pattern: str) -> ChordDiagram:
     pair = _r2_pair(gap1, gap2, pattern)
     if not 0 <= gap1 <= gap2 <= d.size:
         raise GapOutOfRange(f"gaps ({gap1}, {gap2}) outside 0..{d.size}")
-    shifted = [tuple(e + 2 * ((e > gap1) + (e > gap2)) for e in c)
-               for c in d.chords]
+    shifted = [(p + 2 * ((p > gap1) + (p > gap2)),
+                q + 2 * ((q > gap1) + (q > gap2))) for p, q in d.chords]
     return ChordDiagram(shifted + list(pair))
 
 
@@ -146,18 +148,30 @@ def r3_sites(d: ChordDiagram) -> list[tuple[int, int, int]]:
     (s, s+1), (t, t+1), each pair spanning two chords.
 
     A triple is found once, from its lowest end r: its first two chords
-    start at r and r + 1, and its third chord owns a position next to
-    the far end of the chord at r.
+    start at r and r + 1, so the second is the next chord in order of
+    first ends, and its third chord owns a position next to the far end
+    of the chord at r.  The third chord must also own a position next
+    to the far end of the second: that end pairs with a neighbour, and
+    were the neighbour the first chord's far end, the third chord's two
+    ends would pair with each other.  So a candidate with neither end
+    next to it is skipped before its six ends are sorted; one that
+    passes still goes to _adjoint_anchors, the one test of a triple.
     """
-    owner = d.end_map()
+    owner = [None] * (d.size + 2)
+    for c in d.chords:
+        owner[c[0]] = owner[c[1]] = c
     sites = []
-    for first in d.chords:
+    for first, second in zip(d.chords, d.chords[1:]):
         r, far = first
-        second = owner[r + 1]
         if second[0] != r + 1:
             continue
-        # a set: one chord may own both neighbours of the far end
-        for third in {owner.get(far - 1), owner.get(far + 1)} - {None}:
+        far2 = second[1]
+        below, above = owner[far - 1], owner[far + 1]
+        # one chord may own both neighbours of the far end
+        for third in (below,) if below == above else (below, above):
+            if third is None or (abs(third[0] - far2) != 1
+                                 and abs(third[1] - far2) != 1):
+                continue
             anchors = _adjoint_anchors((first, second, third))
             if anchors and anchors[0] == r:
                 sites.append(anchors)

@@ -55,6 +55,17 @@ MUTANTS = [
            "abs(c2[1] - c1[1]) == 1", "c2[1] - c1[1] == 1", MOVES),
     Mutant("r3_sites keeps a triple from every end", "moves.py",
            "if anchors and anchors[0] == r:", "if anchors:", MOVES),
+    Mutant("r3_sites precheck wants the third chord two ends away",
+           "moves.py", "abs(third[1] - far2) != 1",
+           "abs(third[1] - far2) != 2", MOVES),
+    Mutant("r1_remove takes any chord of the diagram", "moves.py",
+           "chord not in d.chords or chord[1] - chord[0] != 1",
+           "chord not in d.chords", MOVES),
+    Mutant("r2_remove takes any two chords of the diagram", "moves.py",
+           " or not r2_sites(pair):", ":", MOVES),
+    Mutant("r2_remove takes chords the diagram lacks", "moves.py",
+           "if c1 not in d.chords or c2 not in d.chords or not r2_sites",
+           "if not r2_sites", MOVES),
     Mutant("_adjoint_anchors unpacks any number of chords", "moves.py",
            "if len(chords3) != 3:", "if not chords3:", MOVES),
     Mutant("_adjoint_anchors skips the first adjacency", "moves.py",

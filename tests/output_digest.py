@@ -11,7 +11,13 @@ seeded random diagrams, each run's text followed by its exit code:
   diagram of 0..40 chords against a base-point rotation of itself and
   against another diagram of the same size;
 - moves: `moves --json` on each diagram of 0..40 chords at three
-  insertion caps, n, n + 1 and n + 2.
+  insertion caps, n, n + 1 and n + 2;
+- scramble: `scramble --json --moves 50` with a seeded `--seed` on
+  each diagram of 0..30 chords, insertions capped at n + 4;
+- reduce: `reduce --json --max-states 500` on each diagram of 0..12
+  chords, at the default chord budget and at n, and on scrambles of
+  the empty diagram (0..30 moves, cap 6), which reduce to it, and on
+  the two five-chord nontrivial free knots at chord budgets 5 and 6.
 
 `tests/test_output_digest.py` pins these digests, so a change that
 should leave the output byte-identical can be checked in one run.
@@ -24,11 +30,13 @@ import io
 import random
 import sys
 
-from freeknot import random_diagram, serialize
+from freeknot import ChordDiagram, random_diagram, scramble, serialize
 from freeknot.cli import main
 from freeknot.moves import rotate_basepoint
 
 SEED = 20261020
+# The two five-chord nontrivial free knots (`freeknot search`).
+WITNESSES = ("1 2 1 3 4 2 4 5 3 5", "1 2 1 3 4 2 5 3 5 4")
 
 
 def _run(argv: list[str]) -> bytes:
@@ -66,8 +74,31 @@ def moves_runs(rng: random.Random):
             yield ["moves", "--json", "--max-chords", str(cap), *_gauss(d)]
 
 
+def scramble_runs(rng: random.Random):
+    for n in range(31):
+        d = random_diagram(n, rng)
+        yield ["scramble", "--json", "--moves", "50", "--max-chords",
+               str(n + 4), "--seed", str(rng.randrange(2 ** 32)), *_gauss(d)]
+
+
+def reduce_runs(rng: random.Random):
+    for n in range(13):
+        d = random_diagram(n, rng)
+        for cap in ([], ["--max-chords", str(n)]):
+            yield ["reduce", "--json", "--max-states", "500", *cap,
+                   *_gauss(d)]
+    for moves in range(31):
+        d = scramble(ChordDiagram(), moves, rng.randrange(2 ** 32), 6)
+        yield ["reduce", "--json", "--max-states", "500", *_gauss(d)]
+    for code in WITNESSES:
+        for cap in ("5", "6"):
+            yield ["reduce", "--json", "--max-states", "500",
+                   "--max-chords", cap, "--gauss", code]
+
+
 COMMANDS = {"invariant": invariant_runs, "compare": compare_runs,
-            "moves": moves_runs}
+            "moves": moves_runs, "scramble": scramble_runs,
+            "reduce": reduce_runs}
 
 
 def digests() -> dict[str, str]:

@@ -12,6 +12,7 @@ from freeknot import (CROSSED, NESTED, ChordDiagram, GapOutOfRange, Move,
                       parse_gauss_code, r1_add, r1_remove, r1_sites, r2_add,
                       r2_remove, r2_sites, r3_apply, r3_sites, random_diagram,
                       rotate_basepoint, serialize)
+from freeknot.diagram import renumber
 from freeknot.moves import MOVE_KINDS, _adjoint_anchors
 from support import FIELD_SHAPES, diagrams, move_from_json, triple_chords
 
@@ -34,6 +35,23 @@ class TestR1:
             r1_remove(parse_gauss_code("1 2 1 2"), (1, 3))
         with pytest.raises(NotAnR1Site):
             r1_remove(parse_gauss_code("1 1"), (3, 4))
+
+    def test_remove_accepts_exactly_the_sites(self):
+        """On every diagram of at most four chords, r1_remove accepts a
+        pair of positions, in either order, exactly when r1_sites lists
+        it, and removes that chord alone."""
+        for n in range(5):
+            for chords in oracles.all_matchings(range(1, 2 * n + 1)):
+                d = ChordDiagram(chords)
+                sites = r1_sites(d)
+                for chord in combinations(range(1, 2 * n + 2), 2):
+                    for given in (chord, chord[::-1]):
+                        if chord not in sites:
+                            with pytest.raises(NotAnR1Site):
+                                r1_remove(d, given)
+                            continue
+                        rest = [c for c in d.chords if c != chord]
+                        assert r1_remove(d, given) == renumber(rest)
 
     def test_add(self):
         assert serialize(r1_add(ChordDiagram(), 0)) == "1 1"
@@ -64,6 +82,25 @@ class TestR2:
         d = parse_gauss_code("1 2 3 1 2 3")
         with pytest.raises(NotAnR2Site):
             r2_remove(d, ((1, 4), (3, 6)))
+
+    def test_remove_accepts_exactly_the_sites(self):
+        """On every diagram of at most four chords, r2_remove accepts
+        two chords, in either order, exactly when r2_sites lists them,
+        and removes those two alone.  Up to three chords the candidates
+        include every pair of positions, present as a chord or not."""
+        for n in range(5):
+            for chords in oracles.all_matchings(range(1, 2 * n + 1)):
+                d = ChordDiagram(chords)
+                sites = r2_sites(d)
+                pool = (list(combinations(range(1, 2 * n + 2), 2)) if n < 4
+                        else d.chords)
+                for pair in permutations(pool, 2):
+                    if tuple(sorted(pair)) not in sites:
+                        with pytest.raises(NotAnR2Site):
+                            r2_remove(d, pair)
+                        continue
+                    rest = [c for c in d.chords if c not in pair]
+                    assert r2_remove(d, pair) == renumber(rest)
 
     def test_add(self):
         assert serialize(r2_add(ChordDiagram(), 0, 0, CROSSED)) == "1 2 1 2"
@@ -182,6 +219,7 @@ class TestSitesAgainstOracles:
         "1 2 3 1 4 4 2 3",  # two triples from one lowest end: the first
         "1 2 3 2 4 4 1 3",  # listed uses the chord below / above the far end
         "1 2 1 3 4 2 5 3 5 4",
+        "1 2 3 2 1 3",  # its triple passes the precheck from end 2 too
     ]
 
     @pytest.mark.parametrize("code", EDGE_CODES)
@@ -189,6 +227,13 @@ class TestSitesAgainstOracles:
         d = parse_gauss_code(code)
         assert r2_sites(d) == oracles.r2_sites(d)
         assert r3_sites(d) == oracles.r3_sites(d)
+
+    def test_every_small_matching(self):
+        for n in range(6):
+            for chords in oracles.all_matchings(range(1, 2 * n + 1)):
+                d = ChordDiagram(chords)
+                assert r2_sites(d) == oracles.r2_sites(d)
+                assert r3_sites(d) == oracles.r3_sites(d)
 
     def test_two_triples_from_one_lowest_end(self):
         for code in ("1 2 3 1 4 4 2 3", "1 2 3 2 4 4 1 3"):
