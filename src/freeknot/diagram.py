@@ -41,10 +41,6 @@ class ChordDiagram:
         """Number of chord ends, i.e. 2n."""
         return 2 * len(self.chords)
 
-    def end_map(self) -> dict[int, Chord]:
-        """Map every position to the chord it belongs to."""
-        return {e: c for c in self.chords for e in c}
-
     def to_json(self) -> dict:
         return {"n": self.n, "chords": [list(c) for c in self.chords]}
 
@@ -80,13 +76,6 @@ def parse_gauss_code(text: str) -> ChordDiagram:
                 f"label {label!r} occurs {times}, expected 2")
         chords.append((positions[0], positions[1]))
     return ChordDiagram(chords)
-
-
-def renumber(chords: list[Chord]) -> ChordDiagram:
-    """The diagram of `chords` with their ends renumbered 1..2n in order."""
-    rank = {e: i for i, e in
-            enumerate(sorted(e for c in chords for e in c), start=1)}
-    return ChordDiagram((rank[p], rank[q]) for p, q in chords)
 
 
 def first_appearance(items: Iterable) -> list[int]:

@@ -2,9 +2,10 @@
 
 All position arithmetic is literal on 1..2n: adjacency never wraps
 across the base point, so rotation is the only move that crosses it.
-Removals and insertions renumber the remaining positions in order; the
-triple move rewires three chords in place and touches no position.
-Each kind is defined once, in the table MOVE_KINDS.
+An R1 or R2 move inserts or removes blocks of two ends, and all four
+shift the other ends past each block by one rule, _shift; the triple
+move rewires three chords in place and touches no position.  Each kind
+is defined once, in the table MOVE_KINDS.
 """
 
 from collections.abc import Sequence
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, NamedTuple
 
-from .diagram import Chord, ChordDiagram, renumber
+from .diagram import Chord, ChordDiagram
 
 
 class GapOutOfRange(ValueError):
@@ -44,6 +45,13 @@ class Move:
     params: tuple  # one value per field of the kind, in order
 
 
+def _shift(chords, cut1: int, cut2: int, step: int) -> list[Chord]:
+    """The chords with each end moved by `step` once for every cut below
+    it; a cut at the diagram's size lies below no end."""
+    return [(p + step * ((p > cut1) + (p > cut2)),
+             q + step * ((q > cut1) + (q > cut2))) for p, q in chords]
+
+
 def r1_sites(d: ChordDiagram) -> list[Chord]:
     """Chords whose two ends are consecutive positions, in position order."""
     return [c for c in d.chords if c[1] - c[0] == 1]
@@ -53,17 +61,16 @@ def r1_remove(d: ChordDiagram, chord) -> ChordDiagram:
     chord = tuple(sorted(chord))
     if chord not in d.chords or chord[1] - chord[0] != 1:
         raise NotAnR1Site(f"{chord} is not a removable small chord")
-    return renumber([c for c in d.chords if c != chord])
+    rest = [c for c in d.chords if c != chord]
+    return ChordDiagram(_shift(rest, chord[0], d.size, -2))
 
 
 def r1_add(d: ChordDiagram, gap: int) -> ChordDiagram:
     """Insert a chord with consecutive ends after position `gap` (0..2n)."""
     if not 0 <= gap <= d.size:
         raise GapOutOfRange(f"gap {gap} outside 0..{d.size}")
-    shifted = [(p + 2 if p > gap else p, q + 2 if q > gap else q)
-               for p, q in d.chords]
-    shifted.append((gap + 1, gap + 2))
-    return ChordDiagram(shifted)
+    return ChordDiagram(_shift(d.chords, gap, d.size, 2)
+                        + [(gap + 1, gap + 2)])
 
 
 def r2_sites(d: ChordDiagram) -> list[tuple[Chord, Chord]]:
@@ -77,21 +84,25 @@ def r2_sites(d: ChordDiagram) -> list[tuple[Chord, Chord]]:
 
 def r2_remove(d: ChordDiagram, pair) -> ChordDiagram:
     pair = ChordDiagram(pair)
-    c1, c2 = pair.chords
-    if c1 not in d.chords or c2 not in d.chords or not r2_sites(pair):
-        raise NotAnR2Site(f"{(c1, c2)} is not an adjacent chord pair")
-    return renumber([c for c in d.chords if c not in (c1, c2)])
+    chords = pair.chords
+    if r2_sites(pair) != [chords] or not set(chords) <= set(d.chords):
+        raise NotAnR2Site(f"{chords} is not an adjacent chord pair")
+    (a, x), (_, y) = chords
+    rest = [c for c in d.chords if c not in chords]
+    return ChordDiagram(_shift(rest, a, min(x, y), -2))
 
 
 def r2_add(d: ChordDiagram, gap1: int, gap2: int, pattern: str) -> ChordDiagram:
     """Insert an adjacent pair: a block of two ends after `gap1` and
     another after `gap2` (gap1 <= gap2), joined crossed or nested."""
-    pair = _r2_pair(gap1, gap2, pattern)
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}")
     if not 0 <= gap1 <= gap2 <= d.size:
         raise GapOutOfRange(f"gaps ({gap1}, {gap2}) outside 0..{d.size}")
-    shifted = [(p + 2 * ((p > gap1) + (p > gap2)),
-                q + 2 * ((q > gap1) + (q > gap2))) for p, q in d.chords]
-    return ChordDiagram(shifted + list(pair))
+    a1, a2, b1, b2 = gap1 + 1, gap1 + 2, gap2 + 3, gap2 + 4
+    pair = ([(a1, b1), (a2, b2)] if pattern == CROSSED
+            else [(a1, b2), (a2, b1)])
+    return ChordDiagram(_shift(d.chords, gap1, gap2, 2) + pair)
 
 
 class _R2Insertions(Sequence):
@@ -118,15 +129,6 @@ class _R2Insertions(Sequence):
     def __iter__(self):
         return ((g1, g2, pattern) for g1 in range(self.size + 1)
                 for g2 in range(g1, self.size + 1) for pattern in PATTERNS)
-
-
-def _r2_pair(gap1: int, gap2: int, pattern: str) -> tuple[Chord, Chord]:
-    """The two chords r2_add(d, gap1, gap2, pattern) inserts, as
-    positions of the result."""
-    if pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    a1, a2, b1, b2 = gap1 + 1, gap1 + 2, gap2 + 3, gap2 + 4
-    return ((a1, b1), (a2, b2)) if pattern == CROSSED else ((a1, b2), (a2, b1))
 
 
 def _adjoint_anchors(chords3) -> tuple[int, int, int] | None:
@@ -187,9 +189,8 @@ def r3_apply(d: ChordDiagram, anchors) -> ChordDiagram:
     """
     anchors = tuple(sorted(anchors))
     swap = {a + i: a + 1 - i for a in anchors for i in (0, 1)}
-    owner = d.end_map()
-    owners = {owner.get(p) for p in swap}
-    if None in owners or _adjoint_anchors(owners) != anchors:
+    owners = {c for c in d.chords if c[0] in swap or c[1] in swap}
+    if _adjoint_anchors(owners) != anchors:
         raise NotAnR3Site(f"no completely adjoint triple at {anchors}")
     return ChordDiagram((swap.get(p, p), swap.get(q, q)) for p, q in d.chords)
 

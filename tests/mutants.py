@@ -62,10 +62,18 @@ MUTANTS = [
            "chord not in d.chords or chord[1] - chord[0] != 1",
            "chord not in d.chords", MOVES),
     Mutant("r2_remove takes any two chords of the diagram", "moves.py",
-           " or not r2_sites(pair):", ":", MOVES),
+           "r2_sites(pair) != [chords] or ", "", MOVES),
     Mutant("r2_remove takes chords the diagram lacks", "moves.py",
-           "if c1 not in d.chords or c2 not in d.chords or not r2_sites",
-           "if not r2_sites", MOVES),
+           " or not set(chords) <= set(d.chords)", "", MOVES),
+    Mutant("r2_remove takes more than two chords", "moves.py",
+           "r2_sites(pair) != [chords]", "not r2_sites(pair)", MOVES),
+    Mutant("_shift moves the end at the first cut", "moves.py",
+           "(p > cut1)", "(p >= cut1)", MOVES),
+    Mutant("_shift moves second ends past the first cut twice", "moves.py",
+           "(q > cut2)", "(q > cut1)", MOVES),
+    Mutant("r2_remove cuts twice at the pair's first ends", "moves.py",
+           "_shift(rest, a, min(x, y), -2)", "_shift(rest, a, a, -2)",
+           MOVES),
     Mutant("_adjoint_anchors unpacks any number of chords", "moves.py",
            "if len(chords3) != 3:", "if not chords3:", MOVES),
     Mutant("_adjoint_anchors skips the first adjacency", "moves.py",

@@ -7,15 +7,16 @@ Normal-form words are built and the group operations applied one
 letter at a time through the action, and conjugacy is explored by
 breadth-first closure under single-letter conjugation.  Word equality
 is tested by rewriting alone, never through the action.  Linking is
-tested chord pair by chord pair, and move sites are found by testing
-every pair and triple of chords.  The exhaustive search lists every
-perfect matching and keeps the first of each rotation class, keyed by
-its least code over every base point, and reduction is a breadth-first
-search over every move.  `compare` and `invariant` build and evaluate
-a word per depth, `invariant` reading the levels back from the word's
-letters, and so does the move trial, which draws from the listing with
-its rotations filtered out.  The CLI's --json text is json's own
-indented encoder.
+tested chord pair by chord pair, move sites are found by testing
+every pair and triple of chords, and the chords a removal leaves are
+renumbered by sorting their ends rather than shifted.  The exhaustive
+search lists every perfect matching and keeps the first of each
+rotation class, keyed by its least code over every base point, and
+reduction is a breadth-first search over every move.  `compare` and
+`invariant` build and evaluate a word per depth, `invariant` reading
+the levels back from the word's letters, and so does the move trial,
+which draws from the listing with its rotations filtered out.  The
+CLI's --json text is json's own indented encoder.
 Tests compare the library code against them.
 """
 
@@ -38,6 +39,7 @@ from freeknot.diagram import first_appearance
 from freeknot.explore import TRIAL_MAX_CHORDS, TRIAL_SIZE_CAP
 from freeknot.group import _act
 from freeknot.parity import _levels
+from support import end_map
 
 EQUAL = "equal"
 UNDETERMINED = "undetermined"
@@ -330,6 +332,13 @@ def r3_sites(d):
                   if (anchors := _adjoint_anchors(chords3)) is not None)
 
 
+def renumber(chords: list[Chord]) -> ChordDiagram:
+    """The diagram of `chords` with their ends renumbered 1..2n in order."""
+    rank = {e: i for i, e in
+            enumerate(sorted(e for c in chords for e in c), start=1)}
+    return ChordDiagram((rank[p], rank[q]) for p, q in chords)
+
+
 def all_matchings(positions):
     """Every perfect matching of the given positions, as chord tuples."""
     positions = list(positions)
@@ -345,7 +354,7 @@ def all_matchings(positions):
 
 def rotations_code(d: ChordDiagram) -> str:
     """rotation_canonical_code with every base point tried."""
-    owner, size = d.end_map(), d.size
+    owner, size = end_map(d), d.size
     twice = [owner[p] for p in range(1, size + 1)] * 2
     best = min((first_appearance(twice[s:s + size]) for s in range(size)),
                default=[])

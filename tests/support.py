@@ -35,10 +35,15 @@ def random_point(rng: random.Random, m: int, bound: int = 10) -> NormalForm:
                       rng.randint(0, 1))
 
 
+def end_map(d: ChordDiagram) -> dict:
+    """Map every position of d to the chord it belongs to."""
+    return {e: c for c in d.chords for e in c}
+
+
 def triple_chords(d: ChordDiagram, anchors) -> set:
     """The chords owning the positions r3_apply swaps for the anchors
     (r, s, t): the three chords of the adjoint triple anchored there."""
-    owner = d.end_map()
+    owner = end_map(d)
     return {owner[p] for a in anchors for p in (a, a + 1)}
 
 

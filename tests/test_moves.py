@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,6 @@ from freeknot import (CROSSED, NESTED, ChordDiagram, GapOutOfRange, Move,
                       parse_gauss_code, r1_add, r1_remove, r1_sites, r2_add,
                       r2_remove, r2_sites, r3_apply, r3_sites, random_diagram,
                       rotate_basepoint, serialize)
-from freeknot.diagram import renumber
 from freeknot.moves import MOVE_KINDS, _adjoint_anchors
 from support import FIELD_SHAPES, diagrams, move_from_json, triple_chords
 
@@ -51,7 +51,7 @@ class TestR1:
                                 r1_remove(d, given)
                             continue
                         rest = [c for c in d.chords if c != chord]
-                        assert r1_remove(d, given) == renumber(rest)
+                        assert r1_remove(d, given) == oracles.renumber(rest)
 
     def test_add(self):
         assert serialize(r1_add(ChordDiagram(), 0)) == "1 1"
@@ -83,6 +83,14 @@ class TestR2:
         with pytest.raises(NotAnR2Site):
             r2_remove(d, ((1, 4), (3, 6)))
 
+    @pytest.mark.parametrize("given", [
+        [], [(1, 4)], [(1, 4), (2, 5), (3, 6)], [(1, 4), (1, 4)]])
+    def test_remove_rejects_other_chord_counts(self, given):
+        """Anything but two distinct chords is no site, reported as
+        NotAnR2Site and not as a failed unpacking."""
+        with pytest.raises(NotAnR2Site):
+            r2_remove(parse_gauss_code("1 2 3 1 2 3"), given)
+
     def test_remove_accepts_exactly_the_sites(self):
         """On every diagram of at most four chords, r2_remove accepts
         two chords, in either order, exactly when r2_sites lists them,
@@ -100,7 +108,7 @@ class TestR2:
                             r2_remove(d, pair)
                         continue
                     rest = [c for c in d.chords if c not in pair]
-                    assert r2_remove(d, pair) == renumber(rest)
+                    assert r2_remove(d, pair) == oracles.renumber(rest)
 
     def test_add(self):
         assert serialize(r2_add(ChordDiagram(), 0, 0, CROSSED)) == "1 2 1 2"
@@ -115,6 +123,34 @@ class TestR2:
             r2_add(parse_gauss_code("1 1"), 2, 1, CROSSED)
         with pytest.raises(ValueError):
             r2_add(ChordDiagram(), 0, 0, "braided")
+
+
+class TestRoundTrips:
+    """Removing what an insertion just made gives the diagram back, on
+    every diagram of at most four chords: each R1 gap, and each R2 gap
+    pair in both patterns."""
+
+    def test_r1(self):
+        for n in range(5):
+            for chords in oracles.all_matchings(range(1, 2 * n + 1)):
+                d = ChordDiagram(chords)
+                for gap in range(d.size + 1):
+                    grown = r1_add(d, gap)
+                    assert (gap + 1, gap + 2) in grown.chords
+                    assert r1_remove(grown, (gap + 1, gap + 2)) == d
+
+    def test_r2(self):
+        inserted = {CROSSED: lambda a, b: ((a, b), (a + 1, b + 1)),
+                    NESTED: lambda a, b: ((a, b + 1), (a + 1, b))}
+        for n in range(5):
+            for chords in oracles.all_matchings(range(1, 2 * n + 1)):
+                d = ChordDiagram(chords)
+                gaps = combinations_with_replacement(range(d.size + 1), 2)
+                for (gap1, gap2), pattern in product(gaps, inserted):
+                    grown = r2_add(d, gap1, gap2, pattern)
+                    pair = inserted[pattern](gap1 + 1, gap2 + 3)
+                    assert set(pair) <= set(grown.chords)
+                    assert r2_remove(grown, pair) == d
 
 
 class TestR3:

@@ -12,7 +12,7 @@ from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
                       prime, r3_sites, random_diagram, rotate_basepoint,
                       word_of)
 from oracles import link_count, word_filtration
-from support import diagrams, triple_chords, words
+from support import diagrams, end_map, triple_chords, words
 
 
 def test_letter_helpers():
@@ -213,7 +213,7 @@ def _defining_filtration(d, m):
         letter.update(dict.fromkeys(odd, prime(k)))
         letter.update(dict.fromkeys(level - odd, double_prime(k)))
     levels.append(survivors)
-    owner = d.end_map()
+    owner = end_map(d)
     word = tuple(letter.get(owner[j], FINAL) for j in range(1, d.size + 1))
     return levels, splits, word
 
