@@ -6,6 +6,7 @@ nothing wraps across it.  Two chords are linked exactly when their
 endpoints alternate along the position line.
 """
 
+from collections import Counter
 from typing import Iterable
 
 Chord = tuple[int, int]
@@ -31,6 +32,13 @@ class ChordDiagram:
     def __init__(self, chords: Iterable[tuple[int, int]] = ()):
         self.chords: tuple[Chord, ...] = tuple(
             sorted((p, q) if p <= q else (q, p) for p, q in chords))
+
+    @classmethod
+    def _sorted(cls, chords: tuple[Chord, ...]) -> "ChordDiagram":
+        """The diagram of chords already normalised and in order."""
+        d = object.__new__(cls)
+        d.chords = chords
+        return d
 
     @property
     def n(self) -> int:
@@ -64,18 +72,20 @@ def parse_gauss_code(text: str) -> ChordDiagram:
     >>> parse_gauss_code("1 2 1 2").chords
     ((1, 3), (2, 4))
     """
-    ends: dict[str, list[int]] = {}
-    for position, label in enumerate(text.split(), start=1):
-        ends.setdefault(label, []).append(position)
-    chords = []
-    for label, positions in ends.items():
-        if len(positions) != 2:
-            count = len(positions)
-            times = "once" if count == 1 else f"{count} times"
-            raise LabelCountError(
-                f"label {label!r} occurs {times}, expected 2")
-        chords.append((positions[0], positions[1]))
-    return ChordDiagram(chords)
+    tokens = text.split()
+    first, partner = {}, {}  # label -> first end -> second, keys in order
+    for q, label in enumerate(tokens, start=1):
+        p = first.setdefault(label, q)
+        if partner.get(p, p) > p:  # the label's third occurrence
+            break
+        partner[p] = q
+    else:
+        if 2 * len(first) == len(tokens):  # and so no label occurs once
+            return ChordDiagram._sorted(tuple(partner.items()))
+    # the first label, in order of first use, that does not occur twice
+    label, count = next(c for c in Counter(tokens).items() if c[1] != 2)
+    times = "once" if count == 1 else f"{count} times"
+    raise LabelCountError(f"label {label!r} occurs {times}, expected 2")
 
 
 def first_appearance(items: Iterable) -> list[int]:

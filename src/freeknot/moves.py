@@ -58,7 +58,10 @@ def r1_sites(d: ChordDiagram) -> list[Chord]:
 
 
 def r1_remove(d: ChordDiagram, chord) -> ChordDiagram:
-    chord = tuple(sorted(chord))
+    try:
+        chord = tuple(sorted(chord))
+    except TypeError:
+        raise NotAnR1Site(f"{chord!r} is not a chord") from None
     if chord not in d.chords or chord[1] - chord[0] != 1:
         raise NotAnR1Site(f"{chord} is not a removable small chord")
     rest = [c for c in d.chords if c != chord]
@@ -83,7 +86,10 @@ def r2_sites(d: ChordDiagram) -> list[tuple[Chord, Chord]]:
 
 
 def r2_remove(d: ChordDiagram, pair) -> ChordDiagram:
-    pair = ChordDiagram(pair)
+    try:
+        pair = ChordDiagram(pair)
+    except (TypeError, ValueError):
+        raise NotAnR2Site(f"{pair!r} is not a list of chords") from None
     chords = pair.chords
     if r2_sites(pair) != [chords] or not set(chords) <= set(d.chords):
         raise NotAnR2Site(f"{chords} is not an adjacent chord pair")

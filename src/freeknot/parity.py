@@ -88,35 +88,21 @@ class Filtration:
     x: tuple[int, ...]
 
 
-def _split(chords: list[Chord],
-           size: int) -> tuple[list[Chord], list[Chord], list[int]]:
-    """Cut a chord list into the chords linked with an odd number of
-    the others in the list and the rest, both in list order, and give
-    the rank of the list's ends: rank[j] counts those at positions <= j.
-
-    Any other chord of the list has two ends strictly inside a chord
-    (p, q) when it is nested in it, one end when it is linked with it,
-    and none otherwise.  So the list's ends strictly inside (p, q)
-    number the linking count plus twice the nested count, which has the
-    linking count's parity.  Ranking the list's ends by one scan of the
-    positions 1..size, that number is rank(q) - rank(p) - 1: a chord is
-    odd exactly when the rank gap between its ends is even.
-    """
+def _rank(chords: Sequence[Chord], size: int) -> list[int]:
+    """rank[j] counts the chords' ends at positions <= j.  Inside a
+    chord (p, q) lie two ends of each chord nested in it and one of each
+    linked with it, so its rank gap rank[q] - rank[p] is even exactly
+    when it is odd within the chords."""
     present = [0] * (size + 1)
     for p, q in chords:
         present[p] = present[q] = 1
-    rank = list(accumulate(present))
-    odd, even = [], []
-    for c in chords:
-        (even if (rank[c[1]] - rank[c[0]]) % 2 else odd).append(c)
-    return odd, even, rank
+    return list(accumulate(present))
 
 
-# Up to this many ends _levels works on bitmasks, above it by _split's
-# rank scan: at depth 3 the masks took 0.66-0.91 of its time up to 80
-# ends and 1.1-1.2 from 160 on (Python 3.11), and O(n^2) bits.  The
-# census runs below it, free_compare and invariant_large above it.
-_MASK_SIZE = 64
+# Up to this many ends _levels works on bitmasks, O(n^2) bits: at depth
+# 3 they took 0.95-0.99 of the rank scans' time on 20-28 ends and
+# 1.04-1.26 on 30-80 (Python 3.11).  The census runs below it.
+_MASK_SIZE = 28
 
 
 def _code(letter: str, m: int) -> tuple[int, int]:
@@ -128,25 +114,31 @@ def _code(letter: str, m: int) -> tuple[int, int]:
 def _levels(chords: Sequence[Chord], size: int,
             m: int) -> tuple[list[tuple[int, int]], list[int]]:
     """(code, x): the _code of the letter at each position 1..size of
-    the word at depth m, position 0 unused, and the x of its value: a
-    chord adds its term to x as its level is cut (see group._value).
-    Round k cuts level k into Pk and Dk, and a round that finds no odd
-    chord ends the walk: no later round can find one.  Up to _MASK_SIZE
-    ends a chord is odd within a set when an odd number of the set's
-    ends lie under its inside mask, above it when its rank gap is even
-    (see _split); the ends of one part share one code tuple."""
+    the word at depth m, position 0 unused, and the x of its value, a
+    term per chord as its level is cut (see group._value).  Round k
+    cuts R_k, the chords left, into level k (its odd chords) and
+    R_{k+1}, then level k into Pk and Dk, whose ends share one code
+    tuple; a round with no odd chord ends the walk.  Up to _MASK_SIZE
+    ends oddness is a bit count under a chord's inside mask.  Above, a
+    round ranks R_{k+1} once (see _rank), as `after`, the next round's
+    rank.  A chord (p, q) of level k has an odd number of R_k's ends
+    inside, its level's and after[q] - after[p] of R_{k+1}'s, so it is
+    in Pk exactly when after[q] - after[p] is even."""
     code, x = [(m, 0)] * (size + 1), [0] * m
     if size > _MASK_SIZE:
-        remaining = list(chords)
+        remaining, rank = chords, range(size + 1)  # R_0 owns every end
         for k in range(m):
-            level, remaining, rank = _split(remaining, size)
+            level, rest = [], []
+            for c in remaining:
+                (rest if (rank[c[1]] - rank[c[0]]) & 1 else level).append(c)
             if not level:
                 break
-            for part, c, s in zip(_split(level, size)[:2],
-                                  ((k, 1), (k, -1)), (2, -2)):
-                for p, q in part:
-                    code[p] = code[q] = c
-                    x[k] += s if rank[p] & 1 else -s
+            after, parts = _rank(rest, size), ((k, 1), (k, -1))
+            for p, q in level:
+                even = (after[q] - after[p]) & 1
+                code[p] = code[q] = parts[even]
+                x[k] += 2 if even ^ rank[p] & 1 else -2
+            remaining, rank = rest, after
         return code, x
     remaining = [(p, q, (1 << q) - (2 << p)) for p, q in chords]
     ends = (1 << size + 1) - 2  # the ends of the remaining chords

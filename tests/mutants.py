@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 
 MOVES = ("test_moves.py",)
+DIAGRAM = ("test_diagram.py",)
 PARITY = ("test_parity.py",)
 GROUP = ("test_group.py",)
 EXPLORE = ("test_explore.py",)
@@ -44,9 +45,16 @@ CLI = ("test_cli.py",)
 MUTANTS = [
     Mutant("r1_add lists no last gap", "moves.py",
            "for gap in range(d.size + 1)", "for gap in range(d.size)", MOVES),
-    Mutant("_split swaps odd and even", "parity.py",
-           "(even if (rank[c[1]] - rank[c[0]]) % 2 else odd)",
-           "(odd if (rank[c[1]] - rank[c[0]]) % 2 else even)", PARITY),
+    Mutant("rank path swaps odd and even", "parity.py",
+           "(rest if (rank[c[1]] - rank[c[0]]) & 1 else level)",
+           "(level if (rank[c[1]] - rank[c[0]]) & 1 else rest)", PARITY),
+    Mutant("rank path splits the level by R_k's rank", "parity.py",
+           "even = (after[q] - after[p]) & 1",
+           "even = (rank[q] - rank[p]) & 1", PARITY),
+    Mutant("parse accepts a third occurrence", "diagram.py",
+           "if partner.get(p, p) > p:", "if False:", DIAGRAM),
+    Mutant("parse accepts a label seen once", "diagram.py",
+           "if 2 * len(first) == len(tokens):", "if True:", DIAGRAM),
     Mutant("_parity drops eps from the parity sum", "group.py",
            "bits = s = point.eps", "bits, s = point.eps, 0", GROUP),
     Mutant("_parity ignores the flag", "group.py",
@@ -67,6 +75,10 @@ MUTANTS = [
            " or not set(chords) <= set(d.chords)", "", MOVES),
     Mutant("r2_remove takes more than two chords", "moves.py",
            "r2_sites(pair) != [chords]", "not r2_sites(pair)", MOVES),
+    Mutant("r1_remove lets a failed sort out", "moves.py",
+           "except TypeError:", "except ValueError:", MOVES),
+    Mutant("r2_remove lets a failed unpacking out", "moves.py",
+           "except (TypeError, ValueError):", "except TypeError:", MOVES),
     Mutant("_shift moves the end at the first cut", "moves.py",
            "(p > cut1)", "(p >= cut1)", MOVES),
     Mutant("_shift moves second ends past the first cut twice", "moves.py",
@@ -126,7 +138,7 @@ MUTANTS = [
     Mutant("_levels drops the odd/even sign", "parity.py",
            "2 if odd ^ (ends", "2 if 1 ^ (ends", EXPLORE),
     Mutant("_levels drops the odd/even sign on the rank path",
-           "parity.py", "x[k] += s if rank[p] & 1 else -s",
+           "parity.py", "x[k] += 2 if even ^ rank[p] & 1 else -2",
            "x[k] += 2 if rank[p] & 1 else -2", EXPLORE),
     Mutant("_act steps flip one bit too few", "group.py",
            "parity ^= (2 << k) - 1", "parity ^= (1 << k) - 1", GROUP),

@@ -9,7 +9,9 @@ breadth-first closure under single-letter conjugation.  Word equality
 is tested by rewriting alone, never through the action.  Linking is
 tested chord pair by chord pair, move sites are found by testing
 every pair and triple of chords, and the chords a removal leaves are
-renumbered by sorting their ends rather than shifted.  The exhaustive
+renumbered by sorting their ends rather than shifted.  A Gauss code
+is parsed into a list of positions per label, whose chords the
+diagram's constructor then normalises and sorts.  The exhaustive
 search lists every perfect matching and keeps the first of each
 rotation class, keyed by its least code over every base point, and
 reduction is a breadth-first search over every move.  `compare` and
@@ -30,11 +32,11 @@ from typing import Iterable
 import freeknot
 from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FINAL, LONG,
                       MINIMAL_FOUND, NO, REDUCED_TO_EMPTY, SAME_INVARIANT,
-                      YES, Chord, ChordDiagram, Filtration, MixedM,
-                      NormalForm, SearchReport, Word, alphabet, apply_letter,
-                      apply_move, double_prime, enumerate_moves, evaluate,
-                      identity, letter_level, parse_gauss_code, prime,
-                      random_diagram, relations, word_of)
+                      YES, Chord, ChordDiagram, Filtration, LabelCountError,
+                      MixedM, NormalForm, SearchReport, Word, alphabet,
+                      apply_letter, apply_move, double_prime, enumerate_moves,
+                      evaluate, identity, letter_level, parse_gauss_code,
+                      prime, random_diagram, relations, word_of)
 from freeknot.diagram import first_appearance
 from freeknot.explore import TRIAL_MAX_CHORDS, TRIAL_SIZE_CAP
 from freeknot.group import _act
@@ -337,6 +339,22 @@ def renumber(chords: list[Chord]) -> ChordDiagram:
     rank = {e: i for i, e in
             enumerate(sorted(e for c in chords for e in c), start=1)}
     return ChordDiagram((rank[p], rank[q]) for p, q in chords)
+
+
+def list_parse(text: str) -> ChordDiagram:
+    """parse_gauss_code through one list of positions per label."""
+    ends: dict[str, list[int]] = {}
+    for position, label in enumerate(text.split(), start=1):
+        ends.setdefault(label, []).append(position)
+    chords = []
+    for label, positions in ends.items():
+        if len(positions) != 2:
+            count = len(positions)
+            times = "once" if count == 1 else f"{count} times"
+            raise LabelCountError(
+                f"label {label!r} occurs {times}, expected 2")
+        chords.append((positions[0], positions[1]))
+    return ChordDiagram(chords)
 
 
 def all_matchings(positions):

@@ -1,11 +1,13 @@
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 
 from freeknot import (ChordDiagram, LabelCountError, parse_gauss_code,
-                      rotate_basepoint, serialize)
-from oracles import SharedEndpointError, link_count, linked
+                      random_diagram, rotate_basepoint, serialize)
+from oracles import SharedEndpointError, link_count, linked, list_parse
 from support import diagrams
 
 
@@ -35,6 +37,10 @@ def test_parse_rejects_bad_counts():
 @pytest.mark.parametrize("code, message", [
     ("1 2 1", "label '2' occurs once, expected 2"),
     ("1 1 1", "label '1' occurs 3 times, expected 2"),
+    ("1 1 1 2", "label '1' occurs 3 times, expected 2"),
+    ("1 2 2 2", "label '1' occurs once, expected 2"),
+    ("1 2 1 2 2 3 3 3", "label '2' occurs 3 times, expected 2"),
+    ("a b a a b a", "label 'a' occurs 4 times, expected 2"),
 ])
 def test_bad_count_message(code, message):
     with pytest.raises(LabelCountError) as info:
@@ -44,6 +50,63 @@ def test_bad_count_message(code, message):
 
 def test_parse_whitespace_runs_make_no_label():
     assert parse_gauss_code(" 1  2\t1\n 2 ") == parse_gauss_code("1 2 1 2")
+
+
+TOKENS = ("1", "2", "3", "a", "b", "x9", "10", "é", "-")
+SPACES = (" ", " ", " ", "  ", "\t", "\n", " \r\n ")
+
+
+def _seeded_code(rng: random.Random) -> str:
+    """A valid code with arbitrary labels, the same with one label
+    dropped or repeated (so it occurs once, three or four times), or a
+    run of tokens from a small pool; the tokens are joined by runs of
+    whitespace, with some before and after."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        tokens = [rng.choice(TOKENS) for _ in range(rng.randint(0, 10))]
+    else:
+        names = [f"k{i}" for i in rng.sample(range(1000), 30)] + list(TOKENS)
+        rng.shuffle(names)
+        d = random_diagram(rng.randint(0, 30), rng)
+        tokens = [names[int(z) - 1] for z in serialize(d).split()]
+        if kind == 1 and tokens:
+            label = rng.choice(tokens)
+            if rng.randrange(3) == 0:
+                tokens.remove(label)
+            for _ in range(rng.randint(1, 2)):
+                tokens.insert(rng.randint(0, len(tokens)), label)
+    gaps = [rng.choice(SPACES) for _ in range(len(tokens) + 1)]
+    gaps[0], gaps[-1] = rng.choice(("", *SPACES)), rng.choice(("", *SPACES))
+    return "".join(g + z for g, z in zip(gaps, tokens)) + gaps[-1]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except LabelCountError as error:
+        return str(error)
+
+
+def test_parse_matches_the_list_reference():
+    """The one-scan parse against one list of positions per label, on
+    20,000 seeded strings: the same chords, or the same error text."""
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(20_000):
+        text = _seeded_code(rng)
+        d, reference = _outcome(parse_gauss_code, text), _outcome(
+            list_parse, text)
+        if isinstance(reference, str):
+            assert d == reference
+            seen[reference.split(" occurs ")[1]] += 1
+            continue
+        assert d.chords == reference.chords
+        assert ChordDiagram(d.chords) == d == reference
+        assert hash(ChordDiagram(d.chords)) == hash(d)
+        seen["valid"] += 1
+    assert min(seen[key] for key in ("valid", "once, expected 2",
+                                     "3 times, expected 2",
+                                     "4 times, expected 2")) > 1000
 
 
 def test_chords_are_normalised():

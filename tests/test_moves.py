@@ -36,6 +36,13 @@ class TestR1:
         with pytest.raises(NotAnR1Site):
             r1_remove(parse_gauss_code("1 1"), (3, 4))
 
+    @pytest.mark.parametrize("given", [5, None, (1, "a")])
+    def test_remove_rejects_what_is_no_chord(self, given):
+        """A value that is no pair of positions is no site, reported as
+        NotAnR1Site and not as a failed sort."""
+        with pytest.raises(NotAnR1Site, match="is not a chord"):
+            r1_remove(parse_gauss_code("1 1 2 2"), given)
+
     def test_remove_accepts_exactly_the_sites(self):
         """On every diagram of at most four chords, r1_remove accepts a
         pair of positions, in either order, exactly when r1_sites lists
@@ -90,6 +97,23 @@ class TestR2:
         NotAnR2Site and not as a failed unpacking."""
         with pytest.raises(NotAnR2Site):
             r2_remove(parse_gauss_code("1 2 3 1 2 3"), given)
+
+    @pytest.mark.parametrize("given", [
+        [(1, 2, 3), (2, 4)], [1, 2], None, [(1, "a"), (2, 4)]])
+    def test_remove_rejects_what_is_no_chord_list(self, given):
+        """A value that is no list of pairs of positions is no site,
+        reported as NotAnR2Site and not as a failed unpacking."""
+        with pytest.raises(NotAnR2Site, match="is not a list of chords"):
+            r2_remove(parse_gauss_code("1 2 1 2"), given)
+
+    def test_remove_rejections_name_the_normalised_chords(self):
+        with pytest.raises(NotAnR2Site) as info:
+            r2_remove(parse_gauss_code("1 2 3 1 2 3"), [(4, 1), (6, 3)])
+        assert str(info.value) \
+            == "((1, 4), (3, 6)) is not an adjacent chord pair"
+        with pytest.raises(NotAnR1Site) as info:
+            r1_remove(parse_gauss_code("1 2 1 2"), (3, 1))
+        assert str(info.value) == "(1, 3) is not a removable small chord"
 
     def test_remove_accepts_exactly_the_sites(self):
         """On every diagram of at most four chords, r2_remove accepts

@@ -11,7 +11,8 @@ from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
                       evaluate, filtration, letter_level, parse_gauss_code,
                       prime, r3_sites, random_diagram, rotate_basepoint,
                       word_of)
-from oracles import link_count, word_filtration
+from freeknot.parity import _MASK_SIZE, _code, _levels
+from oracles import link_count, rank_word, walked_value, word_filtration
 from support import diagrams, end_map, triple_chords, words
 
 
@@ -287,6 +288,50 @@ def test_rounds_after_every_chord_left_are_empty(code):
     assert _sets(f) == (levels, splits)
     assert f.word == (word, 5)
     assert not any(f.levels[1:])
+
+
+def _check_levels(d, m):
+    """_levels' codes against the rank-scan word, and its x against the
+    letter action walked over those codes; the codes it gave."""
+    code, x = _levels(d.chords, d.size, m)
+    assert code[1:] == [_code(z, m) for z in rank_word(d, m).letters]
+    assert walked_value(d.chords, m) == NormalForm(tuple(x), 0)
+    return code
+
+
+@pytest.mark.parametrize("low, high, count", [
+    (_MASK_SIZE // 2 - 2, _MASK_SIZE // 2 + 2, 40), (31, 35, 40),
+    (60, 300, 12)])
+def test_levels_match_the_rank_word_and_the_walked_value(low, high, count):
+    """Seeded diagrams on both sides of _MASK_SIZE ends, of 31-35 chords
+    (about 64 ends) and of 60-300 chords, at every depth 1..5."""
+    rng = random.Random(20261020 + low)
+    for _ in range(count):
+        d = random_diagram(rng.randint(low, high), rng)
+        for m in range(1, 6):
+            _check_levels(d, m)
+
+
+def _copies(code, count):
+    """count copies of a Gauss code side by side, relabelled apart."""
+    labels = code.split()
+    return " ".join(f"{j}.{z}" for j in range(count) for z in labels)
+
+
+@pytest.mark.parametrize("code, kept", [
+    (_copies("1 2 1 2", 33), {0}), (_copies("1 2 1 3 2 4 3 4", 9), {0, 1}),
+    (_linked(34), {0}), (_linked(33), {5}), (_nested(40), {5})])
+def test_levels_walk_above_the_masks_until_no_chord_is_left(code, kept):
+    """Above _MASK_SIZE ends, the levels that hold chords at depth 5 (5
+    for the residue): 33 crossed pairs all leave in round 0 and 9 chains
+    of four in rounds 0 and 1, so every later round finds no chord; 34
+    chords linked with 33 others each leave in round 0; and 33 chords
+    linked with 32 others, or 40 nested ones, never leave."""
+    d = parse_gauss_code(code)
+    assert d.size > _MASK_SIZE
+    for m in range(1, 6):
+        codes = _check_levels(d, m)
+    assert {k for k, _ in codes[1:]} == kept
 
 
 def test_adjoint_triples_carry_zero_or_two_odd_chords():
