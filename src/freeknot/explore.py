@@ -39,10 +39,13 @@ TRIAL_SIZE_CAP = 10  # and list the moves that keep them within 10 chords
 def random_diagram(n: int, rng: random.Random) -> ChordDiagram:
     """A uniformly random diagram on n chords: repeatedly pair the
     lowest free position with a uniformly chosen other free position."""
-    free, chords = list(range(1, 2 * n + 1)), []
+    free = list(range(1, 2 * n + 1))
+    chords = []
     while free:
-        chords.append((free.pop(0), free.pop(rng.randrange(len(free)))))
-    return ChordDiagram._sorted(tuple(chords))
+        p = free.pop(0)
+        q = free.pop(rng.randrange(len(free)))
+        chords.append((p, q))
+    return ChordDiagram(chords)
 
 
 def scramble(d: ChordDiagram, move_count: int, seed: int,
@@ -324,7 +327,7 @@ def _class_chords(n: int) -> Iterator[tuple[Chord, ...]]:
 
 def rotation_classes(n: int) -> Iterator[ChordDiagram]:
     """One diagram on n chords per rotation class (OEIS A007769), lazily."""
-    return map(ChordDiagram._sorted, _class_chords(n))
+    return map(ChordDiagram, _class_chords(n))
 
 
 def search_nontrivial(max_chords: int, depths: Sequence[int],
