@@ -130,7 +130,7 @@ def _value(chords: Sequence[Chord], m: int) -> NormalForm:
     ends read the same bit.  A round never looks ahead, so the first k
     coordinates are the value at depth k: a letter of a level >= k acts
     on the first k coordinates as F does."""
-    return NormalForm(tuple(_levels(chords, 2 * len(chords), m)[1]), 0)
+    return NormalForm(tuple(_levels(chords, m)[1]), 0)
 
 
 def _walk(k: int, target: int, above: int) -> tuple[str, ...]:

@@ -193,8 +193,11 @@ def r3_apply(d: ChordDiagram, anchors) -> ChordDiagram:
 
     An involution: positions stay put, only the three chords change.
     """
-    anchors = tuple(sorted(anchors))
-    swap = {a + i: a + 1 - i for a in anchors for i in (0, 1)}
+    try:
+        anchors = tuple(sorted(anchors))
+        swap = {a + i: a + 1 - i for a in anchors for i in (0, 1)}
+    except TypeError:
+        raise NotAnR3Site(f"{anchors!r} is not a list of positions") from None
     owners = {c for c in d.chords if c[0] in swap or c[1] in swap}
     if _adjoint_anchors(owners) != anchors:
         raise NotAnR3Site(f"no completely adjoint triple at {anchors}")

@@ -88,76 +88,45 @@ class Filtration:
     x: tuple[int, ...]
 
 
-def _rank(chords: Sequence[Chord], size: int) -> list[int]:
-    """rank[j] counts the chords' ends at positions <= j.  Inside a
-    chord (p, q) lie two ends of each chord nested in it and one of each
-    linked with it, so its rank gap rank[q] - rank[p] is even exactly
-    when it is odd within the chords."""
-    present = [0] * (size + 1)
-    for p, q in chords:
-        present[p] = present[q] = 1
-    return list(accumulate(present))
-
-
-# Up to this many ends _levels works on bitmasks, O(n^2) bits: at depth
-# 3 they took 0.95-0.99 of the rank scans' time on 20-28 ends and
-# 1.04-1.26 on 30-80 (Python 3.11).  The census runs below it.
-_MASK_SIZE = 28
-
-
 def _code(letter: str, m: int) -> tuple[int, int]:
     """(k, 1) for the letter Pk, (k, -1) for Dk and (m, 0) for F."""
     k = letter_level(letter, m)
     return (m, 0) if k is None else (k, 1 if letter[0] == "P" else -1)
 
 
-def _levels(chords: Sequence[Chord], size: int,
+def _levels(chords: Sequence[Chord],
             m: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """(code, x): the _code of the letter at each position 1..size of
-    the word at depth m, position 0 unused, and the x of its value, a
-    term per chord as its level is cut (see group._value).  Round k
-    cuts R_k, the chords left, into level k (its odd chords) and
-    R_{k+1}, then level k into Pk and Dk, whose ends share one code
-    tuple; a round with no odd chord ends the walk.  Up to _MASK_SIZE
-    ends oddness is a bit count under a chord's inside mask.  Above, a
-    round ranks R_{k+1} once (see _rank), as `after`, the next round's
-    rank.  A chord (p, q) of level k has an odd number of R_k's ends
-    inside, its level's and after[q] - after[p] of R_{k+1}'s, so it is
-    in Pk exactly when after[q] - after[p] is even."""
+    """(code, x): the _code of the letter at each position 1..2n of the
+    word at depth m, position 0 unused, and the x of its value, a term
+    per chord as its level is cut (see group._value).  Round k cuts
+    R_k, the chords left, into level k (its odd chords) and R_{k+1},
+    then level k into Pk and Dk, whose ends share one code tuple; a
+    round with no odd chord ends the walk.  rank[j] counts R_k's ends
+    at positions <= j.  Inside a chord (p, q) lie two ends of each
+    chord nested in it and one of each linked with it, so its rank gap
+    rank[q] - rank[p] is even exactly when it is odd within R_k.  A
+    round ranks R_{k+1} once, as `after`, the next round's rank.  A
+    chord (p, q) of level k has an odd number of R_k's ends inside, its
+    level's and after[q] - after[p] of R_{k+1}'s, so it is in Pk
+    exactly when after[q] - after[p] is even."""
+    size = 2 * len(chords)
     code, x = [(m, 0)] * (size + 1), [0] * m
-    if size > _MASK_SIZE:
-        remaining, rank = chords, range(size + 1)  # R_0 owns every end
-        for k in range(m):
-            level, rest = [], []
-            for c in remaining:
-                (rest if (rank[c[1]] - rank[c[0]]) & 1 else level).append(c)
-            if not level:
-                break
-            after, parts = _rank(rest, size), ((k, 1), (k, -1))
-            for p, q in level:
-                even = (after[q] - after[p]) & 1
-                code[p] = code[q] = parts[even]
-                x[k] += 2 if even ^ rank[p] & 1 else -2
-            remaining, rank = rest, after
-        return code, x
-    remaining = [(p, q, (1 << q) - (2 << p)) for p, q in chords]
-    ends = (1 << size + 1) - 2  # the ends of the remaining chords
+    remaining, rank = chords, range(size + 1)  # R_0 owns every end
     for k in range(m):
-        level, rest, level_ends = [], [], 0
+        level, rest = [], []
         for c in remaining:
-            if (c[2] & ends).bit_count() & 1:
-                level.append(c)
-                level_ends |= 1 << c[0] | 1 << c[1]
-            else:
-                rest.append(c)
+            (rest if (rank[c[1]] - rank[c[0]]) & 1 else level).append(c)
         if not level:
             break
-        parts = ((k, -1), (k, 1))
-        for p, q, inside in level:
-            odd = (inside & level_ends).bit_count() & 1
-            code[p] = code[q] = parts[odd]
-            x[k] += 2 if odd ^ (ends & ((1 << p) - 1)).bit_count() & 1 else -2
-        ends, remaining = ends ^ level_ends, rest
+        present = [0] * (size + 1)
+        for p, q in rest:
+            present[p] = present[q] = 1
+        after, parts = list(accumulate(present)), ((k, 1), (k, -1))
+        for p, q in level:
+            even = (after[q] - after[p]) & 1
+            code[p] = code[q] = parts[even]
+            x[k] += 2 if even ^ rank[p] & 1 else -2
+        remaining, rank = rest, after
     return code, x
 
 
@@ -179,7 +148,7 @@ def filtration(d: ChordDiagram, m: int) -> Filtration:
     """
     if m < 1:
         raise InvalidM(f"depth must be a positive integer, got {m}")
-    code, x = _levels(d.chords, d.size, m)
+    code, x = _levels(d.chords, m)
     letter = {_code(z, m): z for z in alphabet(m)}
     parts = {c: [] for c in letter}
     for c in d.chords:

@@ -76,7 +76,11 @@ MUTANTS = [
     Mutant("r2_remove takes more than two chords", "moves.py",
            "r2_sites(pair) != [chords]", "not r2_sites(pair)", MOVES),
     Mutant("r1_remove lets a failed sort out", "moves.py",
-           "except TypeError:", "except ValueError:", MOVES),
+           "except TypeError:\n        raise NotAnR1Site",
+           "except ValueError:\n        raise NotAnR1Site", MOVES),
+    Mutant("r3_apply lets a failed sort out", "moves.py",
+           "except TypeError:\n        raise NotAnR3Site",
+           "except ValueError:\n        raise NotAnR3Site", MOVES),
     Mutant("r2_remove lets a failed unpacking out", "moves.py",
            "except (TypeError, ValueError):", "except TypeError:", MOVES),
     Mutant("_shift moves the end at the first cut", "moves.py",
@@ -127,16 +131,11 @@ MUTANTS = [
            "if size % p == 0:", "if True:", EXPLORE),
     Mutant("_class_chords keeps the period over forced gaps", "explore.py",
            "if g > gaps[t - p]:", "if False:", EXPLORE),
-    Mutant("_levels inverts the odd bit test", "parity.py",
-           "if (c[2] & ends).bit_count() & 1:",
-           "if not (c[2] & ends).bit_count() & 1:", PARITY),
     Mutant("_levels keeps a removed level's ends", "parity.py",
-           "ends ^ level_ends", "ends", PARITY),
+           "remaining, rank = rest, after", "remaining, rank = rest, rank",
+           PARITY),
     Mutant("_levels reads the rank after the level is removed",
-           "parity.py", "(ends & ((1 << p) - 1))",
-           "(ends & ~level_ends & ((1 << p) - 1))", EXPLORE),
-    Mutant("_levels drops the odd/even sign", "parity.py",
-           "2 if odd ^ (ends", "2 if 1 ^ (ends", EXPLORE),
+           "parity.py", "even ^ rank[p] & 1", "even ^ after[p] & 1", EXPLORE),
     Mutant("_levels drops the odd/even sign on the rank path",
            "parity.py", "x[k] += 2 if even ^ rank[p] & 1 else -2",
            "x[k] += 2 if rank[p] & 1 else -2", EXPLORE),

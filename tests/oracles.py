@@ -1,8 +1,8 @@
 """Slow reference implementations that the library's fast paths replaced.
 
-Words are cut by rank scans alone and evaluated one coordinate step
-at a time, as before the bitmask kernel, and a diagram's value is the
-letter action walked over its word rather than its closed form.
+Words are cut by a fresh rank scan per cut and evaluated one
+coordinate step at a time, and a diagram's value is the letter action
+walked over its word rather than its closed form.
 Normal-form words are built and the group operations applied one
 letter at a time through the action, and conjugacy is explored by
 breadth-first closure under single-letter conjugation.  Word equality
@@ -100,7 +100,7 @@ def rank_word(d: ChordDiagram, m: int) -> Word:
 def walked_value(chords, m: int) -> NormalForm:
     """group._value as _act walking the letter codes of the level walk
     from the identity, one end at a time."""
-    codes = _levels(chords, 2 * len(chords), m)[0]
+    codes = _levels(chords, m)[0]
     return _act(codes[1:], [0] * (m + 1), 0)
 
 

@@ -78,9 +78,9 @@ class TestInvariant:
         no other walk for the word or the value."""
         calls = []
 
-        def counted(chords, size, m):
+        def counted(chords, m):
             calls.append(m)
-            return _levels(chords, size, m)
+            return _levels(chords, m)
 
         for module in (freeknot.parity, freeknot.group):
             monkeypatch.setattr(module, "_levels", counted)

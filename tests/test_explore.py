@@ -22,7 +22,6 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       rotation_classes, rotation_conjugacy_trial, scramble,
                       search_nontrivial, serialize, word_of)
 from freeknot.group import _value
-from freeknot.parity import _MASK_SIZE
 from oracles import (all_matchings, breadth_first_reduce,
                      rotation_class_codes, search_by_matchings)
 from support import diagrams
@@ -377,8 +376,7 @@ class TestClassValue:
     def test_random_diagrams(self, n, m, seed):
         self.check(random_diagram(n, random.Random(seed)), m)
 
-    @pytest.mark.parametrize("size", [_MASK_SIZE - 2, _MASK_SIZE,
-                                      _MASK_SIZE + 2])
+    @pytest.mark.parametrize("size", [26, 28, 30])
     def test_both_sides_of_the_mask_threshold(self, size):
         rng = random.Random(size)
         for _ in range(40):

@@ -197,10 +197,18 @@ class TestR3:
 
     def test_lookup_by_anchors(self):
         assert r3_apply(TRIPLE, (5, 1, 3)) == r3_apply(TRIPLE, (1, 3, 5))
-        with pytest.raises(NotAnR3Site):
-            r3_apply(TRIPLE, (1, 2, 3))
+        with pytest.raises(NotAnR3Site) as info:
+            r3_apply(TRIPLE, (2, 3, 1))
+        assert str(info.value) == "no completely adjoint triple at (1, 2, 3)"
         with pytest.raises(NotAnR3Site):
             r3_apply(TRIPLE, (1, 3, 99))
+
+    @pytest.mark.parametrize("given", [5, None, (1, "a"), ("a", "b", "c")])
+    def test_apply_rejects_what_is_no_anchor_list(self, given):
+        """A value that is no list of positions is no site, reported as
+        NotAnR3Site and not as a failed sort or sum."""
+        with pytest.raises(NotAnR3Site, match="is not a list of positions"):
+            r3_apply(TRIPLE, given)
 
     def test_applies_exactly_at_listed_sites(self):
         """On every diagram of at most five chords, r3_apply accepts

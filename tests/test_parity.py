@@ -11,7 +11,7 @@ from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
                       evaluate, filtration, letter_level, parse_gauss_code,
                       prime, r3_sites, random_diagram, rotate_basepoint,
                       word_of)
-from freeknot.parity import _MASK_SIZE, _code, _levels
+from freeknot.parity import _code, _levels
 from oracles import link_count, rank_word, walked_value, word_filtration
 from support import diagrams, end_map, triple_chords, words
 
@@ -227,9 +227,9 @@ def _sets(f):
 
 @given(diagrams(max_n=40), st.integers(1, 4))
 def test_filtration_matches_the_word_reference(d, m):
-    """Both cuts of the one level walk (40 chords is above _MASK_SIZE
-    ends) against the levels read back from the rank-scan word, and x
-    against that word's value walked letter by letter."""
+    """Both cuts of the one level walk against the levels read back
+    from the rank-scan word, and x against that word's value walked
+    letter by letter."""
     f, reference = filtration(d, m), word_filtration(d, m)
     assert _sets(f) == _sets(reference)
     assert (f.m, f.word, f.x) == (reference.m, reference.word, reference.x)
@@ -293,17 +293,16 @@ def test_rounds_after_every_chord_left_are_empty(code):
 def _check_levels(d, m):
     """_levels' codes against the rank-scan word, and its x against the
     letter action walked over those codes; the codes it gave."""
-    code, x = _levels(d.chords, d.size, m)
+    code, x = _levels(d.chords, m)
     assert code[1:] == [_code(z, m) for z in rank_word(d, m).letters]
     assert walked_value(d.chords, m) == NormalForm(tuple(x), 0)
     return code
 
 
 @pytest.mark.parametrize("low, high, count", [
-    (_MASK_SIZE // 2 - 2, _MASK_SIZE // 2 + 2, 40), (31, 35, 40),
-    (60, 300, 12)])
+    (12, 16, 40), (31, 35, 40), (60, 300, 12)])
 def test_levels_match_the_rank_word_and_the_walked_value(low, high, count):
-    """Seeded diagrams on both sides of _MASK_SIZE ends, of 31-35 chords
+    """Seeded diagrams of 12-16 chords (24-32 ends), of 31-35 chords
     (about 64 ends) and of 60-300 chords, at every depth 1..5."""
     rng = random.Random(20261020 + low)
     for _ in range(count):
@@ -322,13 +321,13 @@ def _copies(code, count):
     (_copies("1 2 1 2", 33), {0}), (_copies("1 2 1 3 2 4 3 4", 9), {0, 1}),
     (_linked(34), {0}), (_linked(33), {5}), (_nested(40), {5})])
 def test_levels_walk_above_the_masks_until_no_chord_is_left(code, kept):
-    """Above _MASK_SIZE ends, the levels that hold chords at depth 5 (5
+    """Above 28 ends, the levels that hold chords at depth 5 (5
     for the residue): 33 crossed pairs all leave in round 0 and 9 chains
     of four in rounds 0 and 1, so every later round finds no chord; 34
     chords linked with 33 others each leave in round 0; and 33 chords
     linked with 32 others, or 40 nested ones, never leave."""
     d = parse_gauss_code(code)
-    assert d.size > _MASK_SIZE
+    assert d.size > 28
     for m in range(1, 6):
         codes = _check_levels(d, m)
     assert {k for k, _ in codes[1:]} == kept
