@@ -16,8 +16,10 @@ which relation_check exposes (see corrupted_apply_letter).
 
 On points the group law has a closed form.  With
 s_k(p) = (-1)^(p.x[k] + ... + p.x[m-1] + p.eps), the product is
-(a.b).x[k] = a.x[k] + s_k(a) b.x[k] with the flags added mod 2;
-the exact conjugacy test conjugate_equal rests on it.
+(a.b).x[k] = a.x[k] + s_k(a) b.x[k] with the flags added mod 2.
+Diagram values are even points, eps = 0 and every x[k] even, where
+every s_k is +1, so a conjugator can only flip the signs of levels;
+conjugate_equal decides conjugacy of such points by that sign pass.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .diagram import Chord
-from .parity import FINAL, Word, _code, _levels, alphabet, double_prime, prime
+from .parity import Word, _code, _levels, alphabet, double_prime, prime
 
 
 class MixedM(ValueError):
@@ -133,17 +135,6 @@ def _value(chords: Sequence[Chord], m: int) -> NormalForm:
     return NormalForm(tuple(_levels(chords, m)[1]), 0)
 
 
-def _walk(k: int, target: int, above: int) -> tuple[str, ...]:
-    """The letters that move coordinate k from 0 to target while the
-    levels above k read the sign `above`: one per unit step.  The live
-    parity flips with every step, so Pk and Dk alternate, and Pk comes
-    first when the step direction agrees with the sign."""
-    pair = (prime(k), double_prime(k))
-    if (target > 0) != (above > 0):
-        pair = pair[::-1]
-    return tuple(pair[i % 2] for i in range(abs(target)))
-
-
 def relations(m: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """All defining pair relations at depth m as (left, right) words.
 
@@ -189,58 +180,34 @@ class ConjugacyAnswer:
 
 
 def conjugate_equal(a: NormalForm, b: NormalForm) -> ConjugacyAnswer:
-    """Exact conjugacy test: YES with a shortest conjugating word, or NO.
+    """Conjugacy of even points: YES with a shortest conjugating word, or NO.
 
-    a.w = w.b reads a_k + s_k(a) w_k = w_k + s_k(w) b_k at every level
-    k, together with eps_a = eps_b.  Once the signs of w are fixed (one
-    of 2^(m+1) parity classes), a level with s_k(a) = -1 pins
-    w_k = (a_k - s_k(w) b_k) / 2, which must have the parity turning
-    s_{k+1}(w) into s_k(w); a level with s_k(a) = +1 asks
-    a_k = s_k(w) b_k and leaves w_k free within that parity, so it
-    takes 0 or the unit step whose letter is Pk.  The signs form a
-    chain from s_m(w) = (-1)^eps_w down to s_0(w), so one pass from
-    level 0 upward keeps, for each sign above the current level, the
-    least word for the levels below it, and covers every class in O(m)
-    steps.  The witness writes a conjugator with the fewest letters as
-    F when eps_w is set, then each level walked from the top down as
-    _walk does it; ties are broken by alphabet order.
+    Both points must have eps = 0 and even coordinates, else ValueError.
+    That covers every diagram value, the only points distinguish passes:
+    each level holds an even number of chords (the odd-degree vertices
+    of its intersection graph), each adding +-2 to its coordinate.  On
+    an even point s_k(a) = +1 at every level, so a.w = w.b reads
+    a_k = s_k(w) b_k, and the points are conjugate exactly when
+    |a_k| = |b_k| at every k.  s_k(w) differs from s_{k+1}(w) exactly
+    when w_k is odd, and s_m(w) = (-1)^eps_w, so a conjugator needs a
+    letter for each change of the needed sign, read from +1 at the top
+    down over the levels with a_k != 0.  The witness puts each change at
+    the lowest level k it can, as Pk: of the shortest conjugators, the
+    least in alphabet order (F, as short, sorts after every Pk).
 
     >>> conjugate_equal(NormalForm((2,), 0), NormalForm((-2,), 0))
     ConjugacyAnswer(verdict='yes', witness=('P0',))
     """
     if a.m != b.m:
         raise MixedM(f"depths differ: {a.m} != {b.m}")
-    if a.eps != b.eps:
+    if a.eps or b.eps or any(t % 2 for t in a.x + b.x):
+        raise ValueError(f"not points with eps = 0 and even x: {a}, {b}")
+    if list(map(abs, a.x)) != list(map(abs, b.x)):
         return ConjugacyAnswer(NO, None)
-    order = {z: i for i, z in enumerate(alphabet(a.m))}
-
-    def least(words):
-        return min(words, default=None,
-                   key=lambda word: (len(word), [order[z] for z in word]))
-
-    parity_a = _parity(a)  # bit k set exactly when s_k(a) = -1
-    below = {1: (), -1: ()}  # s_k(w) -> least word for the levels under k
-    for k in range(a.m):
-        options = {1: [], -1: []}  # s_{k+1}(w) -> words for levels k..0
-        for above in options:
-            for here, rest in below.items():
-                if rest is None:
-                    continue
-                odd = here != above
-                if parity_a >> k & 1:
-                    twice = a.x[k] - here * b.x[k]
-                    if twice % 4 != 2 * odd:
-                        continue
-                    w_k = twice // 2
-                elif a.x[k] != here * b.x[k]:
-                    continue
-                else:
-                    w_k = above if odd else 0
-                options[above].append(_walk(k, w_k, above) + rest)
-        below = {above: least(words) for above, words in options.items()}
-    tops = (((), 1), ((FINAL,), -1))  # eps_w = 0 or 1, and s_m(w)
-    witness = least([flag + below[sign] for flag, sign in tops
-                     if below[sign] is not None])
-    if witness is None:
-        return ConjugacyAnswer(NO, None)
-    return ConjugacyAnswer(YES, witness)
+    witness, sign = [], 1
+    for k in reversed(range(a.m)):
+        need = 1 if a.x[k] == b.x[k] else -1
+        if a.x[k] and need != sign:
+            witness.append(prime(k))
+            sign = need
+    return ConjugacyAnswer(YES, tuple(witness))

@@ -115,14 +115,19 @@ MUTANTS = [
     Mutant("_R2Insertions.__getitem__ off by one", "moves.py",
            "k = len(self) // 2 - 1 - i // 2", "k = len(self) // 2 - i // 2",
            MOVES),
-    Mutant("conjugate_equal tests twice mod 8", "group.py",
-           "twice % 4 != 2 * odd", "twice % 8 != 2 * odd", GROUP),
-    Mutant("conjugate_equal reads a's parity without the flag", "group.py",
-           "parity_a = _parity(a)", "parity_a = _parity(a._replace(eps=0))",
+    Mutant("conjugate_equal's evenness guard tests mod 4", "group.py",
+           "any(t % 2 for t in a.x + b.x)", "any(t % 4 for t in a.x + b.x)",
            GROUP),
-    Mutant("_walk never swaps the pair", "group.py",
-           "if (target > 0) != (above > 0):",
-           "if (target > 0) == (above > 0):", GROUP),
+    Mutant("conjugate_equal's guard ignores eps", "group.py",
+           "if a.eps or b.eps or any(", "if any(", GROUP),
+    Mutant("conjugate_equal inverts the needed sign", "group.py",
+           "need = 1 if a.x[k] == b.x[k] else -1",
+           "need = -1 if a.x[k] == b.x[k] else 1", GROUP),
+    Mutant("conjugate_equal flips at the level above", "group.py",
+           "witness.append(prime(k))", "witness.append(prime(k + 1))",
+           GROUP),
+    Mutant("conjugate_equal drops the zero-level skip", "group.py",
+           "if a.x[k] and need != sign:", "if need != sign:", GROUP),
     Mutant("_lower_bound is inadmissible", "explore.py",
            "return (d.n + 1) // 2", "return d.n", EXPLORE),
     Mutant("rotation_canonical_code tries the longest arcs", "explore.py",

@@ -5,7 +5,9 @@ coordinate step at a time, and a diagram's value is the letter action
 walked over its word rather than its closed form.
 Normal-form words are built and the group operations applied one
 letter at a time through the action, and conjugacy is explored by
-breadth-first closure under single-letter conjugation.  Word equality
+breadth-first closure under single-letter conjugation and decided for
+every point, not only the even points of diagram values, by a dynamic
+programme over the parity classes of a conjugator.  Word equality
 is tested by rewriting alone, never through the action.  Linking is
 tested chord pair by chord pair, move sites are found by testing
 every pair and triple of chords, and the chords a removal leaves are
@@ -32,14 +34,15 @@ from typing import Iterable
 import freeknot
 from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FINAL, LONG,
                       MINIMAL_FOUND, NO, REDUCED_TO_EMPTY, SAME_INVARIANT,
-                      YES, Chord, ChordDiagram, Filtration, LabelCountError,
-                      MixedM, NormalForm, SearchReport, Word, alphabet,
-                      apply_letter, apply_move, double_prime, enumerate_moves,
-                      evaluate, identity, letter_level, parse_gauss_code,
-                      prime, random_diagram, relations, word_of)
+                      YES, Chord, ChordDiagram, ConjugacyAnswer, Filtration,
+                      LabelCountError, MixedM, NormalForm, SearchReport, Word,
+                      alphabet, apply_letter, apply_move, double_prime,
+                      enumerate_moves, evaluate, identity, letter_level,
+                      parse_gauss_code, prime, random_diagram, relations,
+                      word_of)
 from freeknot.diagram import first_appearance
 from freeknot.explore import TRIAL_MAX_CHORDS, TRIAL_SIZE_CAP
-from freeknot.group import _act
+from freeknot.group import _act, _parity
 from freeknot.parity import _levels
 from support import end_map
 
@@ -249,6 +252,73 @@ def conjugate_equal(a: NormalForm, b: NormalForm, state_cap: int):
         x = min(common)
         return YES, wit_a[x] + tuple(reversed(wit_b[x]))
     return UNDETERMINED, None
+
+
+def walk(k: int, target: int, above: int) -> tuple[str, ...]:
+    """The letters that move coordinate k from 0 to target while the
+    levels above k read the sign `above`: one per unit step.  The live
+    parity flips with every step, so Pk and Dk alternate, and Pk comes
+    first when the step direction agrees with the sign."""
+    pair = (prime(k), double_prime(k))
+    if (target > 0) != (above > 0):
+        pair = pair[::-1]
+    return tuple(pair[i % 2] for i in range(abs(target)))
+
+
+def conjugate_dp(a: NormalForm, b: NormalForm) -> ConjugacyAnswer:
+    """Exact conjugacy test on every point: YES with a shortest
+    conjugating word, or NO.
+
+    a.w = w.b reads a_k + s_k(a) w_k = w_k + s_k(w) b_k at every level
+    k, together with eps_a = eps_b.  Once the signs of w are fixed (one
+    of 2^(m+1) parity classes), a level with s_k(a) = -1 pins
+    w_k = (a_k - s_k(w) b_k) / 2, which must have the parity turning
+    s_{k+1}(w) into s_k(w); a level with s_k(a) = +1 asks
+    a_k = s_k(w) b_k and leaves w_k free within that parity, so it
+    takes 0 or the unit step whose letter is Pk.  The signs form a
+    chain from s_m(w) = (-1)^eps_w down to s_0(w), so one pass from
+    level 0 upward keeps, for each sign above the current level, the
+    least word for the levels below it, and covers every class in O(m)
+    steps.  The witness writes a conjugator with the fewest letters as
+    F when eps_w is set, then each level walked from the top down as
+    walk does it; ties are broken by alphabet order.
+    """
+    if a.m != b.m:
+        raise MixedM(f"depths differ: {a.m} != {b.m}")
+    if a.eps != b.eps:
+        return ConjugacyAnswer(NO, None)
+    order = {z: i for i, z in enumerate(alphabet(a.m))}
+
+    def least(words):
+        return min(words, default=None,
+                   key=lambda word: (len(word), [order[z] for z in word]))
+
+    parity_a = _parity(a)  # bit k set exactly when s_k(a) = -1
+    below = {1: (), -1: ()}  # s_k(w) -> least word for the levels under k
+    for k in range(a.m):
+        options = {1: [], -1: []}  # s_{k+1}(w) -> words for levels k..0
+        for above in options:
+            for here, rest in below.items():
+                if rest is None:
+                    continue
+                odd = here != above
+                if parity_a >> k & 1:
+                    twice = a.x[k] - here * b.x[k]
+                    if twice % 4 != 2 * odd:
+                        continue
+                    w_k = twice // 2
+                elif a.x[k] != here * b.x[k]:
+                    continue
+                else:
+                    w_k = above if odd else 0
+                options[above].append(walk(k, w_k, above) + rest)
+        below = {above: least(words) for above, words in options.items()}
+    tops = (((), 1), ((FINAL,), -1))  # eps_w = 0 or 1, and s_m(w)
+    witness = least([flag + below[sign] for flag, sign in tops
+                     if below[sign] is not None])
+    if witness is None:
+        return ConjugacyAnswer(NO, None)
+    return ConjugacyAnswer(YES, witness)
 
 
 def pair_rules(m: int) -> dict[tuple[str, str], tuple[str, str]]:

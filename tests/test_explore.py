@@ -394,12 +394,21 @@ class TestClassValue:
     def test_coordinates_are_multiples_of_four_to_six_chords(self):
         """Each level holds an even number of chords, the odd-degree
         vertices of a graph, and adds +-2 per chord to its coordinate:
-        so x[k] is a multiple of 4 and |x[k]| at most twice |a_k|."""
-        for n in range(7):
-            for d in rotation_classes(n):
-                levels = filtration(d, 3).levels
-                for xk, level in zip(_value(d.chords, 3).x, levels):
-                    assert xk % 4 == 0 and abs(xk) <= 2 * len(level)
+        so x[k] is a multiple of 4 and |x[k]| at most twice |a_k|.  On
+        every class of at most six chords at depth 3, and on random
+        diagrams of up to 80 chords at depth 5: compare hands
+        conjugate_equal only such even points."""
+        rng = random.Random(80)
+        cases = [(d, 3) for n in range(7) for d in rotation_classes(n)]
+        cases += [(random_diagram(rng.randint(1, 80), rng), 5)
+                  for _ in range(300)]
+        deepest = 0
+        for d, m in cases:
+            x, levels = _value(d.chords, m).x, filtration(d, m).levels
+            for k, (xk, level) in enumerate(zip(x, levels)):
+                assert xk % 4 == 0 and abs(xk) <= 2 * len(level)
+                deepest = max(deepest, k + 1 if xk else 0)
+        assert deepest == 5
 
 
 def test_every_move_keeps_the_value_through_six_chords():

@@ -11,7 +11,7 @@ from freeknot import (NO, YES, ConjugacyAnswer, LevelOutOfRange, MixedM,
                       conjugate_equal, corrupted_apply_letter, evaluate,
                       identity, parse_gauss_code, random_diagram,
                       relation_check, relations, rotation_classes, word_of)
-from freeknot.group import _parity, _walk
+from freeknot.group import _parity
 from oracles import EQUAL, UNDETERMINED, rewrite_oracle
 from support import normal_forms, random_point, words
 
@@ -96,8 +96,8 @@ class TestEvaluate:
 
 
 class TestNormalFormWords:
-    """The oracle's canonical words, which conjugate_equal's witnesses
-    are checked against."""
+    """The oracle's canonical words, which the conjugacy witnesses are
+    checked against."""
 
     def test_canonical_letter_order(self):
         assert oracles.normal_form_to_word(nf((-2, 1), 1)) \
@@ -240,7 +240,7 @@ def data_shuffle(w):
 
 
 class TestClassClosure:
-    """The closure oracle that conjugate_equal's tests lean on."""
+    """The closure oracle that the conjugacy tests lean on."""
 
     def test_identity_class_is_a_singleton(self):
         out = oracles.class_closure(identity(1), 8)
@@ -266,6 +266,9 @@ class TestClassClosure:
 
 
 class TestConjugateEqual:
+    """The library's test on even points, and the oracle's dynamic
+    programme on every point, where classes can be infinite."""
+
     def test_yes_with_replayable_witness(self):
         ans = conjugate_equal(nf((2,), 0), nf((-2,), 0))
         assert ans.verdict == YES
@@ -274,37 +277,52 @@ class TestConjugateEqual:
     def test_yes_even_between_truncated_closures(self):
         # closures capped at four elements only meet halfway
         assert oracles.conjugate_equal(nf((1,), 0), nf((3,), 0), 4)[0] == YES
-        ans = conjugate_equal(nf((1,), 0), nf((3,), 0))
+        ans = oracles.conjugate_dp(nf((1,), 0), nf((3,), 0))
         assert ans.verdict == YES and ans.witness == ("F", "P0")
         assert oracles.conjugate(nf((1,), 0), ans.witness) == nf((3,), 0)
 
     def test_no_needs_both_closures_complete(self):
         assert oracles.conjugate_equal(nf((2,), 0), nf((4,), 0), 64)[0] == NO
-        ans = conjugate_equal(nf((2,), 0), nf((4,), 0))
-        assert ans.verdict == NO and ans.witness is None
+        for conjugate_test in (conjugate_equal, oracles.conjugate_dp):
+            ans = conjugate_test(nf((2,), 0), nf((4,), 0))
+            assert ans.verdict == NO and ans.witness is None
 
     def test_far_apart_odd_translations_are_decided_exactly(self):
         # (1,) and (9,) sit in one infinite class: closures capped at two
         # elements cannot tell, the exact test names a shortest witness
         assert oracles.conjugate_equal(nf((1,), 0), nf((9,), 0), 2)[0] \
             == UNDETERMINED
-        ans = conjugate_equal(nf((1,), 0), nf((9,), 0))
+        ans = oracles.conjugate_dp(nf((1,), 0), nf((9,), 0))
         assert ans.verdict == YES and ans.witness == ("D0", "P0", "D0", "P0")
         assert oracles.conjugate(nf((1,), 0), ans.witness) == nf((9,), 0)
-        assert conjugate_equal(nf((3,), 0), nf((5,), 0)).verdict == YES
+        assert oracles.conjugate_dp(nf((3,), 0), nf((5,), 0)).verdict == YES
 
     def test_classes_separate_by_flag_and_parity(self):
-        assert conjugate_equal(nf((1,), 0), nf((1,), 1)).verdict == NO
-        assert conjugate_equal(nf((1,), 0), nf((2,), 0)).verdict == NO
+        assert oracles.conjugate_dp(nf((1,), 0), nf((1,), 1)).verdict == NO
+        assert oracles.conjugate_dp(nf((1,), 0), nf((2,), 0)).verdict == NO
         assert conjugate_equal(nf((0, 2), 0), nf((0, 4), 0)).verdict == NO
 
     def test_equal_values_need_no_letters(self):
         a = nf((-3, 2, 5), 1)
+        assert oracles.conjugate_dp(a, a) == ConjugacyAnswer(YES, ())
+        a = nf((-4, 2, 8), 0)
         assert conjugate_equal(a, a) == ConjugacyAnswer(YES, ())
 
     def test_mixed_depths_rejected(self):
         with pytest.raises(MixedM):
-            conjugate_equal(nf((1,), 0), nf((1, 0), 0))
+            oracles.conjugate_dp(nf((1,), 0), nf((1, 0), 0))
+        # before the points' domain is checked
+        for a in (nf((2,), 0), nf((1,), 1)):
+            with pytest.raises(MixedM):
+                conjugate_equal(a, nf((2, 0), 0))
+
+    @pytest.mark.parametrize("odd", [nf((0, 0), 1), nf((4, 1), 0),
+                                     nf((-3, 0), 0), nf((1, 1), 1)])
+    def test_points_off_the_even_domain_rejected(self, odd):
+        for a, b in [(odd, nf((4, 0), 0)), (nf((4, 0), 0), odd)]:
+            with pytest.raises(ValueError) as info:
+                conjugate_equal(a, b)
+            assert type(info.value) is ValueError
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_diagram_values_are_conjugate_when_magnitudes_agree(self, m):
@@ -320,6 +338,7 @@ class TestConjugateEqual:
         for a, b in product(values, repeat=2):
             same = [abs(t) for t in a.x] == [abs(t) for t in b.x]
             ans = conjugate_equal(a, b)
+            assert ans == oracles.conjugate_dp(a, b), (a, b)
             assert (ans.verdict == YES) == same, (a, b)
             if same:
                 assert oracles.conjugate(a, ans.witness) == b
@@ -343,9 +362,25 @@ def _random_word(rng, m, max_len):
     return tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len)))
 
 
+def _least_shortest_conjugator(a, b, length):
+    """Search every conjugator w, a.w = w.b, of at most `length` letters
+    for the shortest, least in alphabet order, written as its word."""
+    order = {z: i for i, z in enumerate(alphabet(a.m))}
+    words = []
+    for x in product(range(-length, length + 1), repeat=a.m):
+        for eps in (0, 1):
+            w = NormalForm(x, eps)
+            if eps + sum(map(abs, x)) <= length and \
+                    oracles.multiply(a, w) == oracles.multiply(w, b):
+                words.append(oracles.normal_form_to_word(w))
+    return min(words, key=lambda word: (len(word), [order[z] for z in word]))
+
+
 class TestAgainstOracles:
-    """The action, the closed form and the exact conjugacy test against
-    the letter-walking code they replaced."""
+    """The action and the closed form against the letter-walking code
+    they replaced, and the sign pass of conjugate_equal against the
+    dynamic programme it replaced, itself checked against the closures
+    and a search of every short conjugator."""
 
     @pytest.mark.parametrize("eps", [0, 1])
     def test_parity_bits_are_the_step_sums(self, eps):
@@ -377,8 +412,9 @@ class TestAgainstOracles:
             assert evaluate(w) == oracles.step_evaluate(w)
 
     def test_group_law_matches_the_fold(self):
-        # conjugate_equal's closed form: the product moves a.x[k] by
-        # s_k(a) b.x[k], and its witnesses walk each level as the oracle
+        # the closed form the conjugacy tests rest on: the product moves
+        # a.x[k] by s_k(a) b.x[k], and the dynamic programme's witnesses
+        # walk each level as the oracle
         rng = random.Random(2026)
         for _ in range(2000):
             m = rng.randint(1, 4)
@@ -388,7 +424,8 @@ class TestAgainstOracles:
             x = tuple(ak + s * bk for ak, s, bk in zip(a.x, signs, b.x))
             assert oracles.multiply(a, b) == NormalForm(x, a.eps ^ b.eps)
             above = signs[1:]  # s_{k+1}(a), and s_m(a) = (-1)^eps
-            walks = [_walk(k, a.x[k], above[k]) for k in reversed(range(m))]
+            walks = [oracles.walk(k, a.x[k], above[k])
+                     for k in reversed(range(m))]
             assert ("F",) * a.eps + sum(walks, ()) \
                 == oracles.normal_form_to_word(a)
 
@@ -404,7 +441,7 @@ class TestAgainstOracles:
             else:
                 b = random_point(rng, m, bound=4)
             verdict, witness = oracles.conjugate_equal(a, b, 32)
-            ans = conjugate_equal(a, b)
+            ans = oracles.conjugate_dp(a, b)
             if ans.verdict == YES:
                 assert oracles.conjugate(a, ans.witness) == b
             else:
@@ -418,20 +455,48 @@ class TestAgainstOracles:
         assert conclusive >= 100
 
     def test_witness_is_the_least_shortest_word(self):
-        # search every conjugator no longer than the witness
+        # the dynamic programme's witness on every point
         rng = random.Random(2027)
         for _ in range(300):
             m = rng.randint(1, 3)
             a = random_point(rng, m, bound=3)
             b = oracles.conjugate(a, _random_word(rng, m, 4))
+            witness = oracles.conjugate_dp(a, b).witness
+            assert witness == _least_shortest_conjugator(a, b, len(witness))
+
+    def test_even_witness_is_the_least_shortest_word(self):
+        # the sign pass's witness on even points
+        rng = random.Random(2028)
+        for _ in range(300):
+            m = rng.randint(1, 3)
+            a = NormalForm(tuple(2 * rng.randint(-3, 3) for _ in range(m)), 0)
+            b = oracles.conjugate(a, _random_word(rng, m, 4))
             witness = conjugate_equal(a, b).witness
-            order = {z: i for i, z in enumerate(alphabet(m))}
-            words = []
-            for x in product(range(-len(witness), len(witness) + 1), repeat=m):
-                for eps in (0, 1):
-                    w = NormalForm(x, eps)
-                    if eps + sum(map(abs, x)) <= len(witness) and \
-                            oracles.multiply(a, w) == oracles.multiply(w, b):
-                        words.append(oracles.normal_form_to_word(w))
-            assert witness == min(
-                words, key=lambda word: (len(word), [order[z] for z in word]))
+            assert witness == _least_shortest_conjugator(a, b, len(witness))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_sign_pass_matches_the_dp_on_every_small_even_pair(self, m):
+        points = [NormalForm(x, 0)
+                  for x in product(range(-12, 13, 2), repeat=m)]
+        for a, b in product(points, repeat=2):
+            assert conjugate_equal(a, b) == oracles.conjugate_dp(a, b), (a, b)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_sign_pass_matches_the_dp_on_random_even_pairs(self, m):
+        # half the pairs conjugate: b negates random levels of a
+        rng = random.Random(f"even-{m}")
+        def even_point():
+            return NormalForm(tuple(2 * rng.randint(-20, 20)
+                                    for _ in range(m)), 0)
+
+        conjugate = 0
+        for i in range(3000):
+            a = even_point()
+            if i % 2:
+                b = a._replace(x=tuple(rng.choice((1, -1)) * t for t in a.x))
+            else:
+                b = even_point()
+            ans = conjugate_equal(a, b)
+            assert ans == oracles.conjugate_dp(a, b), (a, b)
+            conjugate += ans.verdict == YES
+        assert conjugate >= 1500

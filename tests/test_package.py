@@ -15,14 +15,14 @@ import freeknot
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Readers, checks and inverses that no library or CLI code called, the
-# pairwise linking test and the closed-form group operations, which live
-# on in tests/oracles.py, and the list subclass the census once returned
-# its counts on.
+# pairwise linking test, the closed-form group operations and the
+# conjugacy programme's level walk, which live on in tests/oracles.py,
+# and the list subclass the census once returned its counts on.
 DROPPED = ("Violation", "validate", "linked", "link_count",
            "SharedEndpointError", "delete_odd", "AdjointTriple",
            "json_object", "inverse_move", "move_from_json", "FIELD_SHAPES",
            "Witnesses", "normal_form_to_word", "multiply", "inverse",
-           "conjugate")
+           "conjugate", "_walk")
 
 
 def test_every_exported_name_resolves_once():
