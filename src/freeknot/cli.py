@@ -21,7 +21,7 @@ import random
 import re
 import signal
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .diagram import ChordDiagram, parse_gauss_code, serialize
@@ -68,8 +68,8 @@ def _describe(d: ChordDiagram, m_values: list[int]):
     f = filtration(d, deep)
     splits = [{"odd": odd, "even": even} for odd, even in f.prime_split]
     for m in m_values:
-        kept = alphabet(m)
-        spell = {z: z if z in kept else FINAL for z in alphabet(deep)}
+        kept = chain(alphabet(m)[:-1], repeat(FINAL))
+        spell = dict(zip(alphabet(deep), kept))
         x = f.x[:m]
         yield {
             "m": m,

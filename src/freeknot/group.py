@@ -27,7 +27,8 @@ from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .diagram import Chord
-from .parity import Word, _code, _levels, alphabet, double_prime, prime
+from .parity import (Word, _levels, alphabet, double_prime, letter_level,
+                     prime)
 
 
 class MixedM(ValueError):
@@ -60,30 +61,6 @@ def identity(m: int) -> NormalForm:
     return NormalForm((0,) * m, 0)
 
 
-def _parity(point: NormalForm) -> int:
-    """The parity bits of a point: bit k holds x[k] + ... + x[m-1] + eps
-    mod 2 for every level k, and bit m holds eps."""
-    bits = s = point.eps
-    for xk in reversed(point.x):
-        s ^= xk & 1
-        bits = bits << 1 | s
-    return bits
-
-
-def _act(codes: Iterable[tuple[int, int]], x: list[int],
-         parity: int) -> NormalForm:
-    """Walk the point (x[:m]; eps) with parity bits `parity` through
-    letter codes (see parity._code), in place on x; x[m] is scratch.
-    (k, step) moves x[k] by step when bit k is clear, else by -step, and
-    F's (m, 0) moves only x[m]; either way the sums x[j:] + eps, j <= k,
-    change parity, so bits 0..k flip."""
-    m = len(x) - 1
-    for k, step in codes:
-        x[k] += -step if parity >> k & 1 else step
-        parity ^= (2 << k) - 1
-    return NormalForm(tuple(x[:m]), parity >> m)
-
-
 def apply_letter(point: NormalForm, letter: str) -> NormalForm:
     """Right-multiply a point by one letter.
 
@@ -95,7 +72,12 @@ def apply_letter(point: NormalForm, letter: str) -> NormalForm:
     >>> apply_letter(identity(1), "P0")
     NormalForm(x=(1,), eps=0)
     """
-    return _act((_code(letter, point.m),), [*point.x, 0], _parity(point))
+    k = letter_level(letter, point.m)
+    if k is None:
+        return NormalForm(point.x, point.eps ^ 1)
+    x, step = [*point.x], 1 if letter[0] == "P" else -1
+    x[k] += step if (sum(x[k:]) + point.eps) % 2 == 0 else -step
+    return NormalForm(tuple(x), point.eps)
 
 
 def corrupted_apply_letter(point: NormalForm, letter: str) -> NormalForm:
@@ -111,14 +93,12 @@ def corrupted_apply_letter(point: NormalForm, letter: str) -> NormalForm:
 
 
 def evaluate(word: Word) -> NormalForm:
-    """Evaluate a word left to right from the identity: _act walks the
-    codes of its letters, each distinct letter coded once.
+    """Evaluate a word left to right from the identity.
 
     >>> evaluate(Word(("P0", "F"), 1))
     NormalForm(x=(1,), eps=1)
     """
-    code = {z: _code(z, word.m) for z in dict.fromkeys(word.letters)}
-    return _act(map(code.__getitem__, word.letters), [0] * (word.m + 1), 0)
+    return reduce(apply_letter, word.letters, identity(word.m))
 
 
 def _value(chords: Sequence[Chord], m: int) -> NormalForm:
@@ -126,13 +106,14 @@ def _value(chords: Sequence[Chord], m: int) -> NormalForm:
     form off parity._levels: x[k] = 2 * sum over the chords (p, q) of
     level k of s * (-1)^r, with s = +1 in Pk and -1 in Dk and r the
     number of ends of levels >= k before p; eps = 0, as every letter
-    comes twice.  This is _act over the word: every letter of a level
-    >= k (F as level m) flips bit k, so the bit read at an end is r mod
-    2, and a chord of level k is odd within those ends, so both of its
-    ends read the same bit.  A round never looks ahead, so the first k
-    coordinates are the value at depth k: a letter of a level >= k acts
-    on the first k coordinates as F does."""
-    return NormalForm(tuple(_levels(chords, m)[1]), 0)
+    comes twice.  This is evaluate over the word: every letter of a
+    level >= k (F as level m) flips the parity of x[k:] + eps, so the
+    parity read at an end is r mod 2, and a chord of level k is odd
+    within those ends, so both of its ends read the same parity.  A
+    round never looks ahead, so the first k coordinates are the value
+    at depth k: a letter of a level >= k acts on the first k
+    coordinates as F does."""
+    return NormalForm(tuple(_levels(chords, m)[2]), 0)
 
 
 def relations(m: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:

@@ -14,6 +14,7 @@ every letter of a level >= m read as F.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -40,6 +41,7 @@ def double_prime(level: int) -> str:
     return f"D{level}"
 
 
+@cache
 def alphabet(m: int) -> tuple[str, ...]:
     """All letters available at depth m, in a fixed order."""
     letters = [z for k in range(m) for z in (prime(k), double_prime(k))]
@@ -49,18 +51,12 @@ def alphabet(m: int) -> tuple[str, ...]:
 def letter_level(letter: str, m: int) -> int | None:
     """Level index of a P/D letter, or None for the final letter.
 
-    The letter must be spelled as alphabet(m) spells it (ASCII digits,
-    no leading zero), and its level must lie below m.
+    The letter must be one of alphabet(m), spelled as it spells it (ASCII
+    digits, no leading zero), so its level lies below m.
     """
-    if letter == FINAL:
-        return None
-    digits = letter[1:]
-    if (letter[:1] in ("P", "D") and digits.isascii() and digits.isdecimal()
-            and (digits == "0" or digits[0] != "0")):
-        k = int(digits)
-        if k < m:
-            return k
-    raise LevelOutOfRange(f"letter {letter!r} has no level at depth {m}")
+    if letter not in alphabet(m):
+        raise LevelOutOfRange(f"letter {letter!r} has no level at depth {m}")
+    return None if letter == FINAL else int(letter[1:])
 
 
 class Word(NamedTuple):
@@ -88,29 +84,23 @@ class Filtration:
     x: tuple[int, ...]
 
 
-def _code(letter: str, m: int) -> tuple[int, int]:
-    """(k, 1) for the letter Pk, (k, -1) for Dk and (m, 0) for F."""
-    k = letter_level(letter, m)
-    return (m, 0) if k is None else (k, 1 if letter[0] == "P" else -1)
-
-
 def _levels(chords: Sequence[Chord],
-            m: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """(code, x): the _code of the letter at each position 1..2n of the
-    word at depth m, position 0 unused, and the x of its value, a term
-    per chord as its level is cut (see group._value).  Round k cuts
-    R_k, the chords left, into level k (its odd chords) and R_{k+1},
-    then level k into Pk and Dk, whose ends share one code tuple; a
-    round with no odd chord ends the walk.  rank[j] counts R_k's ends
-    at positions <= j.  Inside a chord (p, q) lie two ends of each
-    chord nested in it and one of each linked with it, so its rank gap
-    rank[q] - rank[p] is even exactly when it is odd within R_k.  A
-    round ranks R_{k+1} once, as `after`, the next round's rank.  A
-    chord (p, q) of level k has an odd number of R_k's ends inside, its
-    level's and after[q] - after[p] of R_{k+1}'s, so it is in Pk
-    exactly when after[q] - after[p] is even."""
+            m: int) -> tuple[list, Sequence[Chord], list[int]]:
+    """(parts, residue, x): the (Pk, Dk) chord lists of each level k the
+    walk at depth m reaches, in first-end order as `chords` are, the
+    chords left over, and the x of the word's value, a term per chord
+    as its level is cut (see group._value).  Round k cuts R_k, the
+    chords left, into level k (its odd chords) and R_{k+1}, then level
+    k into Pk and Dk; a round with no odd chord ends the walk.  rank[j]
+    counts R_k's ends at positions <= j.  Inside a chord (p, q) lie two
+    ends of each chord nested in it and one of each linked with it, so
+    its rank gap rank[q] - rank[p] is even exactly when it is odd
+    within R_k.  A round ranks R_{k+1} once, as `after`, the next
+    round's rank.  A chord (p, q) of level k has an odd number of R_k's
+    ends inside, its level's and after[q] - after[p] of R_{k+1}'s, so
+    it is in Pk exactly when after[q] - after[p] is even."""
     size = 2 * len(chords)
-    code, x = [(m, 0)] * (size + 1), [0] * m
+    parts, x = [], [0] * m
     remaining, rank = chords, range(size + 1)  # R_0 owns every end
     for k in range(m):
         level, rest = [], []
@@ -121,13 +111,15 @@ def _levels(chords: Sequence[Chord],
         present = [0] * (size + 1)
         for p, q in rest:
             present[p] = present[q] = 1
-        after, parts = list(accumulate(present)), ((k, 1), (k, -1))
-        for p, q in level:
+        after, split = list(accumulate(present)), ([], [])
+        for c in level:
+            p, q = c
             even = (after[q] - after[p]) & 1
-            code[p] = code[q] = parts[even]
+            split[even].append(c)
             x[k] += 2 if even ^ rank[p] & 1 else -2
+        parts.append(split)
         remaining, rank = rest, after
-    return code, x
+    return parts, remaining, x
 
 
 def word_of(d: ChordDiagram, m: int) -> Word:
@@ -140,20 +132,21 @@ def word_of(d: ChordDiagram, m: int) -> Word:
 
 
 def filtration(d: ChordDiagram, m: int) -> Filtration:
-    """The filtration of d at depth m off one _levels walk: d.chords,
-    sorted by first end, filed under their codes give sorted parts.
+    """The filtration of d at depth m off one _levels walk, whose parts,
+    in first-end order as d.chords are, give the splits and the word.
 
     The number of chords in each odd part is always even (a handshake
     count), which is what makes the letter words evaluate consistently.
     """
     if m < 1:
         raise InvalidM(f"depth must be a positive integer, got {m}")
-    code, x = _levels(d.chords, m)
-    letter = {_code(z, m): z for z in alphabet(m)}
-    parts = {c: [] for c in letter}
-    for c in d.chords:
-        parts[code[c[0]]].append(c)
-    splits = tuple((tuple(parts[k, 1]), tuple(parts[k, -1])) for k in range(m))
-    levels = (*(tuple(sorted(a + b)) for a, b in splits), tuple(parts[m, 0]))
-    word = Word(tuple(map(letter.__getitem__, code[1:])), m)
-    return Filtration(m, levels, splits, word, tuple(x))
+    parts, residue, x = _levels(d.chords, m)
+    splits = tuple((tuple(odd), tuple(even)) for odd, even in parts)
+    splits += (((), ()),) * (m - len(splits))
+    letters = [FINAL] * (d.size + 1)
+    for k, split in enumerate(parts):
+        for part, z in zip(split, (prime(k), double_prime(k))):
+            for p, q in part:
+                letters[p] = letters[q] = z
+    levels = (*(tuple(sorted(a + b)) for a, b in splits), tuple(residue))
+    return Filtration(m, levels, splits, Word(tuple(letters[1:]), m), tuple(x))

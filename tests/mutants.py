@@ -55,10 +55,12 @@ MUTANTS = [
            "if partner.get(p, p) > p:", "if False:", DIAGRAM),
     Mutant("parse accepts a label seen once", "diagram.py",
            "if 2 * len(first) == len(tokens):", "if True:", DIAGRAM),
-    Mutant("_parity drops eps from the parity sum", "group.py",
-           "bits = s = point.eps", "bits, s = point.eps, 0", GROUP),
-    Mutant("_parity ignores the flag", "group.py",
-           "bits = s = point.eps", "bits = s = 0", GROUP),
+    Mutant("apply_letter drops eps from the parity sum", "group.py",
+           "sum(x[k:]) + point.eps", "sum(x[k:])", GROUP),
+    Mutant("apply_letter's F sets the flag instead of toggling it",
+           "group.py", "point.eps ^ 1", "1", GROUP),
+    Mutant("letter_level accepts level m", "parity.py",
+           "not in alphabet(m):", "not in alphabet(m + 1):", PARITY),
     Mutant("r2_sites misses nested pairs", "moves.py",
            "abs(c2[1] - c1[1]) == 1", "c2[1] - c1[1] == 1", MOVES),
     Mutant("r3_sites keeps a triple from every end", "moves.py",
@@ -144,11 +146,10 @@ MUTANTS = [
     Mutant("_levels drops the odd/even sign on the rank path",
            "parity.py", "x[k] += 2 if even ^ rank[p] & 1 else -2",
            "x[k] += 2 if rank[p] & 1 else -2", EXPLORE),
-    Mutant("_act steps flip one bit too few", "group.py",
-           "parity ^= (2 << k) - 1", "parity ^= (1 << k) - 1", GROUP),
-    Mutant("_act lets F keep the parity mask", "group.py",
-           "parity ^= (2 << k) - 1",
-           "parity ^= (2 << k) - 1 if k < m else 1 << m", GROUP),
+    Mutant("apply_letter's parity sum starts above level k", "group.py",
+           "sum(x[k:])", "sum(x[k + 1:])", GROUP),
+    Mutant("apply_letter's F keeps the flag", "group.py",
+           "NormalForm(point.x, point.eps ^ 1)", "point", GROUP),
     Mutant("search_nontrivial reads one level too many", "explore.py",
            "if any(value.x[:m]):", "if any(value.x[:m + 1]):", EXPLORE),
     Mutant("distinguish reads one level too many", "explore.py",
@@ -164,7 +165,7 @@ MUTANTS = [
     Mutant("rotation trial ignores the verdict", "explore.py",
            "if verdict != SAME_INVARIANT:", "if False:", EXPLORE),
     Mutant("_describe keeps the letters of one level too many", "cli.py",
-           "kept = alphabet(m)", "kept = alphabet(m + 1)", CLI),
+           "alphabet(m)[:-1]", "alphabet(m + 1)[:-1]", CLI),
     Mutant("_describe swaps the odd and even parts", "cli.py",
            '{"odd": odd, "even": even}', '{"odd": even, "even": odd}', CLI),
     Mutant("_describe reads x at the shallowest depth", "cli.py",

@@ -42,7 +42,6 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FINAL, LONG,
                       word_of)
 from freeknot.diagram import first_appearance
 from freeknot.explore import TRIAL_MAX_CHORDS, TRIAL_SIZE_CAP
-from freeknot.group import _act, _parity
 from freeknot.parity import _levels
 from support import end_map
 
@@ -101,10 +100,14 @@ def rank_word(d: ChordDiagram, m: int) -> Word:
 
 
 def walked_value(chords, m: int) -> NormalForm:
-    """group._value as _act walking the letter codes of the level walk
-    from the identity, one end at a time."""
-    codes = _levels(chords, m)[0]
-    return _act(codes[1:], [0] * (m + 1), 0)
+    """group._value as step_evaluate walking, one end at a time, the
+    word that the level walk's parts spell."""
+    letters = [FINAL] * (2 * len(chords))
+    for k, split in enumerate(_levels(chords, m)[0]):
+        for part, z in zip(split, (prime(k), double_prime(k))):
+            for p, q in part:
+                letters[p - 1] = letters[q - 1] = z
+    return step_evaluate(Word(tuple(letters), m))
 
 
 def _step(x: list[int], eps: int, k: int, letter: str) -> None:
@@ -147,6 +150,16 @@ def word_filtration(d: ChordDiagram, m: int) -> Filtration:
                     frozenset(parts[double_prime(k)])) for k in range(m))
     levels = (*(odd | even for odd, even in splits), frozenset(parts[FINAL]))
     return Filtration(m, levels, splits, word, step_evaluate(word).x)
+
+
+def _parity(point: NormalForm) -> int:
+    """The parity bits of a point: bit k holds x[k] + ... + x[m-1] + eps
+    mod 2 for every level k, and bit m holds eps."""
+    bits = s = point.eps
+    for xk in reversed(point.x):
+        s ^= xk & 1
+        bits = bits << 1 | s
+    return bits
 
 
 def fold(point: NormalForm, letters) -> NormalForm:

@@ -17,7 +17,9 @@ seeded random diagrams, each run's text followed by its exit code:
 - reduce: `reduce --json --max-states 500` on each diagram of 0..12
   chords, at the default chord budget and at n, and on scrambles of
   the empty diagram (0..30 moves, cap 6), which reduce to it, and on
-  the two five-chord nontrivial free knots at chord budgets 5 and 6.
+  the two five-chord nontrivial free knots at chord budgets 5 and 6;
+- selfcheck: `selfcheck --json --seed 7 --trials 3000`, which
+  evaluates the relations and the conjugates letter by letter.
 
 `tests/test_output_digest.py` pins these digests, so a change that
 should leave the output byte-identical can be checked in one run.
@@ -96,9 +98,13 @@ def reduce_runs(rng: random.Random):
                    "--max-chords", cap, "--gauss", code]
 
 
+def selfcheck_runs(rng: random.Random):
+    yield ["selfcheck", "--json", "--seed", "7", "--trials", "3000"]
+
+
 COMMANDS = {"invariant": invariant_runs, "compare": compare_runs,
             "moves": moves_runs, "scramble": scramble_runs,
-            "reduce": reduce_runs}
+            "reduce": reduce_runs, "selfcheck": selfcheck_runs}
 
 
 def digests() -> dict[str, str]:

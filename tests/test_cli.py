@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -89,6 +90,22 @@ class TestInvariant:
                          "--m", "2")
         assert code == 0
         assert calls == [3, 3]
+
+    def test_deep_depth_takes_linear_time(self, capsys):
+        """Spelling each depth's word is linear in the deepest depth: at
+        m = 50000 the quadratic spelling took about a minute.  Both
+        chords of 1 2 1 2 leave in round 0, so the word is the same at
+        every depth and x is zero above level 0."""
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "invariant", "--json", "--m", "1",
+                           "--m", "50000", "--gauss", "1 2 1 2")
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        shallow, deep = json.loads(out)["diagrams"][0]["results"]
+        assert shallow["word"] == deep["word"] == ["P0"] * 4
+        assert deep["normal_form"]["x"][0] == shallow["normal_form"]["x"][0]
+        assert len(deep["normal_form"]["x"]) == 50000
+        assert not any(deep["normal_form"]["x"][1:])
 
     def test_failure_leaves_stdout_empty(self, capsys, monkeypatch):
         """The second diagram's filtration fails after the first's

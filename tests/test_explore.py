@@ -353,8 +353,8 @@ class TestClassValue:
     """The value of a class, read through the level walk that the census
     shares with word_of, through evaluate, and through `_value`'s closed
     form, which `search_nontrivial` and `distinguish` read, against the
-    rank-scan word, the step-by-step evaluation and the letter action
-    walked over the codes, which they replaced."""
+    rank-scan word, the step-by-step evaluation and the step rule walked
+    over the word the walk's chord lists spell, which they replaced."""
 
     @staticmethod
     def check(d, m):

@@ -11,7 +11,6 @@ from freeknot import (NO, YES, ConjugacyAnswer, LevelOutOfRange, MixedM,
                       conjugate_equal, corrupted_apply_letter, evaluate,
                       identity, parse_gauss_code, random_diagram,
                       relation_check, relations, rotation_classes, word_of)
-from freeknot.group import _parity
 from oracles import EQUAL, UNDETERMINED, rewrite_oracle
 from support import normal_forms, random_point, words
 
@@ -376,9 +375,28 @@ def _least_shortest_conjugator(a, b, length):
     return min(words, key=lambda word: (len(word), [order[z] for z in word]))
 
 
+def _letter_point(z: str, m: int) -> NormalForm:
+    """The point a letter moves the origin to, read off its spelling:
+    +1 at level k for Pk, -1 for Dk, and eps = 1 for F."""
+    if z == "F":
+        return nf((0,) * m, 1)
+    x = [0] * m
+    x[int(z[1:])] = 1 if z[0] == "P" else -1
+    return nf(x, 0)
+
+
+def _closed_product(a: NormalForm, b: NormalForm) -> NormalForm:
+    """a.b in closed form: (a.b).x[k] = a.x[k] + s_k(a) b.x[k] with
+    s_k(a) = (-1)^(a.x[k] + ... + a.x[m-1] + a.eps), flags added mod 2."""
+    x = [ak + (-1) ** (sum(a.x[k:]) + a.eps) * bk
+         for k, (ak, bk) in enumerate(zip(a.x, b.x))]
+    return nf(x, a.eps ^ b.eps)
+
+
 class TestAgainstOracles:
-    """The action and the closed form against the letter-walking code
-    they replaced, and the sign pass of conjugate_equal against the
+    """The action against the step rule and the closed-form product,
+    the value's closed form against the letter-walking code it
+    replaced, and the sign pass of conjugate_equal against the
     dynamic programme it replaced, itself checked against the closures
     and a search of every short conjugator."""
 
@@ -388,7 +406,7 @@ class TestAgainstOracles:
         for _ in range(500):
             m = rng.randint(1, 5)
             a = random_point(rng, m)._replace(eps=eps)
-            bits = _parity(a)
+            bits = oracles._parity(a)
             assert [bits >> k & 1 for k in range(m + 1)] \
                 == [(sum(a.x[k:]) + eps) % 2 for k in range(m + 1)]
 
@@ -399,7 +417,8 @@ class TestAgainstOracles:
             m = rng.randint(1, 4)
             a = random_point(rng, m)._replace(eps=eps)
             for z in alphabet(m):
-                assert apply_letter(a, z) == oracles.step_apply_letter(a, z)
+                assert apply_letter(a, z) == oracles.step_apply_letter(a, z) \
+                    == _closed_product(a, _letter_point(z, m))
 
     def test_evaluate_matches_the_step_reference(self):
         rng = random.Random(2610)
@@ -409,7 +428,10 @@ class TestAgainstOracles:
                        for _ in range(rng.randint(0, 60))]
             letters.insert(rng.randint(0, len(letters)), "F")
             w = Word(tuple(letters), m)
-            assert evaluate(w) == oracles.step_evaluate(w)
+            closed = identity(m)
+            for z in letters:
+                closed = _closed_product(closed, _letter_point(z, m))
+            assert evaluate(w) == oracles.step_evaluate(w) == closed
 
     def test_group_law_matches_the_fold(self):
         # the closed form the conjugacy tests rest on: the product moves
@@ -419,10 +441,9 @@ class TestAgainstOracles:
         for _ in range(2000):
             m = rng.randint(1, 4)
             a, b = random_point(rng, m), random_point(rng, m)
-            bits = _parity(a)
+            bits = oracles._parity(a)
             signs = [-1 if bits >> k & 1 else 1 for k in range(m + 1)]
-            x = tuple(ak + s * bk for ak, s, bk in zip(a.x, signs, b.x))
-            assert oracles.multiply(a, b) == NormalForm(x, a.eps ^ b.eps)
+            assert oracles.multiply(a, b) == _closed_product(a, b)
             above = signs[1:]  # s_{k+1}(a), and s_m(a) = (-1)^eps
             walks = [oracles.walk(k, a.x[k], above[k])
                      for k in reversed(range(m))]

@@ -1,5 +1,5 @@
-"""The seeded `--json` output of invariant, compare, moves, scramble and
-reduce is byte-identical to the pinned digests (see
+"""The seeded `--json` output of invariant, compare, moves, scramble,
+reduce and selfcheck is byte-identical to the pinned digests (see
 tests/output_digest.py).  A change that means to alter that output
 re-pins them and says why."""
 
@@ -11,6 +11,7 @@ PINNED = {
     "moves": "fc4efa91e312b52ff3ff4f558a6da4ee",
     "scramble": "a95806d4ce1e4596c355494e79afd0af",
     "reduce": "ced326a02520f02ab512b288cb01a7cd",
+    "selfcheck": "88fa60b28f43b695ae6f468409dd4107",
 }
 
 

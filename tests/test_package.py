@@ -16,13 +16,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Readers, checks and inverses that no library or CLI code called, the
 # pairwise linking test, the closed-form group operations and the
-# conjugacy programme's level walk, which live on in tests/oracles.py,
-# and the list subclass the census once returned its counts on.
+# conjugacy programme's level walk and the parity bits of a point, which
+# live on in tests/oracles.py, the list subclass the census once
+# returned its counts on, and the numeric letter codes and their walk.
 DROPPED = ("Violation", "validate", "linked", "link_count",
            "SharedEndpointError", "delete_odd", "AdjointTriple",
            "json_object", "inverse_move", "move_from_json", "FIELD_SHAPES",
            "Witnesses", "normal_form_to_word", "multiply", "inverse",
-           "conjugate", "_walk")
+           "conjugate", "_walk", "_parity", "_act", "_code")
 
 
 def test_every_exported_name_resolves_once():

@@ -11,8 +11,9 @@ from freeknot import (FINAL, ChordDiagram, InvalidM, LevelOutOfRange,
                       evaluate, filtration, letter_level, parse_gauss_code,
                       prime, r3_sites, random_diagram, rotate_basepoint,
                       word_of)
-from freeknot.parity import _code, _levels
-from oracles import link_count, rank_word, walked_value, word_filtration
+from freeknot.parity import _levels
+from oracles import (link_count, rank_word, step_evaluate, walked_value,
+                     word_filtration)
 from support import diagrams, end_map, triple_chords, words
 
 
@@ -25,7 +26,8 @@ def test_letter_helpers():
         == [0, 0, 1, 1, 2, 2, None]
 
 
-MISSPELLED = ["X7", "P+0", "P00", "Q1", "P", "D-1"]
+# Misspelled letters, and two that are not strings at all.
+MISSPELLED = ["X7", "P+0", "P00", "Q1", "P", "D-1", 0, ("P", 0)]
 
 
 @pytest.mark.parametrize("letter", MISSPELLED + ["P3", "D3"])
@@ -291,12 +293,22 @@ def test_rounds_after_every_chord_left_are_empty(code):
 
 
 def _check_levels(d, m):
-    """_levels' codes against the rank-scan word, and its x against the
-    letter action walked over those codes; the codes it gave."""
-    code, x = _levels(d.chords, m)
-    assert code[1:] == [_code(z, m) for z in rank_word(d, m).letters]
-    assert walked_value(d.chords, m) == NormalForm(tuple(x), 0)
-    return code
+    """_levels' parts and residue against the rank-scan word, its x
+    against the step rule walked over that word and over the word its
+    parts spell; the levels that hold chords, m for the residue."""
+    parts, residue, x = _levels(d.chords, m)
+    word = rank_word(d, m)
+    lettered = {z: [c for c in d.chords if word.letters[c[0] - 1] == z]
+                for z in alphabet(m)}
+    reached = len(parts)
+    assert reached <= m and all(odd or even for odd, even in parts)
+    assert parts == [(lettered[prime(k)], lettered[double_prime(k)])
+                     for k in range(reached)]
+    assert not any(lettered[z] for z in alphabet(m)[2 * reached:-1])
+    assert list(residue) == lettered[FINAL]
+    assert step_evaluate(word) == walked_value(d.chords, m) \
+        == NormalForm(tuple(x), 0)
+    return set(range(reached)) | ({m} if residue else set())
 
 
 @pytest.mark.parametrize("low, high, count", [
@@ -329,8 +341,8 @@ def test_levels_walk_above_the_masks_until_no_chord_is_left(code, kept):
     d = parse_gauss_code(code)
     assert d.size > 28
     for m in range(1, 6):
-        codes = _check_levels(d, m)
-    assert {k for k, _ in codes[1:]} == kept
+        held = _check_levels(d, m)
+    assert held == kept
 
 
 def test_adjoint_triples_carry_zero_or_two_odd_chords():
