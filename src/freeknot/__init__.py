@@ -22,9 +22,8 @@ from .group import (NO, YES, ConjugacyAnswer, MixedM, NormalForm,
                     evaluate, identity, relation_check, relations)
 from .moves import (CROSSED, NESTED, GapOutOfRange, Move, NotAnR1Site,
                     NotAnR2Site, NotAnR3Site, apply_move, enumerate_moves,
-                    move_to_json, move_to_text, r1_add, r1_remove, r1_sites,
-                    r2_add, r2_remove, r2_sites, r3_apply, r3_sites,
-                    rotate_basepoint)
+                    r1_add, r1_remove, r1_sites, r2_add, r2_remove, r2_sites,
+                    r3_apply, r3_sites, rotate_basepoint)
 from .parity import (FINAL, Filtration, InvalidM, LevelOutOfRange, Word,
                      alphabet, double_prime, filtration, letter_level, prime,
                      word_of)
@@ -38,11 +37,10 @@ __all__ = [
     "SAME_INVARIANT", "SearchReport", "Word", "YES", "alphabet",
     "apply_letter", "apply_move", "conjugate_equal", "corrupted_apply_letter",
     "distinguish", "double_prime", "enumerate_moves", "evaluate", "filtration",
-    "identity", "letter_level", "move_invariance_trial", "move_to_json",
-    "move_to_text", "parse_gauss_code", "prime", "r1_add", "r1_remove",
-    "r1_sites", "r2_add", "r2_remove", "r2_sites", "r3_apply", "r3_sites",
-    "random_diagram", "reduce", "relation_check", "relations",
-    "rotate_basepoint", "rotation_canonical_code", "rotation_classes",
-    "rotation_conjugacy_trial", "scramble", "search_nontrivial", "serialize",
-    "word_of",
+    "identity", "letter_level", "move_invariance_trial", "parse_gauss_code",
+    "prime", "r1_add", "r1_remove", "r1_sites", "r2_add", "r2_remove",
+    "r2_sites", "r3_apply", "r3_sites", "random_diagram", "reduce",
+    "relation_check", "relations", "rotate_basepoint",
+    "rotation_canonical_code", "rotation_classes", "rotation_conjugacy_trial",
+    "scramble", "search_nontrivial", "serialize", "word_of",
 ]

@@ -30,8 +30,7 @@ from .explore import (CERTIFIED_DISTINCT, FREE, LONG, distinguish,
                       scramble, search_nontrivial)
 from .group import (NormalForm, corrupted_apply_letter, identity,
                     relation_check)
-from .moves import (ApplicableMoves, Move, enumerate_moves, move_to_json,
-                    move_to_text)
+from .moves import MOVE_KINDS, ApplicableMoves, Move, enumerate_moves
 from .parity import FINAL, alphabet, filtration
 
 
@@ -60,6 +59,35 @@ def _seed(args) -> int:
     return args.seed if args.seed is not None else random.randrange(2 ** 32)
 
 
+def _diagram_json(d: ChordDiagram) -> dict:
+    return {"n": d.n, "chords": d.chords}
+
+
+def _point_json(point: NormalForm) -> dict:
+    return {"m": point.m, "x": point.x, "eps": point.eps}
+
+
+def _move_json(move: Move) -> dict:
+    """The kind, then each parameter under its field's name."""
+    return {"kind": move.kind,
+            **dict(zip(MOVE_KINDS[move.kind].fields, move.params))}
+
+
+def _move_text(move: Move) -> str:
+    """The kind, then field=value for each parameter, a chord as (p,q).
+
+    >>> _move_text(Move("r2_remove", (((1, 4), (2, 5)),)))
+    'r2_remove chords=(1,4),(2,5)'
+    """
+    words = [move.kind]
+    for field, value in zip(MOVE_KINDS[move.kind].fields, move.params):
+        if type(value) is tuple:
+            rows = value if type(value[0]) is tuple else (value,)
+            value = ",".join(f"({','.join(map(str, row))})" for row in rows)
+        words.append(f"{field}={value}")
+    return " ".join(words)
+
+
 def _describe(d: ChordDiagram, m_values: list[int]):
     """d's entries at each depth off one filtration at the deepest, whose
     parts every depth shares: depth m reads the letters of levels >= m
@@ -78,14 +106,14 @@ def _describe(d: ChordDiagram, m_values: list[int]):
                 "splits": splits[:m],
             },
             "word": [*map(spell.__getitem__, f.word.letters)],
-            "normal_form": NormalForm(x, 0).to_json(),
+            "normal_form": _point_json(NormalForm(x, 0)),
             "is_identity": not any(x),
         }
 
 
 def cmd_invariant(args):
     m_values = args.m or [1]
-    diagrams = [{"gauss": serialize(d), "diagram": d.to_json(),
+    diagrams = [{"gauss": serialize(d), "diagram": _diagram_json(d),
                  "results": list(_describe(d, m_values))}
                 for d in _diagrams(args, None)]
 
@@ -104,7 +132,7 @@ def cmd_invariant(args):
                     for k, s in enumerate(info["filtration"]["splits"]))
                 yield f"m={m} word: {' '.join(info['word']) or '(empty)'}"
                 tag = " (identity)" if info["is_identity"] else ""
-                yield f"m={m} normal form: x={nf['x']} eps={nf['eps']}{tag}"
+                yield f"m={m} normal form: x={[*nf['x']]} eps={nf['eps']}{tag}"
     return 0, {"diagrams": diagrams}, text()
 
 
@@ -112,6 +140,10 @@ def cmd_compare(args):
     m_values = args.m or [1]
     verdict, per_m = distinguish(*_diagrams(args, 2), m_values, args.mode)
     code = 1 if verdict == CERTIFIED_DISTINCT else 0
+    match = "conjugate" if args.mode == FREE else "equal"
+    per_m = [{"m": m, "left": _point_json(a), "right": _point_json(b),
+              "relation": match if same else "distinct", "witness": witness}
+             for m, a, b, same, witness in per_m]
 
     def text():
         yield f"mode: {args.mode}"
@@ -139,24 +171,31 @@ def cmd_scramble(args):
         yield f"applied: {applied} moves (size cap {size_cap})"
         yield f"result: {gauss or '(empty)'}"
     return 0, {"seed": seed, "moves": args.moves, "size_cap": size_cap,
-               "gauss": gauss, "diagram": result.to_json()}, text()
+               "gauss": gauss, "diagram": _diagram_json(result)}, text()
 
 
 def cmd_reduce(args):
     [d] = _diagrams(args, 1)
     max_chords = args.max_chords if args.max_chords is not None else d.n + 1
     report = reduce(d, args.max_states, max_chords)
+    path, result = report.path, report.diagram
+    gauss = None if result is None else serialize(result)
 
     def text():
         yield f"outcome: {report.outcome}"
         yield f"visited: {report.visited}"
         yield f"shortest: {'yes' if report.shortest else 'no'}"
-        if report.path is not None:
-            yield f"path ({len(report.path)} moves):"
-            yield from (f"  {move_to_text(move)}" for move in report.path)
-        if report.diagram is not None:
-            yield f"result: {serialize(report.diagram) or '(empty)'}"
-    return 0, report.to_json(), text()
+        if path is not None:
+            yield f"path ({len(path)} moves):"
+            yield from (f"  {_move_text(move)}" for move in path)
+        if result is not None:
+            yield f"result: {gauss or '(empty)'}"
+    return 0, {"outcome": report.outcome,
+               "path": None if path is None else [*map(_move_json, path)],
+               "diagram": None if result is None else _diagram_json(result),
+               "gauss": gauss, "visited": report.visited,
+               "max_states": args.max_states, "max_chords": max_chords,
+               "shortest": report.shortest}, text()
 
 
 def cmd_search(args):
@@ -217,7 +256,7 @@ def cmd_moves(args):
     max_chords = args.max_chords if args.max_chords is not None else d.n + 2
     moves = enumerate_moves(d, max_chords)
     return 0, {"gauss": serialize(d), "max_chords": max_chords,
-               "moves": moves}, (move_to_text(mv) for mv in moves)
+               "moves": moves}, map(_move_text, moves)
 
 
 def _at_least(low: int, name: str):
@@ -326,14 +365,14 @@ def _leaves(items) -> tuple:
 
 @functools.cache
 def _template(kind: str, marked: tuple, indent: str) -> str:
-    """move_to_json of a `kind` move as _put_json writes it at `indent`,
+    """_move_json of a `kind` move as _put_json writes it at `indent`,
     made a %-template: literal % doubled, each marker %d, or %s (kept
     quoted) for a str.  A site's _leaves fill it, so the markers must
     occur in their leaf order in `marked`, as they do while each kind's
     fields are sorted like JSON keys.  A str goes in unescaped; the
     only one, a pattern, needs no escape."""
     chunks = []
-    _put_json(move_to_json(Move(kind, marked)), indent, chunks.append, {})
+    _put_json(_move_json(Move(kind, marked)), indent, chunks.append, {})
     text = "".join(chunks).replace("%", "%%")
     found = [marker.strip('"') for marker in _MARKER.findall(text)]
     if found != list(_leaves((marked,))):

@@ -49,9 +49,6 @@ class ChordDiagram:
         """Number of chord ends, i.e. 2n."""
         return 2 * len(self.chords)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "chords": [list(c) for c in self.chords]}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ChordDiagram) and self.chords == other.chords
 

@@ -16,10 +16,10 @@ from itertools import chain, count, islice
 from math import inf
 from typing import Iterator, Sequence
 
-from .diagram import Chord, ChordDiagram, first_appearance, serialize
+from .diagram import Chord, ChordDiagram, first_appearance
 from .group import YES, NormalForm, _value, conjugate_equal, evaluate
 from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
-                    move_to_json, rotate_basepoint)
+                    rotate_basepoint)
 from .parity import InvalidM, Word, word_of
 
 SAME_INVARIANT = "same_invariant"
@@ -81,24 +81,7 @@ class SearchReport:
     path: tuple[Move, ...] | None
     diagram: ChordDiagram | None
     visited: int
-    max_states: int
-    max_chords: int
     shortest: bool
-
-    def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "path": None if self.path is None else
-                    [move_to_json(mv) for mv in self.path],
-            "diagram": None if self.diagram is None else
-                       self.diagram.to_json(),
-            "gauss": None if self.diagram is None else
-                     serialize(self.diagram),
-            "visited": self.visited,
-            "max_states": self.max_states,
-            "max_chords": self.max_chords,
-            "shortest": self.shortest,
-        }
 
 
 # The moves the descent tries, in this order: removals, then the
@@ -215,8 +198,7 @@ def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
     the chord budget.
     """
     if max_states < 1:
-        return SearchReport(EXHAUSTED, None, None, 0, max_states,
-                            max_chords, False)
+        return SearchReport(EXHAUSTED, None, None, 0, False)
     seen = {d}
     incumbent = () if d.n == 0 else _descend(d, seen, max_states)
     incumbent, least, finished = _a_star(d, max_chords, seen, max_states,
@@ -227,21 +209,21 @@ def reduce(d: ChordDiagram, max_states: int, max_chords: int) -> SearchReport:
         outcome, (path, diagram) = MINIMAL_FOUND, least
     else:
         outcome, path, diagram = EXHAUSTED, None, None
-    return SearchReport(outcome, path, diagram, len(seen), max_states,
-                        max_chords, finished)
+    return SearchReport(outcome, path, diagram, len(seen), finished)
 
 
 def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
-                mode: str = LONG) -> tuple[str, list[dict]]:
+                mode: str = LONG) -> tuple[str, list[tuple]]:
     """Compare two diagrams through their invariants at the depths of m_list.
 
     Each diagram gets one value, at the deepest depth, read at depth m
-    as NormalForm(x[:m], 0) (see `group._value`).  Long
-    mode compares values exactly ("equal" or "distinct"), free mode
-    conjugacy classes ("conjugate", with a shortest conjugating word as
-    witness, or "distinct").  Returns the verdict, CERTIFIED_DISTINCT
+    as NormalForm(x[:m], 0) (see `group._value`).  Long mode compares
+    values exactly, free mode conjugacy classes, with a shortest
+    conjugating word as witness.  Returns the verdict, CERTIFIED_DISTINCT
     when some depth separates the diagrams, else SAME_INVARIANT (never
-    a claim of equivalence), and the per-depth entries of `compare --json`.
+    a claim of equivalence), and per depth a tuple (m, left, right,
+    same, witness): the two values, whether they match, and the witness,
+    None in long mode or when they do not.
     """
     if mode not in (LONG, FREE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -253,14 +235,12 @@ def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
     for m in m_list:
         a, b = NormalForm(x1[:m], 0), NormalForm(x2[:m], 0)
         if mode == LONG:
-            relation, witness = ("equal" if a == b else "distinct"), None
+            same, witness = a == b, None
         else:
             answer = conjugate_equal(a, b)
-            relation = "conjugate" if answer.verdict == YES else "distinct"
-            witness = None if answer.witness is None else list(answer.witness)
-        per_m.append({"m": m, "left": a.to_json(), "right": b.to_json(),
-                      "relation": relation, "witness": witness})
-    distinct = any(entry["relation"] == "distinct" for entry in per_m)
+            same, witness = answer.verdict == YES, answer.witness
+        per_m.append((m, a, b, same, witness))
+    distinct = not all(same for _, _, _, same, _ in per_m)
     return (CERTIFIED_DISTINCT if distinct else SAME_INVARIANT), per_m
 
 
@@ -386,10 +366,9 @@ def rotation_conjugacy_trial(rng: random.Random,
     verdict, per_m = distinguish(d, rotate_basepoint(d, 1), m_values, FREE)
     if verdict != SAME_INVARIANT:
         return False
-    for entry in per_m:
-        m = entry["m"]
+    for m, _, right, _, witness in per_m:
         letters = word_of(d, m).letters
-        if any(evaluate(Word((*w[::-1], *letters, *w), m)).to_json()
-               != entry["right"] for w in (letters[:1], entry["witness"])):
+        if any(evaluate(Word((*w[::-1], *letters, *w), m)) != right
+               for w in (letters[:1], witness)):
             return False
     return True

@@ -53,9 +53,6 @@ class NormalForm(NamedTuple):
     def is_identity(self) -> bool:
         return self.eps == 0 and not any(self.x)
 
-    def to_json(self) -> dict:
-        return {"m": self.m, "x": list(self.x), "eps": self.eps}
-
 
 def identity(m: int) -> NormalForm:
     return NormalForm((0,) * m, 0)

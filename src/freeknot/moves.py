@@ -303,37 +303,3 @@ def enumerate_moves(d: ChordDiagram, max_chords: int) -> ApplicableMoves:
 
 def apply_move(d: ChordDiagram, move: Move) -> ChordDiagram:
     return _kind(move.kind).apply(d, *move.params)
-
-
-def _named_params(move: Move):
-    return zip(_kind(move.kind).fields, move.params, strict=True)
-
-
-def _listed(value):
-    """`value` with every tuple, at any depth, made a list."""
-    if isinstance(value, tuple):
-        return [_listed(v) for v in value]
-    return value
-
-
-def _text_value(value) -> str:
-    if not isinstance(value, tuple):
-        return str(value)
-    if isinstance(value[0], tuple):
-        return ",".join(map(_text_value, value))
-    return f"({','.join(map(str, value))})"
-
-
-def move_to_json(move: Move) -> dict:
-    return {"kind": move.kind, **{
-        f: _listed(v) for f, v in _named_params(move)}}
-
-
-def move_to_text(move: Move) -> str:
-    """The kind, then field=value for each parameter.
-
-    >>> move_to_text(Move("r2_remove", (((1, 4), (2, 5)),)))
-    'r2_remove chords=(1,4),(2,5)'
-    """
-    return " ".join([move.kind] + [
-        f"{f}={_text_value(v)}" for f, v in _named_params(move)])

@@ -6,7 +6,8 @@ Every entry of MUTANTS names a file of src/freeknot, an exact text that
 occurs there once, its replacement, and the test modules that must fail
 once the replacement is in.  The script copies src/, tests/ and
 pyproject.toml into a temporary directory and runs every named module
-there on the unchanged copy, which must pass.  Then, one mutant at a
+there on the unchanged copy, which must pass; if it fails, the tail of
+pytest's output names the failing test.  Then, one mutant at a
 time, it writes the mutant into the copy and runs that mutant's modules
 with `python -m pytest -x -q -p no:cacheprovider` under
 PYTHONDONTWRITEBYTECODE=1; pytest must report failed tests (status 1).
@@ -196,11 +197,38 @@ MUTANTS = [
            '_put_json(value, "\\n", chunks.append, {})',
            '_put_json(value, "\\n", chunks.append, '
            '_put_json.__dict__.setdefault("rows", {}))', JSON_TEXT),
+    Mutant("compare calls a free-mode match equal", "cli.py",
+           'match = "conjugate" if args.mode == FREE else "equal"',
+           'match = "equal"', CLI),
+    Mutant("compare names every depth by the match", "cli.py",
+           '"relation": match if same else "distinct"', '"relation": match',
+           CLI),
+    Mutant("the move text line drops a chord's parentheses", "cli.py",
+           "f\"({','.join(map(str, row))})\"", "','.join(map(str, row))",
+           CLI),
+    Mutant("reduce echoes n as the chord budget", "cli.py",
+           '"max_states": args.max_states, "max_chords": max_chords',
+           '"max_states": args.max_states, "max_chords": d.n', CLI),
+    Mutant("reduce echoes the states visited as the cap", "cli.py",
+           '"max_states": args.max_states, "max_chords"',
+           '"max_states": report.visited, "max_chords"', CLI),
+    Mutant("the invariant text writes x as a tuple", "cli.py",
+           "x={[*nf['x']]}", "x={nf['x']}", CLI),
+    Mutant("the diagram record counts ends as n", "cli.py",
+           '{"n": d.n, "chords": d.chords}',
+           '{"n": d.size, "chords": d.chords}', DIAGRAM),
+    Mutant("the point record reads eps as 0", "cli.py",
+           '"eps": point.eps}', '"eps": 0}', GROUP),
+    Mutant("the move record pairs fields with params reversed", "cli.py",
+           "**dict(zip(MOVE_KINDS[move.kind].fields, move.params))",
+           "**dict(zip(MOVE_KINDS[move.kind].fields, move.params[::-1]))",
+           MOVES),
 ]
 
 
-def pytest(copy: Path, modules) -> int:
-    """Run test modules of the copy; pytest's exit status."""
+def pytest(copy: Path, modules, quiet=(0, 1)) -> int:
+    """Run test modules of the copy; pytest's exit status.  The tail of
+    its output is printed for any status not in `quiet`."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(copy / "src"))
     result = subprocess.run(
@@ -209,7 +237,7 @@ def pytest(copy: Path, modules) -> int:
         cwd=copy, env=env, capture_output=True, text=True)
     # no example database carries over from one run to the next
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
-    if result.returncode not in (0, 1):
+    if result.returncode not in quiet:
         print(result.stdout[-2000:] + result.stderr[-2000:])
     return result.returncode
 
@@ -222,7 +250,7 @@ def main() -> int:
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy)
         modules = sorted({module for m in MUTANTS for module in m.modules})
-        if pytest(copy, modules) != 0:
+        if pytest(copy, modules, quiet=(0,)) != 0:
             print(f"the unchanged copy fails {modules}")
             return 1
         survivors = []

@@ -507,26 +507,24 @@ def breadth_first_reduce(d: ChordDiagram, max_states: int,
         current, path = queue.popleft()
         if current.n == 0:
             return SearchReport(REDUCED_TO_EMPTY, path, current,
-                                len(visited), max_states, max_chords, True)
+                                len(visited), True)
         for move in enumerate_moves(current, max_chords):
             nxt = apply_move(current, move)
             if nxt in visited:
                 continue
             if len(visited) >= max_states:
-                return SearchReport(EXHAUSTED, None, None,
-                                    len(visited), max_states, max_chords,
+                return SearchReport(EXHAUSTED, None, None, len(visited),
                                     False)
             visited.add(nxt)
             nxt_path = path + (move,)
             if nxt.n == 0:
                 return SearchReport(REDUCED_TO_EMPTY, nxt_path, nxt,
-                                    len(visited), max_states, max_chords,
-                                    True)
+                                    len(visited), True)
             if nxt.n < best_d.n:
                 best_d, best_path = nxt, nxt_path
             queue.append((nxt, nxt_path))
-    return SearchReport(MINIMAL_FOUND, best_path, best_d,
-                        len(visited), max_states, max_chords, True)
+    return SearchReport(MINIMAL_FOUND, best_path, best_d, len(visited),
+                        True)
 
 
 def distinguish_per_depth(d1: ChordDiagram, d2: ChordDiagram, m_list,
@@ -536,14 +534,12 @@ def distinguish_per_depth(d1: ChordDiagram, d2: ChordDiagram, m_list,
     for m in m_list:
         a, b = evaluate(word_of(d1, m)), evaluate(word_of(d2, m))
         if mode == LONG:
-            relation, witness = ("equal" if a == b else "distinct"), None
+            same, witness = a == b, None
         else:
             answer = freeknot.conjugate_equal(a, b)
-            relation = "conjugate" if answer.verdict == YES else "distinct"
-            witness = None if answer.witness is None else list(answer.witness)
-        per_m.append({"m": m, "left": a.to_json(), "right": b.to_json(),
-                      "relation": relation, "witness": witness})
-    distinct = any(entry["relation"] == "distinct" for entry in per_m)
+            same, witness = answer.verdict == YES, answer.witness
+        per_m.append((m, a, b, same, witness))
+    distinct = not all(entry[3] for entry in per_m)
     return (CERTIFIED_DISTINCT if distinct else SAME_INVARIANT), per_m
 
 
@@ -574,7 +570,7 @@ def describe_per_depth(d: ChordDiagram, m: int) -> dict:
                        for odd, even in filt.prime_split],
         },
         "word": list(filt.word.letters),
-        "normal_form": nf.to_json(),
+        "normal_form": {"m": nf.m, "x": list(nf.x), "eps": nf.eps},
         "is_identity": nf.is_identity,
     }
 

@@ -1,10 +1,12 @@
 """Shared hypothesis strategies and helpers for the test suite."""
 
+import json
 import random
 
 from hypothesis import strategies as st
 
 from freeknot import ChordDiagram, Move, NormalForm, Word, alphabet
+from freeknot.cli import _json_text
 from freeknot.moves import MOVE_KINDS, PATTERNS
 
 
@@ -47,8 +49,13 @@ def triple_chords(d: ChordDiagram, anchors) -> set:
     return {owner[p] for a in anchors for p in (a, a + 1)}
 
 
+def written(record):
+    """A --json record as the CLI writes it, read back."""
+    return json.loads(_json_text(record))
+
+
 def move_from_json(obj: dict) -> Move:
-    """The move a move_to_json record describes, read back unchecked."""
+    """The move a `moves --json` record describes, read back unchecked."""
     def tupled(value):
         return tuple(map(tupled, value)) if type(value) is list else value
     fields = MOVE_KINDS[obj["kind"]].fields
@@ -64,7 +71,7 @@ def _ints(count: int, item=_int):
                           and all(map(item, value)))
 
 
-# The JSON shape of every field named in MOVE_KINDS, as move_to_json
+# The JSON shape of every field named in MOVE_KINDS, as `moves --json`
 # writes it.
 FIELD_SHAPES = {"chord": _ints(2), "chords": _ints(2, _ints(2)),
                 "anchors": _ints(3), "gap": _int, "gap1": _int, "gap2": _int,

@@ -17,7 +17,8 @@ import freeknot.group
 import freeknot.parity
 import oracles
 from freeknot import (ChordDiagram, NormalForm, distinguish, enumerate_moves,
-                      parse_gauss_code, search_nontrivial, serialize)
+                      evaluate, parse_gauss_code, search_nontrivial,
+                      serialize, word_of)
 from freeknot.cli import main
 from freeknot.parity import _levels, filtration
 from support import diagrams
@@ -206,6 +207,23 @@ class TestCompare:
         assert out.splitlines() == ["mode: free", "m=1: distinct",
                                     "verdict: certified_distinct"]
 
+    @pytest.mark.parametrize("mode, other, relation, witness", [
+        ("long", WITNESS, "equal", None),
+        ("long", WITNESS_ROTATED, "distinct", None),
+        ("free", WITNESS_ROTATED, "conjugate", ["P0"]),
+        ("free", "1 1", "distinct", None)])
+    def test_json_names_the_relation(self, capsys, mode, other, relation,
+                                     witness):
+        code, out, _ = run(capsys, "compare", "--json", "--mode", mode,
+                           "--gauss", WITNESS, "--gauss", other)
+        (entry,) = json.loads(out)["per_m"]
+        assert (entry["relation"], entry["witness"]) == (relation, witness)
+        assert code == (relation == "distinct")
+        left, right = (parse_gauss_code(c) for c in (WITNESS, other))
+        assert [entry["left"], entry["right"]] == [
+            {"m": 1, "x": list(evaluate(word_of(d, 1)).x), "eps": 0}
+            for d in (left, right)]
+
     def test_json_carries_exit_code(self, capsys):
         code, out, _ = run(capsys, "compare", "--json", "--gauss", WITNESS,
                            "--gauss", "1 1", "--m", "1", "--m", "2")
@@ -333,6 +351,21 @@ class TestReduce:
         assert len(payload["path"]) == 2
         assert payload["shortest"] is True
 
+    @pytest.mark.parametrize("extra, max_states, max_chords", [
+        ((), 10000, 4), (("--max-chords", "7"), 10000, 7),
+        (("--max-states", "2"), 2, 4), (("--max-states", "0"), 0, 4)])
+    def test_json_echoes_the_caps(self, capsys, extra, max_states,
+                                  max_chords):
+        """The state cap and the chord budget, n + 1 by default, are the
+        arguments reduce ran under."""
+        code, out, _ = run(capsys, "reduce", "--json",
+                           "--gauss", "1 2 3 1 2 3", *extra)
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["max_states"], payload["max_chords"]) \
+            == (max_states, max_chords)
+        assert payload["visited"] <= max_states
+
     def test_exhausted_under_small_cap(self, capsys):
         code, out, _ = run(capsys, "reduce", "--gauss", WITNESS,
                            "--max-states", "50")
@@ -456,7 +489,7 @@ class TestMoves:
         def failing(move):
             raise AssertionError("text formatted in --json mode")
 
-        monkeypatch.setattr(freeknot.cli, "move_to_text", failing)
+        monkeypatch.setattr(freeknot.cli, "_move_text", failing)
         assert run(capsys, *args) == expected
         assert expected[0] == 0
 

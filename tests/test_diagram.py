@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -7,8 +8,9 @@ from hypothesis import given
 
 from freeknot import (ChordDiagram, LabelCountError, parse_gauss_code,
                       random_diagram, rotate_basepoint, serialize)
+from freeknot.cli import _diagram_json, main
 from oracles import SharedEndpointError, link_count, linked, list_parse
-from support import diagrams
+from support import diagrams, written
 
 
 def test_parse_simple():
@@ -176,16 +178,18 @@ def test_link_count_handshake(d):
     assert total % 2 == 0
 
 
-def test_json_round_trip():
+def test_json_round_trip(capsys):
     d = parse_gauss_code("1 2 1 3 2 3")
-    obj = d.to_json()
+    assert main(["invariant", "--json", "--gauss", "1 2 1 3 2 3"]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["diagrams"]
+    obj = entry["diagram"]
     assert obj == {"n": 3, "chords": [[1, 3], [2, 5], [4, 6]]}
     assert ChordDiagram(obj["chords"]) == d
 
 
 @given(diagrams())
 def test_json_round_trips_every_valid_diagram(d):
-    obj = d.to_json()
+    obj = written(_diagram_json(d))
     assert obj["n"] == d.n
     assert ChordDiagram(obj["chords"]) == d
 

@@ -2,6 +2,7 @@ import doctest
 
 import pytest
 
+import freeknot.cli
 import freeknot.diagram
 import freeknot.explore
 import freeknot.group
@@ -9,7 +10,7 @@ import freeknot.moves
 import freeknot.parity
 
 MODULES = [freeknot.diagram, freeknot.parity, freeknot.group,
-           freeknot.moves, freeknot.explore]
+           freeknot.moves, freeknot.explore, freeknot.cli]
 
 
 @pytest.mark.parametrize("module", MODULES,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections.abc import Sized
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,14 @@ import oracles
 from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       MINIMAL_FOUND, NO, REDUCED_TO_EMPTY, SAME_INVARIANT,
                       YES, ChordDiagram, ConjugacyAnswer, InvalidM,
-                      NormalForm, apply_move,
+                      NormalForm, SearchReport, apply_move,
                       conjugate_equal, distinguish, evaluate, filtration,
                       move_invariance_trial,
                       parse_gauss_code, random_diagram, reduce,
                       rotate_basepoint, rotation_canonical_code,
                       rotation_classes, rotation_conjugacy_trial, scramble,
                       search_nontrivial, serialize, word_of)
+from freeknot.cli import main
 from freeknot.group import _value
 from oracles import (all_matchings, breadth_first_reduce,
                      rotation_class_codes, search_by_matchings)
@@ -114,13 +116,18 @@ class TestReduce:
         assert rep.outcome == EXHAUSTED
         assert rep.path is None and rep.diagram is None
 
-    def test_report_serializes(self):
-        rep = reduce(parse_gauss_code("1 1"), 100, 2)
-        obj = rep.to_json()
+    def test_report_serializes(self, capsys):
+        assert [f.name for f in fields(SearchReport)] \
+            == ["outcome", "path", "diagram", "visited", "shortest"]
+        assert main(["reduce", "--json", "--gauss", "1 1",
+                     "--max-states", "100", "--max-chords", "2"]) == 0
+        obj = json.loads(capsys.readouterr().out)
         assert obj["outcome"] == REDUCED_TO_EMPTY
         assert obj["gauss"] == ""
+        assert obj["diagram"] == {"n": 0, "chords": []}
         assert obj["path"] == [{"kind": "r1_remove", "chord": [1, 2]}]
         assert obj["shortest"] is True
+        assert (obj["max_states"], obj["max_chords"]) == (100, 2)
 
     @given(diagrams(max_n=6), st.integers(0, 2), st.integers(0, 400))
     @settings(max_examples=80, deadline=None)
@@ -250,15 +257,17 @@ class TestDistinguish:
         assert distinguish(d, d, []) == (SAME_INVARIANT, [])
         verdict, per_m = distinguish(d, ChordDiagram(), [1, 2])
         assert verdict == CERTIFIED_DISTINCT
-        assert per_m == [
-            {"m": m, "left": evaluate(word_of(d, m)).to_json(),
-             "right": {"m": m, "x": [0] * m, "eps": 0},
-             "relation": "distinct", "witness": None} for m in (1, 2)]
+        assert per_m == [(m, evaluate(word_of(d, m)), NormalForm((0,) * m, 0),
+                          False, None) for m in (1, 2)]
+        value = evaluate(word_of(d, 1))
+        assert distinguish(d, d, [1]) \
+            == (SAME_INVARIANT, [(1, value, value, True, None)])
         verdict, per_m = distinguish(d, rotate_basepoint(d, 1), [1],
                                      mode=FREE)
         assert verdict == SAME_INVARIANT
-        assert per_m[0]["relation"] == "conjugate"
-        assert per_m[0]["witness"] == ["P0"]
+        [(m, left, right, same, witness)] = per_m
+        assert (m, left, same, witness) == (1, value, True, ("P0",))
+        assert right == evaluate(word_of(rotate_basepoint(d, 1), 1))
 
 
 class TestRotationCanonicalCode:

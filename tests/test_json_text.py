@@ -2,7 +2,7 @@
 json.dumps(value, indent=2, sort_keys=True), writes, on JSON-like
 values of every shape and on the CLI's payloads at benchmark sizes;
 `moves --json`, written over one template per kind, is the text of the
-list of move_to_json records."""
+list of `cli._move_json` records."""
 
 import ast
 import gc
@@ -17,10 +17,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from freeknot import (enumerate_moves, move_to_json, parse_gauss_code,
-                      random_diagram, scramble, serialize)
-from freeknot.cli import (_describe, _json_text, _leaves, _marked, _template,
-                          main)
+from freeknot import (enumerate_moves, parse_gauss_code, random_diagram,
+                      scramble, serialize)
+from freeknot.cli import (_describe, _json_text, _leaves, _marked, _move_json,
+                          _template, main)
 from freeknot.moves import MOVE_KINDS, PATTERNS, Move
 from oracles import indented_json
 
@@ -188,16 +188,16 @@ MOVES_CASES = [(code, cap) for code, cap in _moves_cases()
                if cap is None or cap >= 0]
 
 
-def _old_payload(code: str, cap) -> dict:
-    """The payload `moves --json` wrote as a list of move_to_json dicts."""
+def _records_payload(code: str, cap) -> dict:
+    """The payload `moves --json` writes, as a list of _move_json dicts."""
     d = parse_gauss_code(code)
     cap = d.n + 2 if cap is None else cap
     return {"command": "moves", "gauss": code, "max_chords": cap,
-            "moves": [move_to_json(mv) for mv in enumerate_moves(d, cap)]}
+            "moves": [_move_json(mv) for mv in enumerate_moves(d, cap)]}
 
 
 def test_moves_cases_reach_every_kind():
-    counts = [Counter(mv["kind"] for mv in _old_payload(*case)["moves"])
+    counts = [Counter(mv["kind"] for mv in _records_payload(*case)["moves"])
               for case in MOVES_CASES]
     assert set().union(*counts) == set(MOVE_KINDS)
     assert {} in counts
@@ -211,8 +211,8 @@ def test_moves_cases_reach_every_kind():
 def test_moves_json_is_the_list_of_move_to_json(capsys, code, cap):
     """`moves --json` writes each kind over one template; the text is
     the one _json_text, and json.dumps, write for the list of records
-    move_to_json builds."""
-    payload = _old_payload(code, cap)
+    _move_json builds."""
+    payload = _records_payload(code, cap)
     argv = ["moves", "--json", "--gauss", code]
     if cap is not None:
         argv += ["--max-chords", str(cap)]
@@ -244,7 +244,7 @@ def test_template_of_each_kind(kind):
     site = _first_sites()[kind]
     template = _template(kind, _marked(site, ""), "\n")
     assert (template % _leaves([site])
-            == _json_text(move_to_json(Move(kind, site))))
+            == _json_text(_move_json(Move(kind, site))))
 
 
 def test_template_strings_need_no_escape():

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
@@ -9,12 +12,13 @@ from hypothesis import strategies as st
 import oracles
 from freeknot import (CROSSED, NESTED, ChordDiagram, GapOutOfRange, Move,
                       NotAnR1Site, NotAnR2Site, NotAnR3Site, apply_move,
-                      enumerate_moves, move_to_json, move_to_text,
-                      parse_gauss_code, r1_add, r1_remove, r1_sites, r2_add,
+                      enumerate_moves, parse_gauss_code, r1_add, r1_remove, r1_sites, r2_add,
                       r2_remove, r2_sites, r3_apply, r3_sites, random_diagram,
                       rotate_basepoint, serialize)
+from freeknot.cli import _move_json, _move_text, main
 from freeknot.moves import MOVE_KINDS, _adjoint_anchors
-from support import FIELD_SHAPES, diagrams, move_from_json, triple_chords
+from support import (FIELD_SHAPES, diagrams, move_from_json, triple_chords,
+                     written)
 
 TRIPLE = parse_gauss_code("1 2 1 3 2 3")
 
@@ -449,8 +453,6 @@ class TestApplyAndInvert:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             apply_move(ChordDiagram(), Move("slide", ()))
-        with pytest.raises(ValueError):
-            move_to_json(Move("slide", ()))
 
 
 class TestSerialization:
@@ -458,9 +460,9 @@ class TestSerialization:
         d = parse_gauss_code("1 1 2 3 4 2 3 4")
         first = {}
         for move in enumerate_moves(d, d.n + 2):
-            assert move_from_json(move_to_json(move)) == move
+            assert move_from_json(written(_move_json(move))) == move
             first.setdefault(move.kind, move)
-        assert {kind: (move_to_text(mv), move_to_json(mv))
+        assert {kind: (_move_text(mv), written(_move_json(mv)))
                 for kind, mv in first.items()} == {
             "r1_remove": ("r1_remove chord=(1,2)",
                           {"kind": "r1_remove", "chord": [1, 2]}),
@@ -476,26 +478,35 @@ class TestSerialization:
         }
         small = parse_gauss_code("1 2 1 2")
         for move in enumerate_moves(small, 2):
-            assert move_from_json(move_to_json(move)) == move
+            assert move_from_json(written(_move_json(move))) == move
 
     def test_text_forms(self):
-        assert move_to_text(Move("r1_add", (3,))) == "r1_add gap=3"
-        assert move_to_json(Move("r1_add", (3,))) \
+        assert _move_text(Move("r1_add", (3,))) == "r1_add gap=3"
+        assert _move_text(Move("r3", ((3, 5, 7),))) == "r3 anchors=(3,5,7)"
+        assert written(_move_json(Move("r1_add", (3,)))) \
             == {"kind": "r1_add", "gap": 3}
 
     def test_written_fields_have_their_shapes(self):
-        """Every field of every listed move's JSON record has the shape
-        FIELD_SHAPES gives it, on random diagrams where all six kinds
-        turn up."""
+        """Every field of every move record that `moves --json` writes
+        has the shape FIELD_SHAPES gives it, and the records read back
+        as the listing, on random diagrams where all six kinds turn
+        up."""
         rng = random.Random(44)
         kinds = set()
         for _ in range(40):
             n = rng.randint(1, 8)
             for d in (random_diagram(n, rng), _grown(n, rng)):
-                for move in enumerate_moves(d, d.n + 2):
-                    record = move_to_json(move)
-                    assert list(record) \
-                        == ["kind", *MOVE_KINDS[move.kind].fields]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["moves", "--json",
+                                 "--gauss", serialize(d)]) == 0
+                records = json.loads(out.getvalue())["moves"]
+                assert list(map(move_from_json, records)) \
+                    == list(enumerate_moves(d, d.n + 2))
+                for record in records:
+                    move = move_from_json(record)
+                    assert sorted(record) \
+                        == sorted(["kind", *MOVE_KINDS[move.kind].fields])
                     for f in MOVE_KINDS[move.kind].fields:
                         assert FIELD_SHAPES[f](record[f]), (f, record[f])
                     kinds.add(move.kind)

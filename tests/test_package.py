@@ -18,12 +18,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # pairwise linking test, the closed-form group operations and the
 # conjugacy programme's level walk and the parity bits of a point, which
 # live on in tests/oracles.py, the list subclass the census once
-# returned its counts on, and the numeric letter codes and their walk.
+# returned its counts on, the numeric letter codes and their walk, and
+# the move writers, which the CLI's output layout replaced.
 DROPPED = ("Violation", "validate", "linked", "link_count",
            "SharedEndpointError", "delete_odd", "AdjointTriple",
            "json_object", "inverse_move", "move_from_json", "FIELD_SHAPES",
            "Witnesses", "normal_form_to_word", "multiply", "inverse",
-           "conjugate", "_walk", "_parity", "_act", "_code")
+           "conjugate", "_walk", "_parity", "_act", "_code", "move_to_json",
+           "move_to_text", "_listed", "_text_value", "_named_params")
 
 
 def test_every_exported_name_resolves_once():
@@ -49,6 +51,10 @@ def test_dropped_names_stay_dropped():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for cls in (freeknot.ChordDiagram, freeknot.NormalForm):
         assert not hasattr(cls, "from_json"), cls.__name__
+    # the --json layout is the CLI's alone
+    for cls in (freeknot.ChordDiagram, freeknot.NormalForm,
+                freeknot.SearchReport):
+        assert not hasattr(cls, "to_json"), cls.__name__
 
 
 def test_runtime_needs_only_the_standard_library():
