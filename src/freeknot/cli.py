@@ -91,7 +91,7 @@ def _move_text(move: Move) -> str:
 def _describe(d: ChordDiagram, m_values: list[int]):
     """d's entries at each depth off one filtration at the deepest, whose
     parts every depth shares: depth m reads the letters of levels >= m
-    as F and the first m coordinates of x (see group._value)."""
+    as F and the first m coordinates of x (see parity._levels)."""
     deep = max(m_values)
     f = filtration(d, deep)
     splits = [{"odd": odd, "even": even} for odd, even in f.prime_split]

@@ -17,10 +17,10 @@ from math import inf
 from typing import Iterator, Sequence
 
 from .diagram import Chord, ChordDiagram, first_appearance
-from .group import YES, NormalForm, _value, conjugate_equal, evaluate
+from .group import YES, NormalForm, conjugate_equal, evaluate
 from .moves import (MOVE_KINDS, Move, apply_move, enumerate_moves,
                     rotate_basepoint)
-from .parity import InvalidM, Word, word_of
+from .parity import InvalidM, Word, _levels, word_of
 
 SAME_INVARIANT = "same_invariant"
 CERTIFIED_DISTINCT = "certified_distinct"
@@ -217,7 +217,7 @@ def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
     """Compare two diagrams through their invariants at the depths of m_list.
 
     Each diagram gets one value, at the deepest depth, read at depth m
-    as NormalForm(x[:m], 0) (see `group._value`).  Long mode compares
+    as NormalForm(x[:m], 0) (see `parity._levels`).  Long mode compares
     values exactly, free mode conjugacy classes, with a shortest
     conjugating word as witness.  Returns the verdict, CERTIFIED_DISTINCT
     when some depth separates the diagrams, else SAME_INVARIANT (never
@@ -230,7 +230,7 @@ def distinguish(d1: ChordDiagram, d2: ChordDiagram, m_list: Sequence[int],
     if any(m < 1 for m in m_list):
         raise InvalidM(f"depths must be positive integers, got {m_list}")
     deep = max(m_list, default=1)
-    x1, x2 = (_value(d.chords, deep).x for d in (d1, d2))
+    x1, x2 = (tuple(_levels(d.chords, deep)[2]) for d in (d1, d2))
     per_m = []
     for m in m_list:
         a, b = NormalForm(x1[:m], 0), NormalForm(x2[:m], 0)
@@ -271,43 +271,65 @@ def _class_chords(n: int) -> Iterator[tuple[Chord, ...]]:
     Moving the base point shifts the gap sequence, (partner(i) - i) mod
     2n over the positions i, cyclically, so the classes are necklaces of
     gap sequences (J. Sawada, SIAM J. Discrete Math. 15(4), 2002).  An
-    FKM prenecklace recursion yields each class once, as its least gap
+    FKM prenecklace walk yields each class once, as its least gap
     sequence, in increasing order: a position that an earlier chord ends
     at takes that chord's gap back, any other starts a chord forward.
-    Each frame walks the forced positions in place, then starts a chord.
+    One loop fills the forced positions in place, then starts a chord:
+    the start s being tried, with its period, least gap and chord end,
+    is held in locals, the starts below it on a stack.  The last chord
+    takes no start, as it can only end at the one free position left.
     """
     size = 2 * n
-    gaps = [0] * (size + 1)  # gaps[t] at position t; gaps[0] is a floor
-    back = [0] * (size + 1)  # the gap an earlier chord forces at t, or 0
-    chords = []
-
-    def extend(t, p):
-        while t <= size and back[t]:
-            g = gaps[t] = back[t]
-            if g < gaps[t - p]:
-                return
-            if g > gaps[t - p]:
+    # 0 marks a free position; the floor gaps[0] is the first start's
+    # least gap, and the zeros past 2n end both scans
+    gaps = [1] + [0] * (2 * size + 2)
+    chords, below, t, p, last = [], [], 1, 1, 0
+    s, ps, least, end = size + 1, 1, 0, size + 1  # no gap left: the end
+    while True:
+        while g := gaps[t]:
+            h = gaps[t - p]
+            if g != h:
+                if g < h:
+                    break
                 p = t
             t += 1
-        if t > size:
-            if size % p == 0:
-                yield tuple(chords)
-            return
-        least = gaps[t - p]
-        for g in range(max(least, 1), size - t + 1):
-            if not back[t + g]:
-                gaps[t], back[t + g] = g, size - g
-                chords.append((t, t + g))
-                yield from extend(t + 1, p if g == least else t)
-                chords.pop()
-                back[t + g] = 0
-
-    return extend(1, 1)
+        else:
+            if t > size:
+                if size % p == 0:
+                    yield tuple(chords)
+            elif len(chords) < n - 1:
+                below.append((s, ps, least, end))
+                chords.append(None)
+                s, ps, least, end = t, p, gaps[t - p], t
+            else:
+                u = gaps.index(0, t + 1)
+                g, h = u - t, gaps[t - p]
+                if g >= h:
+                    gaps[t], gaps[u] = g, size - g
+                    chords.append((t, u))
+                    last, t, p = t, t + 1, p if g == h else t
+                    continue
+        if last:  # the last chord's start: take that chord back
+            gaps[last] = gaps[chords.pop()[1]] = last = 0
+        while True:  # the next gap of start s, or of a start below
+            gaps[end] = 0
+            end = gaps.index(0, end + 1 if end > s else s + least)
+            if end <= size:
+                break
+            gaps[s] = 0
+            if not below:
+                return
+            chords.pop()
+            s, ps, least, end = below.pop()
+        g = end - s
+        gaps[s], gaps[end] = g, size - g
+        chords[-1] = s, end
+        t, p = s + 1, ps if g == least else s
 
 
 def rotation_classes(n: int) -> Iterator[ChordDiagram]:
     """One diagram on n chords per rotation class (OEIS A007769), lazily."""
-    return map(ChordDiagram, _class_chords(n))
+    return map(ChordDiagram._sorted, _class_chords(n))
 
 
 def search_nontrivial(max_chords: int, depths: Sequence[int],
@@ -317,9 +339,10 @@ def search_nontrivial(max_chords: int, depths: Sequence[int],
     away from the identity; such a hit is a certified nontrivial free
     knot, since the identity's conjugacy class is itself alone.
 
-    One `_value` per class, at the deepest depth, serves every depth:
-    by the prefix rule of its docstring, a class is a hit at depth m
-    exactly when any(value.x[:m]).  Only a hit becomes a diagram.
+    One `parity._levels` walk per class, at the deepest depth, serves
+    every depth: by the prefix rule of its docstring, a class is a hit
+    at depth m exactly when any(x[:m]), so only a class with a nonzero
+    coordinate is read depth by depth, and only a hit becomes a diagram.
     Returns (witnesses, examined, complete): witnesses[i] lists the
     `rotation_canonical_code` of each hit at depths[i], by chord count
     and then token by token as integers; the scan stops after state_cap
@@ -332,13 +355,13 @@ def search_nontrivial(max_chords: int, depths: Sequence[int],
     classes = chain.from_iterable(map(_class_chords,
                                       range(1, max_chords + 1)))
     examined = 0
-    for chords in islice(classes, state_cap):
-        examined += 1
-        value, code = _value(chords, deep), None
-        for m, found in hits.items():
-            if any(value.x[:m]):
-                code = code or rotation_canonical_code(ChordDiagram(chords))
-                found.append(code)
+    for examined, chords in enumerate(islice(classes, state_cap), 1):
+        x = _levels(chords, deep)[2]
+        if any(x):
+            code = rotation_canonical_code(ChordDiagram._sorted(chords))
+            for m, found in hits.items():
+                if any(x[:m]):
+                    found.append(code)
     complete = next(classes, None) is None
     order = lambda code: (code.count(" "), [int(t) for t in code.split()])
     return [sorted(hits[m], key=order) for m in depths], examined, complete

@@ -24,11 +24,9 @@ conjugate_equal decides conjugacy of such points by that sign pass.
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
-from .diagram import Chord
-from .parity import (Word, _levels, alphabet, double_prime, letter_level,
-                     prime)
+from .parity import Word, alphabet, double_prime, letter_level, prime
 
 
 class MixedM(ValueError):
@@ -96,21 +94,6 @@ def evaluate(word: Word) -> NormalForm:
     NormalForm(x=(1,), eps=1)
     """
     return reduce(apply_letter, word.letters, identity(word.m))
-
-
-def _value(chords: Sequence[Chord], m: int) -> NormalForm:
-    """The value at depth m of the diagram with these chords, in closed
-    form off parity._levels: x[k] = 2 * sum over the chords (p, q) of
-    level k of s * (-1)^r, with s = +1 in Pk and -1 in Dk and r the
-    number of ends of levels >= k before p; eps = 0, as every letter
-    comes twice.  This is evaluate over the word: every letter of a
-    level >= k (F as level m) flips the parity of x[k:] + eps, so the
-    parity read at an end is r mod 2, and a chord of level k is odd
-    within those ends, so both of its ends read the same parity.  A
-    round never looks ahead, so the first k coordinates are the value
-    at depth k: a letter of a level >= k acts on the first k
-    coordinates as F does."""
-    return NormalForm(tuple(_levels(chords, m)[2]), 0)
 
 
 def relations(m: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:

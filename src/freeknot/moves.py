@@ -17,7 +17,7 @@ from .diagram import Chord, ChordDiagram
 
 
 class GapOutOfRange(ValueError):
-    """An insertion gap lies outside 0..2n."""
+    """An insertion gap is not an int in 0..2n."""
 
 
 class NotAnR1Site(ValueError):
@@ -70,8 +70,8 @@ def r1_remove(d: ChordDiagram, chord) -> ChordDiagram:
 
 def r1_add(d: ChordDiagram, gap: int) -> ChordDiagram:
     """Insert a chord with consecutive ends after position `gap` (0..2n)."""
-    if not 0 <= gap <= d.size:
-        raise GapOutOfRange(f"gap {gap} outside 0..{d.size}")
+    if type(gap) is not int or not 0 <= gap <= d.size:
+        raise GapOutOfRange(f"gap {gap!r} is not an int in 0..{d.size}")
     return ChordDiagram(_shift(d.chords, gap, d.size, 2)
                         + [(gap + 1, gap + 2)])
 
@@ -103,8 +103,10 @@ def r2_add(d: ChordDiagram, gap1: int, gap2: int, pattern: str) -> ChordDiagram:
     another after `gap2` (gap1 <= gap2), joined crossed or nested."""
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
-    if not 0 <= gap1 <= gap2 <= d.size:
-        raise GapOutOfRange(f"gaps ({gap1}, {gap2}) outside 0..{d.size}")
+    if (type(gap1) is not int or type(gap2) is not int
+            or not 0 <= gap1 <= gap2 <= d.size):
+        raise GapOutOfRange(
+            f"gaps ({gap1!r}, {gap2!r}) are not ints in 0..{d.size}")
     a1, a2, b1, b2 = gap1 + 1, gap1 + 2, gap2 + 3, gap2 + 4
     pair = ([(a1, b1), (a2, b2)] if pattern == CROSSED
             else [(a1, b2), (a2, b1)])
@@ -199,7 +201,7 @@ def r3_apply(d: ChordDiagram, anchors) -> ChordDiagram:
     except TypeError:
         raise NotAnR3Site(f"{anchors!r} is not a list of positions") from None
     owners = {c for c in d.chords if c[0] in swap or c[1] in swap}
-    if _adjoint_anchors(owners) != anchors:
+    if {*map(type, anchors)} - {int} or _adjoint_anchors(owners) != anchors:
         raise NotAnR3Site(f"no completely adjoint triple at {anchors}")
     return ChordDiagram((swap.get(p, p), swap.get(q, q)) for p, q in d.chords)
 
@@ -210,6 +212,8 @@ def rotate_basepoint(d: ChordDiagram, steps: int) -> ChordDiagram:
     Position p maps to ((p - 1 - steps) mod 2n) + 1; linking between
     chords is unchanged, and the word shifts cyclically.
     """
+    if type(steps) is not int:
+        raise ValueError(f"steps {steps!r} is not an int")
     size = d.size
     if size == 0:
         return d

@@ -88,17 +88,27 @@ def _levels(chords: Sequence[Chord],
             m: int) -> tuple[list, Sequence[Chord], list[int]]:
     """(parts, residue, x): the (Pk, Dk) chord lists of each level k the
     walk at depth m reaches, in first-end order as `chords` are, the
-    chords left over, and the x of the word's value, a term per chord
-    as its level is cut (see group._value).  Round k cuts R_k, the
-    chords left, into level k (its odd chords) and R_{k+1}, then level
-    k into Pk and Dk; a round with no odd chord ends the walk.  rank[j]
-    counts R_k's ends at positions <= j.  Inside a chord (p, q) lie two
-    ends of each chord nested in it and one of each linked with it, so
-    its rank gap rank[q] - rank[p] is even exactly when it is odd
-    within R_k.  A round ranks R_{k+1} once, as `after`, the next
-    round's rank.  A chord (p, q) of level k has an odd number of R_k's
-    ends inside, its level's and after[q] - after[p] of R_{k+1}'s, so
-    it is in Pk exactly when after[q] - after[p] is even."""
+    chords left over, and the x of the word's value, whose eps is 0 as
+    every letter comes twice.  Round k cuts R_k, the chords left, into
+    level k (its odd chords) and R_{k+1}, then level k into Pk and Dk;
+    a round with no odd chord ends the walk.  rank[j] counts R_k's ends
+    at positions <= j.  Inside a chord (p, q) lie two ends of each
+    chord nested in it and one of each linked with it, so its rank gap
+    rank[q] - rank[p] is even exactly when it is odd within R_k.  A
+    round ranks R_{k+1} once, as `after`, the next round's rank.  A
+    chord (p, q) of level k has an odd number of R_k's ends inside, its
+    level's and after[q] - after[p] of R_{k+1}'s, so it is in Pk
+    exactly when after[q] - after[p] is even.
+
+    x in closed form, a term per chord as its level is cut: x[k] = 2 *
+    sum over the chords (p, q) of level k of s * (-1)^r, with s = +1
+    in Pk and -1 in Dk and r = rank[p] - 1, the number of R_k's ends
+    before p.  This is evaluate over the word: every letter of a level
+    >= k (F as level m) flips the parity of x[k:] + eps, so the parity
+    read at an end is r mod 2, and a chord of level k is odd within
+    R_k, so both of its ends read the same parity.  A round never looks
+    ahead, so x[:k] is the value at depth k: a letter of a level >= k
+    acts on the first k coordinates as F does."""
     size = 2 * len(chords)
     parts, x = [], [0] * m
     remaining, rank = chords, range(size + 1)  # R_0 owns every end

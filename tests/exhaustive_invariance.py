@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from freeknot import (ChordDiagram, apply_move, enumerate_moves,
                       rotate_basepoint, rotation_classes)
-from freeknot.group import _value
+from freeknot.parity import _levels
 
 DEPTH = 3
 
@@ -52,19 +52,19 @@ def count(max_chords: int) -> Count:
             classes += 1
             for steps in (0, 1):
                 base = rotate_basepoint(d, steps)
-                value = _value(base.chords, DEPTH)
+                value = _x(base)
                 for move in enumerate_moves(base, max_chords + 1):
                     if move.kind == "rotate":
                         continue
                     moves += 1
                     at_base_point_0 += steps == 0
                     moved = apply_move(base, move)
-                    changed += _value(moved.chords, DEPTH) != value
+                    changed += _x(moved) != value
     return Count(classes, moves, at_base_point_0, changed)
 
 
 def _x(d: ChordDiagram) -> tuple[int, ...]:
-    return _value(d.chords, DEPTH).x
+    return tuple(_levels(d.chords, DEPTH)[2])
 
 
 def _abs(x: tuple[int, ...]) -> tuple[int, ...]:

@@ -46,6 +46,8 @@ CLI = ("test_cli.py",)
 MUTANTS = [
     Mutant("r1_add lists no last gap", "moves.py",
            "for gap in range(d.size + 1)", "for gap in range(d.size)", MOVES),
+    Mutant("r1_add takes a bool gap", "moves.py",
+           "type(gap) is not int", "not isinstance(gap, int)", MOVES),
     Mutant("rank path swaps odd and even", "parity.py",
            "(rest if (rank[c[1]] - rank[c[0]]) & 1 else level)",
            "(level if (rank[c[1]] - rank[c[0]]) & 1 else rest)", PARITY),
@@ -138,7 +140,16 @@ MUTANTS = [
     Mutant("rotation_classes keeps every prenecklace", "explore.py",
            "if size % p == 0:", "if True:", EXPLORE),
     Mutant("_class_chords keeps the period over forced gaps", "explore.py",
-           "if g > gaps[t - p]:", "if False:", EXPLORE),
+           "break\n                p = t\n", "break\n", EXPLORE),
+    Mutant("the walk leaves the partner booked on backtrack", "explore.py",
+           "gaps[end] = 0", "pass", EXPLORE),
+    Mutant("a new chord start keeps the old period", "explore.py",
+           "t, p = s + 1, ps if g == least else s", "t, p = s + 1, ps",
+           EXPLORE),
+    Mutant("the last chord keeps the old period", "explore.py",
+           "p if g == h else t", "p", EXPLORE),
+    Mutant("the last chord skips the least gap", "explore.py",
+           "if g >= h:", "if True:", EXPLORE),
     Mutant("_levels keeps a removed level's ends", "parity.py",
            "remaining, rank = rest, after", "remaining, rank = rest, rank",
            PARITY),
@@ -152,7 +163,7 @@ MUTANTS = [
     Mutant("apply_letter's F keeps the flag", "group.py",
            "NormalForm(point.x, point.eps ^ 1)", "point", GROUP),
     Mutant("search_nontrivial reads one level too many", "explore.py",
-           "if any(value.x[:m]):", "if any(value.x[:m + 1]):", EXPLORE),
+           "if any(x[:m]):", "if any(x[:m + 1]):", EXPLORE),
     Mutant("distinguish reads one level too many", "explore.py",
            "NormalForm(x1[:m], 0)", "NormalForm(x1[:m + 1], 0)", EXPLORE),
     Mutant("distinguish lets depths below one through", "explore.py",

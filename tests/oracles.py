@@ -13,7 +13,8 @@ tested chord pair by chord pair, move sites are found by testing
 every pair and triple of chords, and the chords a removal leaves are
 renumbered by sorting their ends rather than shifted.  A Gauss code
 is parsed into a list of positions per label, whose chords the
-diagram's constructor then normalises and sorts.  The exhaustive
+diagram's constructor then normalises and sorts.  Rotation classes
+are generated by a recursion of nested generators.  The exhaustive
 search lists every perfect matching and keeps the first of each
 rotation class, keyed by its least code over every base point, and
 reduction is a breadth-first search over every move.  `compare` and
@@ -100,8 +101,9 @@ def rank_word(d: ChordDiagram, m: int) -> Word:
 
 
 def walked_value(chords, m: int) -> NormalForm:
-    """group._value as step_evaluate walking, one end at a time, the
-    word that the level walk's parts spell."""
+    """The value whose x parity._levels gives in closed form, as
+    step_evaluate walking, one end at a time, the word that the level
+    walk's parts spell."""
     letters = [FINAL] * (2 * len(chords))
     for k, split in enumerate(_levels(chords, m)[0]):
         for part, z in zip(split, (prime(k), double_prime(k))):
@@ -470,6 +472,40 @@ def rotation_class_codes(n: int) -> tuple[str, ...]:
     for chords in all_matchings(range(1, 2 * n + 1)):
         codes.setdefault(rotations_code(ChordDiagram(chords)))
     return tuple(codes)
+
+
+def recursive_class_chords(n: int):
+    """explore._class_chords as the nested-generator recursion it was: an
+    FKM prenecklace recursion, a generator frame per chord start, that
+    walks each frame's forced positions in place and yields each class's
+    sorted chords through a chain of `yield from`s."""
+    size = 2 * n
+    gaps = [0] * (size + 1)  # gaps[t] at position t; gaps[0] is a floor
+    back = [0] * (size + 1)  # the gap an earlier chord forces at t, or 0
+    chords = []
+
+    def extend(t, p):
+        while t <= size and back[t]:
+            g = gaps[t] = back[t]
+            if g < gaps[t - p]:
+                return
+            if g > gaps[t - p]:
+                p = t
+            t += 1
+        if t > size:
+            if size % p == 0:
+                yield tuple(chords)
+            return
+        least = gaps[t - p]
+        for g in range(max(least, 1), size - t + 1):
+            if not back[t + g]:
+                gaps[t], back[t + g] = g, size - g
+                chords.append((t, t + g))
+                yield from extend(t + 1, p if g == least else t)
+                chords.pop()
+                back[t + g] = 0
+
+    return extend(1, 1)
 
 
 def search_by_matchings(max_chords: int, m: int, state_cap: int):

@@ -84,7 +84,7 @@ class TestInvariant:
             calls.append(m)
             return _levels(chords, m)
 
-        for module in (freeknot.parity, freeknot.group):
+        for module in (freeknot.parity, freeknot.explore):
             monkeypatch.setattr(module, "_levels", counted)
         code, _, _ = run(capsys, "invariant", "--json", "--gauss", WITNESS,
                          "--gauss", THREE_LEVELS, "--m", "1", "--m", "3",

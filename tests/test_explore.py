@@ -23,7 +23,7 @@ from freeknot import (CERTIFIED_DISTINCT, EXHAUSTED, FREE, LONG,
                       rotation_classes, rotation_conjugacy_trial, scramble,
                       search_nontrivial, serialize, word_of)
 from freeknot.cli import main
-from freeknot.group import _value
+from freeknot.parity import _levels
 from oracles import (all_matchings, breadth_first_reduce,
                      rotation_class_codes, search_by_matchings)
 from support import diagrams
@@ -348,6 +348,20 @@ class TestRotationClasses:
         assert not isinstance(classes, Sized)
         assert serialize(next(classes)) == "1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8"
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_the_flat_walk_follows_the_recursion(self, n):
+        """The one-loop walk yields the classes of the nested-generator
+        recursion it replaced, as the same chords in the same order."""
+        assert list(freeknot.explore._class_chords(n)) \
+            == list(oracles.recursive_class_chords(n))
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_each_class_is_built_as_the_constructor_builds_it(self, n):
+        """rotation_classes trusts the walk's chords to be normalised
+        and sorted, and skips the constructor's sort."""
+        for d in rotation_classes(n):
+            assert ChordDiagram(d.chords).chords == d.chords
+
     def test_same_diagrams_in_the_same_order(self):
         """The Gauss codes of every class on at most seven chords, one a
         line, hash to the digest of the nested-generator recursion that
@@ -360,10 +374,11 @@ class TestRotationClasses:
 
 class TestClassValue:
     """The value of a class, read through the level walk that the census
-    shares with word_of, through evaluate, and through `_value`'s closed
-    form, which `search_nontrivial` and `distinguish` read, against the
-    rank-scan word, the step-by-step evaluation and the step rule walked
-    over the word the walk's chord lists spell, which they replaced."""
+    shares with word_of, through evaluate, and through the walk's x in
+    closed form, which `search_nontrivial` and `distinguish` read,
+    against the rank-scan word, the step-by-step evaluation and the
+    step rule walked over the word the walk's chord lists spell, which
+    they replaced."""
 
     @staticmethod
     def check(d, m):
@@ -372,7 +387,8 @@ class TestClassValue:
         value = oracles.step_evaluate(word)
         assert evaluate(word) == value
         assert oracles.walked_value(d.chords, m) == value
-        assert _value(d.chords, m) == value
+        assert tuple(_levels(d.chords, m)[2]) == value.x
+        assert value.eps == 0
 
     @pytest.mark.parametrize("n", range(8))
     def test_every_class_through_seven_chords(self, n):
@@ -413,7 +429,7 @@ class TestClassValue:
                   for _ in range(300)]
         deepest = 0
         for d, m in cases:
-            x, levels = _value(d.chords, m).x, filtration(d, m).levels
+            x, levels = _levels(d.chords, m)[2], filtration(d, m).levels
             for k, (xk, level) in enumerate(zip(x, levels)):
                 assert xk % 4 == 0 and abs(xk) <= 2 * len(level)
                 deepest = max(deepest, k + 1 if xk else 0)

@@ -420,6 +420,47 @@ class TestRotate:
             == rotate_basepoint(d, steps % d.size)
 
 
+class TestPositionTypes:
+    """A gap, step or anchor that is not an int, a float equal to one
+    or a bool included, is rejected with the move's own error, and no
+    diagram gets a float end; ints are kept."""
+
+    NOT_INTS = [1.5, 1.0, True, False, "1", None]
+
+    @pytest.mark.parametrize("gap", NOT_INTS)
+    def test_r1_add(self, gap):
+        with pytest.raises(GapOutOfRange, match="is not an int"):
+            r1_add(TRIPLE, gap)
+
+    @pytest.mark.parametrize("bad", NOT_INTS)
+    @pytest.mark.parametrize("pattern", [CROSSED, NESTED])
+    def test_r2_add(self, bad, pattern):
+        for gaps in ((bad, 2), (0, bad)):
+            with pytest.raises(GapOutOfRange, match="are not ints"):
+                r2_add(TRIPLE, *gaps, pattern)
+
+    @pytest.mark.parametrize("steps", NOT_INTS)
+    def test_rotate(self, steps):
+        for d in (TRIPLE, ChordDiagram()):
+            with pytest.raises(ValueError, match="is not an int"):
+                rotate_basepoint(d, steps)
+
+    @pytest.mark.parametrize("anchors", [
+        (1.0, 3, 5), (1, 3.0, 5), (1, 3, 5.0), (1.0, 3.0, 5.0), (True, 3, 5)])
+    def test_r3_apply(self, anchors):
+        """Each list equals (1, 3, 5), a site of TRIPLE."""
+        assert r3_apply(TRIPLE, (1, 3, 5))
+        with pytest.raises(NotAnR3Site, match="no completely adjoint"):
+            r3_apply(TRIPLE, anchors)
+
+    def test_int_positions_give_int_ends(self):
+        """The moves that take positions write only int ends."""
+        moved = [r1_add(TRIPLE, 1), r2_add(TRIPLE, 1, 2, CROSSED),
+                 rotate_basepoint(TRIPLE, 1), r3_apply(TRIPLE, (1, 3, 5))]
+        for d in moved:
+            assert {type(e) for c in d.chords for e in c} == {int}
+
+
 class TestEnumerate:
     def test_empty_diagram(self):
         assert list(enumerate_moves(ChordDiagram(), 1)) \
