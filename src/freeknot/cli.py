@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import random
-import re
 import signal
 import sys
 from itertools import chain, repeat
@@ -190,8 +189,7 @@ def cmd_reduce(args):
             yield from (f"  {_move_text(move)}" for move in path)
         if result is not None:
             yield f"result: {gauss or '(empty)'}"
-    return 0, {"outcome": report.outcome,
-               "path": None if path is None else [*map(_move_json, path)],
+    return 0, {"outcome": report.outcome, "path": path,
                "diagram": None if result is None else _diagram_json(result),
                "gauss": gauss, "visited": report.visited,
                "max_states": args.max_states, "max_chords": max_chords,
@@ -341,22 +339,18 @@ def _parser() -> argparse.ArgumentParser:
 
 # The item types whose lists are encoded in one join, and their encoders.
 _FLAT = {int: int.__repr__, str: encode_basestring_ascii}
-# A leaf marker of _marked as _put_json writes it: "<name>" or (name).
-_MARKER = re.compile(r'"<[^>]*>"|\([^)]*\)')
 
 
-def _marked(value, name: str):
-    """`value` with each leaf a marker of its path name: <name> for an
-    int, (name) for a str (kept quoted); outer item i is named i."""
-    if isinstance(value, tuple):
-        return tuple(_marked(v, f"{name}[{i}]" if name else str(i))
-                     for i, v in enumerate(value))
-    return f"({name})" if type(value) is str else f"<{name}>"
+def _slots(value):
+    """`value` with each int leaf "%d" and each str leaf "%s"."""
+    if type(value) is tuple:
+        return tuple(map(_slots, value))
+    return "%s" if type(value) is str else "%d"
 
 
 def _leaves(items) -> tuple:
     """The leaves of `items`, in order: tuples all nested as the first
-    is, such as one kind's sites."""
+    is, such as one move's params or one kind's sites."""
     item = items[0]
     while type(item) is tuple:
         items, item = chain.from_iterable(items), item[0]
@@ -364,20 +358,15 @@ def _leaves(items) -> tuple:
 
 
 @functools.cache
-def _template(kind: str, marked: tuple, indent: str) -> str:
+def _template(kind: str, slots: tuple, indent: str) -> str:
     """_move_json of a `kind` move as _put_json writes it at `indent`,
-    made a %-template: literal % doubled, each marker %d, or %s (kept
-    quoted) for a str.  A site's _leaves fill it, so the markers must
-    occur in their leaf order in `marked`, as they do while each kind's
-    fields are sorted like JSON keys.  A str goes in unescaped; the
-    only one, a pattern, needs no escape."""
+    a %-template over `slots` (see _slots), %s kept quoted.  A Move and
+    a listing alike fill it with _leaves in field order, the text's while
+    fields sort like JSON keys (pinned by test_template_of_each_kind).
+    A str goes in unescaped; the only one, a pattern, needs none."""
     chunks = []
-    _put_json(_move_json(Move(kind, marked)), indent, chunks.append, {})
-    text = "".join(chunks).replace("%", "%%")
-    found = [marker.strip('"') for marker in _MARKER.findall(text)]
-    if found != list(_leaves((marked,))):
-        raise RuntimeError(f"{kind}: fields {found} out of leaf order")
-    return _MARKER.sub(lambda m: "%s" if m[0][0] == "(" else "%d", text)
+    _put_json(_move_json(Move(kind, slots)), indent, chunks.append, {})
+    return "".join(chunks).replace('"%d"', "%d")
 
 
 def _json_text(value) -> str:
@@ -399,13 +388,14 @@ def _put_json(value, indent: str, append, rows: dict) -> None:
     Four paths write without recursing: exact strs and ints directly, a
     flat list of only ints or only strs in one join, rows (lists or
     tuples of one length holding only ints, such as chords) in one
-    %-format over the list's flattened ints, and a move listing in one
-    %-format per kind over its _template and its sites' _leaves.  Exact
-    type tests keep bools, an int subclass, off them.  Other lists,
-    tuples and dicts (str keys only) recurse; other scalars go to
-    json.dumps.  `rows`, new for each _json_text call, maps the id and
-    indent of each rows list written to the list, held so that no other
-    object takes its id, and its text, reused where the list recurs.
+    %-format over the list's flattened ints, and a Move (as in reduce's
+    path) or a move listing in one %-format per kind over its _template
+    and the _leaves of its params or sites.  Exact type tests keep
+    bools, an int subclass, off them.  Other lists, tuples and dicts
+    (str keys only) recurse; other scalars go to json.dumps.  `rows`,
+    new for each _json_text call, maps the id and indent of each rows
+    list written to the list, held so that no other object takes its
+    id, and its text, reused where the list recurs.
     Not a closure: a nested function that calls itself is a reference
     cycle, which would keep every chunk alive until the collector's
     next full pass.
@@ -455,10 +445,13 @@ def _put_json(value, indent: str, append, rows: dict) -> None:
             _put_json(value[key], inner, append, rows)
             head = "," + inner
         append(indent + "}")
+    elif isinstance(value, Move):
+        append(_template(value.kind, _slots(value.params), indent)
+               % _leaves(value.params))
     elif isinstance(value, ApplicableMoves):
         inner = indent + "  "
         texts = [("," + inner).join([_template(
-            kind, _marked(sites[0], ""), inner)] * len(sites)) % _leaves(sites)
+            kind, _slots(sites[0]), inner)] * len(sites)) % _leaves(sites)
             for kind, sites in value.blocks if sites]
         append("[" + inner + ("," + inner).join(texts) + indent + "]"
                if texts else "[]")

@@ -197,9 +197,15 @@ MUTANTS = [
            "for key in sorted(value):",
            'for key in sorted(value, key=lambda k: (k != "kind", k)):',
            JSON_TEXT),
-    Mutant("_template swaps r2_add's gaps", "cli.py",
-           "Move(kind, marked)", "Move(kind, marked[1::-1] + marked[2:])",
+    Mutant("_template swaps r2_add's gap2 and pattern slots", "cli.py",
+           "Move(kind, slots)", "Move(kind, slots[:1] + slots[:0:-1])",
            JSON_TEXT),
+    Mutant("templates leave an int slot quoted", "cli.py",
+           """.replace('"%d"', "%d")""", """.replace('"%d"', '"%d"')""",
+           JSON_TEXT),
+    Mutant("a path move is written one level too deep", "cli.py",
+           "_slots(value.params), indent)",
+           '_slots(value.params), indent + "  ")', JSON_TEXT),
     Mutant("move fill flattens nested params one level too few", "cli.py",
            "item = items[0]", "item = items[0][0]", JSON_TEXT),
     Mutant("rows memo keyed by id alone", "cli.py",

@@ -1,8 +1,8 @@
 """The --json text: `cli._json_text` writes exactly what the reference,
 json.dumps(value, indent=2, sort_keys=True), writes, on JSON-like
 values of every shape and on the CLI's payloads at benchmark sizes;
-`moves --json`, written over one template per kind, is the text of the
-list of `cli._move_json` records."""
+`moves --json` and reduce's path, written over one template per kind,
+are the text of the list of `cli._move_json` records."""
 
 import ast
 import gc
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from freeknot import (enumerate_moves, parse_gauss_code, random_diagram,
                       scramble, serialize)
-from freeknot.cli import (_describe, _json_text, _leaves, _marked, _move_json,
+from freeknot.cli import (_describe, _json_text, _leaves, _move_json, _slots,
                           _template, main)
 from freeknot.moves import MOVE_KINDS, PATTERNS, Move
 from oracles import indented_json
@@ -144,6 +144,8 @@ def test_leaves_no_garbage_cycle():
     # collector's next full pass, and peak memory grew with the op count
     d = parse_gauss_code("1 2 1 3 2 3")
     invariant = {"results": list(_describe(d, [1, 2, 3]))}
+    reduced = {"outcome": "reduced to empty", "path": _path_of_every_kind(),
+               "diagram": {"n": 0, "chords": ()}, "visited": 7}
     gc.collect()
     gc.disable()
     try:
@@ -157,6 +159,10 @@ def test_leaves_no_garbage_cycle():
         assert gc.collect() == 0
         # an invariant payload, whose depths share rows lists
         _json_text(invariant)
+        assert gc.collect() == 0
+        # a reduce payload, whose path holds Moves, templates built afresh
+        _template.cache_clear()
+        _json_text(reduced)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -237,19 +243,37 @@ def _first_sites():
 
 @pytest.mark.parametrize("kind", MOVE_KINDS)
 def test_template_of_each_kind(kind):
-    # _template fills its fields in leaf order, which is the text's order
-    # because the fields are sorted, as JSON keys are
+    # the one home of the field-order rule: _template fills its fields
+    # in leaf order, which is the text's order because the fields are
+    # sorted, as JSON keys are
     fields = MOVE_KINDS[kind].fields
     assert list(fields) == sorted(fields)
     site = _first_sites()[kind]
-    template = _template(kind, _marked(site, ""), "\n")
+    template = _template(kind, _slots(site), "\n")
     assert (template % _leaves([site])
             == _json_text(_move_json(Move(kind, site))))
 
 
+def _path_of_every_kind() -> tuple:
+    """A path of Moves, as reduce reports one, that holds each kind."""
+    sites = _first_sites()
+    return tuple(Move(kind, sites[kind]) for kind in MOVE_KINDS)
+
+
+def test_path_of_every_kind_is_the_list_of_move_to_json():
+    """reduce hands its path of Moves to the writer, which writes each
+    over its kind's template, at the indent of a payload's field or of
+    a top-level list, as the text of their _move_json records."""
+    path = _path_of_every_kind()
+    records = [_move_json(move) for move in path]
+    assert _json_text({"path": path}) == indented_json({"path": records})
+    assert _json_text(path) == indented_json(records)
+
+
 def test_template_strings_need_no_escape():
-    # a template writes a str leaf between quotes, unescaped, and marks
-    # leaves by <>() around their field while it is built
+    # a template writes a str leaf between quotes, unescaped, and the
+    # kind's name and fields as they are, with no escape and no % to
+    # double
     for pattern in PATTERNS:
         assert encode_basestring_ascii(pattern) == f'"{pattern}"'
     for name, kind in MOVE_KINDS.items():

@@ -19,15 +19,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # conjugacy programme's level walk and the parity bits of a point, which
 # live on in tests/oracles.py, the list subclass the census once
 # returned its counts on, the numeric letter codes and their walk, the
-# move writers, which the CLI's output layout replaced, and the value
-# wrapper around the level walk's x.
+# move writers, which the CLI's output layout replaced, the value
+# wrapper around the level walk's x, and the leaf markers that slot
+# templates replaced.
 DROPPED = ("Violation", "validate", "linked", "link_count",
            "SharedEndpointError", "delete_odd", "AdjointTriple",
            "json_object", "inverse_move", "move_from_json", "FIELD_SHAPES",
            "Witnesses", "normal_form_to_word", "multiply", "inverse",
            "conjugate", "_walk", "_parity", "_act", "_code", "move_to_json",
            "move_to_text", "_listed", "_text_value", "_named_params",
-           "_value")
+           "_value", "_marked", "_MARKER")
 
 
 def test_every_exported_name_resolves_once():
