@@ -29,7 +29,8 @@ from .explore import (CERTIFIED_DISTINCT, FREE, LONG, distinguish,
                       scramble, search_nontrivial)
 from .group import (NormalForm, corrupted_apply_letter, identity,
                     relation_check)
-from .moves import MOVE_KINDS, ApplicableMoves, Move, enumerate_moves
+from .moves import (MOVE_KINDS, PATTERNS, ApplicableMoves, Move,
+                    enumerate_moves)
 from .parity import FINAL, alphabet, filtration
 
 
@@ -361,12 +362,35 @@ def _leaves(items) -> tuple:
 def _template(kind: str, slots: tuple, indent: str) -> str:
     """_move_json of a `kind` move as _put_json writes it at `indent`,
     a %-template over `slots` (see _slots), %s kept quoted.  A Move and
-    a listing alike fill it with _leaves in field order, the text's while
-    fields sort like JSON keys (pinned by test_template_of_each_kind).
-    A str goes in unescaped; the only one, a pattern, needs none."""
+    each listed kind but r2_add fill it with _leaves in field order, the
+    text's while fields sort like JSON keys (pinned by
+    test_template_of_each_kind); _r2_insertions cuts r2_add's at its
+    two %d slots.  A str goes in unescaped; the only one, a pattern,
+    needs none."""
     chunks = []
     _put_json(_move_json(Move(kind, slots)), indent, chunks.append, {})
     return "".join(chunks).replace('"%d"', "%d")
+
+
+def _r2_insertions(size: int, indent: str) -> str:
+    """The r2_add block of a listing on `size` ends, its records at
+    `indent`, as the _template fill over its _leaves writes it: gap1
+    ascending, then gap2 from gap1 to size, crossed before nested.
+
+    The template splits at its two %d slots into head, mid and tail.
+    One unit per (gap2, pattern) closes its record and opens the next
+    one's head, so the row of gap1 is str(gap1) before each unit from
+    gap2 = gap1 on: one join per row, and no site is built.
+    """
+    head, mid, tail = _template("r2_add", ("%d", "%d", "%s"),
+                                indent).split("%d")
+    sep = "," + indent + head
+    units = [mid + str(gap2) + tail % pattern + sep
+             for gap2 in range(size + 1) for pattern in PATTERNS]
+    rows = [str(gap1) + str(gap1).join(units[2 * gap1:])
+            for gap1 in range(size + 1)]
+    rows[-1] = rows[-1][:-len(sep)]
+    return head + "".join(rows)
 
 
 def _json_text(value) -> str:
@@ -388,9 +412,11 @@ def _put_json(value, indent: str, append, rows: dict) -> None:
     Four paths write without recursing: exact strs and ints directly, a
     flat list of only ints or only strs in one join, rows (lists or
     tuples of one length holding only ints, such as chords) in one
-    %-format over the list's flattened ints, and a Move (as in reduce's
-    path) or a move listing in one %-format per kind over its _template
-    and the _leaves of its params or sites.  Exact type tests keep
+    %-format over the list's flattened ints, a Move (as in reduce's
+    path) in one %-format over its _template and the _leaves of its
+    params, and a move listing in one such %-format per kind over its
+    sites, but for the R2 insertions, which _r2_insertions writes in one
+    join per gap1 from the listing's size alone.  Exact type tests keep
     bools, an int subclass, off them.  Other lists, tuples and dicts
     (str keys only) recurse; other scalars go to json.dumps.  `rows`,
     new for each _json_text call, maps the id and indent of each rows
@@ -450,9 +476,10 @@ def _put_json(value, indent: str, append, rows: dict) -> None:
                % _leaves(value.params))
     elif isinstance(value, ApplicableMoves):
         inner = indent + "  "
-        texts = [("," + inner).join([_template(
-            kind, _slots(sites[0]), inner)] * len(sites)) % _leaves(sites)
-            for kind, sites in value.blocks if sites]
+        texts = [_r2_insertions(sites.size, inner) if kind == "r2_add"
+                 else ("," + inner).join([_template(
+                     kind, _slots(sites[0]), inner)] * len(sites))
+                 % _leaves(sites) for kind, sites in value.blocks if sites]
         append("[" + inner + ("," + inner).join(texts) + indent + "]"
                if texts else "[]")
     else:

@@ -10,6 +10,7 @@ is defined once, in the table MOVE_KINDS.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Callable, NamedTuple
 
@@ -62,6 +63,8 @@ def r1_remove(d: ChordDiagram, chord) -> ChordDiagram:
         chord = tuple(sorted(chord))
     except TypeError:
         raise NotAnR1Site(f"{chord!r} is not a chord") from None
+    if {*map(type, chord)} - {int}:
+        raise NotAnR1Site(f"{chord} has an end that is not an int")
     if chord not in d.chords or chord[1] - chord[0] != 1:
         raise NotAnR1Site(f"{chord} is not a removable small chord")
     rest = [c for c in d.chords if c != chord]
@@ -91,6 +94,8 @@ def r2_remove(d: ChordDiagram, pair) -> ChordDiagram:
     except (TypeError, ValueError):
         raise NotAnR2Site(f"{pair!r} is not a list of chords") from None
     chords = pair.chords
+    if {*map(type, chain(*chords))} - {int}:
+        raise NotAnR2Site(f"{chords} has an end that is not an int")
     if r2_sites(pair) != [chords] or not set(chords) <= set(d.chords):
         raise NotAnR2Site(f"{chords} is not an adjacent chord pair")
     (a, x), (_, y) = chords
@@ -115,8 +120,9 @@ def r2_add(d: ChordDiagram, gap1: int, gap2: int, pattern: str) -> ChordDiagram:
 
 class _R2Insertions(Sequence):
     """The r2_add parameters (gap1, gap2, pattern) on a diagram with
-    `size` ends, in listing order; the item at an index in range is
-    computed from the index."""
+    `size` ends, in listing order; the item at an index is computed
+    from the index, a negative index counts from the end, and a slice
+    gives the list of its items, as a list's would."""
 
     def __init__(self, size: int):
         self.size = size
@@ -124,12 +130,17 @@ class _R2Insertions(Sequence):
     def __len__(self) -> int:
         return (self.size + 1) * (self.size + 2)
 
-    def __getitem__(self, i: int) -> tuple[int, int, str]:
-        if not 0 <= i < len(self):
+    def __getitem__(self, i: int | slice) -> tuple | list[tuple]:
+        n = len(self)
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(n)[i]))
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
             raise IndexError(i)
         # Counted from the last gap pair, pairs k with T(t) <= k < T(t+1),
         # T(t) = t(t+1)/2, are those whose gap1 is size - t.
-        k = len(self) // 2 - 1 - i // 2
+        k = n // 2 - 1 - i // 2
         t = (isqrt(8 * k + 1) - 1) // 2
         gap1, gap2 = self.size - t, self.size - k + t * (t + 1) // 2
         return gap1, gap2, PATTERNS[i % 2]

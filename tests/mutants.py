@@ -118,8 +118,17 @@ MUTANTS = [
     Mutant("ApplicableMoves slices ignore the step", "moves.py",
            "range(len(self))[i]", "range(len(self))[i.start:i.stop]", MOVES),
     Mutant("_R2Insertions.__getitem__ off by one", "moves.py",
-           "k = len(self) // 2 - 1 - i // 2", "k = len(self) // 2 - i // 2",
-           MOVES),
+           "k = n // 2 - 1 - i // 2", "k = n // 2 - i // 2", MOVES),
+    Mutant("_R2Insertions rejects negative indices", "moves.py",
+           "i += n", "i += 0", MOVES),
+    Mutant("_R2Insertions slices ignore the step", "moves.py",
+           "range(n)[i]", "range(n)[i.start:i.stop]", MOVES),
+    Mutant("r1_remove takes a float chord", "moves.py",
+           "{*map(type, chord)} - {int}",
+           "{*map(type, chord)} - {int, float}", MOVES),
+    Mutant("r2_remove takes a bool end", "moves.py",
+           "{*map(type, chain(*chords))} - {int}",
+           "{*map(type, chain(*chords))} - {int, bool}", MOVES),
     Mutant("conjugate_equal's evenness guard tests mod 4", "group.py",
            "any(t % 2 for t in a.x + b.x)", "any(t % 4 for t in a.x + b.x)",
            GROUP),
@@ -208,6 +217,13 @@ MUTANTS = [
            '_slots(value.params), indent + "  ")', JSON_TEXT),
     Mutant("move fill flattens nested params one level too few", "cli.py",
            "item = items[0]", "item = items[0][0]", JSON_TEXT),
+    Mutant("each gap1 row starts one gap2 late", "cli.py",
+           "units[2 * gap1:]", "units[2 * gap1 + 2:]", JSON_TEXT),
+    Mutant("crossed and nested swapped", "cli.py",
+           "for pattern in PATTERNS]", "for pattern in PATTERNS[::-1]]",
+           JSON_TEXT),
+    Mutant("the last row keeps its trailing separator", "cli.py",
+           "rows[-1] = rows[-1][:-len(sep)]", "pass", JSON_TEXT),
     Mutant("rows memo keyed by id alone", "cli.py",
            "key = id(value), indent", "key = id(value)", JSON_TEXT),
     Mutant("rows memo kept across calls", "cli.py",

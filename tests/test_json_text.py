@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from freeknot import (enumerate_moves, parse_gauss_code, random_diagram,
                       scramble, serialize)
-from freeknot.cli import (_describe, _json_text, _leaves, _move_json, _slots,
-                          _template, main)
-from freeknot.moves import MOVE_KINDS, PATTERNS, Move
+from freeknot.cli import (_describe, _json_text, _leaves, _move_json,
+                          _r2_insertions, _slots, _template, main)
+from freeknot.moves import MOVE_KINDS, PATTERNS, Move, _R2Insertions
 from oracles import indented_json
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "freeknot"
@@ -252,6 +252,26 @@ def test_template_of_each_kind(kind):
     template = _template(kind, _slots(site), "\n")
     assert (template % _leaves([site])
             == _json_text(_move_json(Move(kind, site))))
+
+
+def _r2_add_fill(size: int, indent: str) -> str:
+    """The r2_add block as every other kind's is written, the reference
+    for its closed form: the kind's template, once per site, filled
+    with the sites' leaves."""
+    sites = _R2Insertions(size)
+    return ("," + indent).join(
+        [_template("r2_add", _slots(sites[0]), indent)] * len(sites)
+    ) % _leaves(sites)
+
+
+# a listing's records as a payload's field holds them, and as a
+# top-level listing does
+@pytest.mark.parametrize("indent", ["\n    ", "\n  "], ids=["field", "top"])
+def test_r2_add_block_is_the_template_fill(indent):
+    # the sizes that differ, not the texts: a diff of two texts this
+    # long takes pytest minutes
+    assert [size for size in range(81) if _r2_insertions(size, indent)
+            != _r2_add_fill(size, indent)] == []
 
 
 def _path_of_every_kind() -> tuple:

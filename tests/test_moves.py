@@ -394,9 +394,35 @@ class TestApplicableMoves:
             insertions = MOVE_KINDS["r2_add"].sites(d, n + 2)
             assert [insertions[i] for i in range(len(insertions))] \
                 == list(insertions)
-            for outside in (len(insertions), -1):
+            for outside in (len(insertions), -len(insertions) - 1):
                 with pytest.raises(IndexError):
                     insertions[outside]
+
+    def test_r2_insertions_count_negative_indices_from_the_end(self):
+        """As a list's do: `1 2 1 2` under cap 10 has 30 insertions, and
+        index -1 is the last of them."""
+        insertions = MOVE_KINDS["r2_add"].sites(parse_gauss_code("1 2 1 2"),
+                                                10)
+        assert len(insertions) == 30 and insertions[-1] == (4, 4, NESTED)
+        for n in range(5):
+            insertions = MOVE_KINDS["r2_add"].sites(
+                random_diagram(n, random.Random(n)), n + 2)
+            listed = list(insertions)
+            for k in range(1, len(listed) + 1):
+                assert insertions[-k] == listed[-k]
+
+    def test_r2_insertions_slices_return_the_list_slice(self):
+        """As a list's do: `1 2 1 2` under cap 10 gives its insertions
+        1 and 2."""
+        insertions = MOVE_KINDS["r2_add"].sites(parse_gauss_code("1 2 1 2"),
+                                                10)
+        assert insertions[1:3] == [(0, 0, NESTED), (0, 1, CROSSED)]
+        for n in range(5):
+            insertions = MOVE_KINDS["r2_add"].sites(
+                random_diagram(n, random.Random(n)), n + 2)
+            listed = list(insertions)
+            for s in self.SLICES:
+                assert insertions[s] == listed[s], (n, s)
 
     def test_every_index_on_a_large_diagram(self):
         d = _grown(30, random.Random(43))
@@ -452,6 +478,29 @@ class TestPositionTypes:
         assert r3_apply(TRIPLE, (1, 3, 5))
         with pytest.raises(NotAnR3Site, match="no completely adjoint"):
             r3_apply(TRIPLE, anchors)
+
+    @pytest.mark.parametrize("chord", [(1.0, 2.0), (True, 2), (1, 2.0)])
+    def test_r1_remove(self, chord):
+        """Each chord equals (1, 2), a site of `1 1 2 2`."""
+        d = parse_gauss_code("1 1 2 2")
+        assert r1_remove(d, (1, 2)) == parse_gauss_code("1 1")
+        with pytest.raises(NotAnR1Site, match="is not an int"):
+            r1_remove(d, chord)
+
+    @pytest.mark.parametrize("pair", [
+        [(True, 3), (2, 4)], [(1.0, 3.0), (2.0, 4.0)], [(1, 3), (2, 4.0)]])
+    def test_r2_remove(self, pair):
+        """Each pair equals ((1, 3), (2, 4)), a site of `1 2 1 2 3 3`."""
+        d = parse_gauss_code("1 2 1 2 3 3")
+        assert r2_remove(d, [(1, 3), (2, 4)]) == parse_gauss_code("1 1")
+        with pytest.raises(NotAnR2Site, match="is not an int"):
+            r2_remove(d, pair)
+
+    def test_r2_remove_takes_a_pair_anywhere(self):
+        """The type check reads the pair's ends alone: a pair that does
+        not sit at positions 1..4 is still removed."""
+        d = parse_gauss_code("1 1 2 3 2 3")
+        assert r2_remove(d, [(3, 5), (4, 6)]).chords == ((1, 2),)
 
     def test_int_positions_give_int_ends(self):
         """The moves that take positions write only int ends."""
